@@ -64,8 +64,6 @@ from .dqn import (
     Transition,
     TrainResult,
     epsilon_greedy,
-    fixed_time_policy,
-    max_pressure_policy,
     train_dqn,
 )
 from .meta import (

@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from .config import load_settings
-from .dqn import train_dqn, write_training_log
-from .harness import evaluate, load_manifest, run_experiment
+from .dqn import GreedyPolicy, train_dqn, write_training_log
+from .harness import baseline_policy, load_manifest, run_experiment
 from .intersection import run_episode, write_vehicle_trace
 from .meta import (
     ablate_steps,
@@ -147,23 +147,20 @@ def cmd_eval(args) -> int:
     config = settings.intersection
     scenario = read_flow_csv(_require(args.scenario))
     if args.checkpoint:
-        from .dqn import GreedyPolicy
-        subject = GreedyPolicy(load_params(_require(args.checkpoint)), config)
+        policy = GreedyPolicy(load_params(_require(args.checkpoint)), config)
         tag = "checkpoint"
     else:
-        from .harness import _policy_for
-        subject = _policy_for(args.policy, settings, args.seed)
+        policy = baseline_policy(args.policy, config, args.seed)
         tag = args.policy
-    record = evaluate(subject, scenario, config, seed=args.seed, algorithm=tag)
+    result = run_episode(config, scenario, policy, seed=args.seed)
     out = _out_dir(args)
     lines = ["# schema=1", "algorithm,scenario,seed,avg_travel_time_s,completed,residual",
-             f"{record.algorithm},{record.scenario},{record.seed},"
-             f"{record.avg_travel_time!r},{record.completed},{record.residual}"]
+             f"{tag},{scenario.label},{args.seed},"
+             f"{result.avg_travel_time!r},{result.completed_count},{result.residual_count}"]
     (out / "eval.csv").write_text("\n".join(lines) + "\n")
     if args.trace:
-        result = run_episode(config, scenario, subject, seed=args.seed)
         write_vehicle_trace(result, out / "vehicles.csv")
-    print(f"{record.avg_travel_time!r}")
+    print(f"{result.avg_travel_time!r}")
     return 0
 
 

@@ -6,9 +6,10 @@ harness.  Recognized keys (all optional):
   intersection : n_movements, phases (e.g. "0+4;1+5;2+6;3+7"),
                  saturation_rate, approach_time, lost_time,
                  decision_interval, tick, horizon, drain
-  dqn          : gamma, lr, batch_size, epsilon_start, epsilon_end,
-                 epsilon_fraction, episodes, target_sync, replay_capacity,
-                 grad_clip (shared with meta)
+  dqn and meta : gamma, batch_size, replay_capacity, grad_clip (each key
+                 sets the field of both)
+  dqn          : lr, epsilon_start, epsilon_end, epsilon_fraction, episodes,
+                 target_sync
   meta         : alpha, beta, task_batch, meta_iterations, adapt_steps,
                  adapt_data_budget, rollout_epsilon
   network      : embed_dim, compete_dim
@@ -25,14 +26,51 @@ from .intersection import IntersectionConfig
 from .meta import MetaHyper
 from .metrics import DEFAULT_KL_EPSILON
 
-_INT_KEYS = {"n_movements", "batch_size", "episodes", "target_sync",
-             "replay_capacity", "task_batch", "meta_iterations", "adapt_steps",
-             "adapt_data_budget", "embed_dim", "compete_dim"}
-_FLOAT_KEYS = {"saturation_rate", "approach_time", "lost_time", "decision_interval",
-               "tick", "horizon", "drain", "gamma", "lr", "epsilon_start",
-               "epsilon_end", "epsilon_fraction", "grad_clip", "alpha", "beta",
-               "rollout_epsilon", "kl_epsilon"}
-_KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | {"phases"}
+
+def _parse_phases(text: str) -> tuple[tuple[int, ...], ...]:
+    try:
+        return tuple(tuple(int(m) for m in group.split("+"))
+                     for group in text.split(";") if group)
+    except ValueError as exc:
+        raise ValueError(f"cannot parse phases spec {text!r}") from exc
+
+
+_SHARED = ("dqn", "meta")
+
+# config key -> (parser, the (section, field) pairs it sets).  Sections
+# "intersection", "dqn" and "meta" are the fields of IntersectionConfig,
+# DqnHyper and MetaHyper; "network" and "metrics" feed Settings.
+_KEYS = {
+    "n_movements": (int, [("intersection", "n_movements")]),
+    "phases": (_parse_phases, [("intersection", "phases")]),
+    "saturation_rate": (float, [("intersection", "saturation_rate")]),
+    "approach_time": (float, [("intersection", "approach_time")]),
+    "lost_time": (float, [("intersection", "lost_time")]),
+    "decision_interval": (float, [("intersection", "decision_interval")]),
+    "tick": (float, [("intersection", "tick")]),
+    "horizon": (float, [("intersection", "horizon")]),
+    "drain": (float, [("intersection", "drain")]),
+    "gamma": (float, [(s, "gamma") for s in _SHARED]),
+    "batch_size": (int, [(s, "batch_size") for s in _SHARED]),
+    "replay_capacity": (int, [(s, "capacity") for s in _SHARED]),
+    "grad_clip": (float, [(s, "grad_clip") for s in _SHARED]),
+    "lr": (float, [("dqn", "lr")]),
+    "epsilon_start": (float, [("dqn", "epsilon_start")]),
+    "epsilon_end": (float, [("dqn", "epsilon_end")]),
+    "epsilon_fraction": (float, [("dqn", "epsilon_fraction")]),
+    "episodes": (int, [("dqn", "episodes")]),
+    "target_sync": (int, [("dqn", "target_sync")]),
+    "alpha": (float, [("meta", "alpha")]),
+    "beta": (float, [("meta", "beta")]),
+    "task_batch": (int, [("meta", "task_batch")]),
+    "meta_iterations": (int, [("meta", "meta_iterations")]),
+    "adapt_steps": (int, [("meta", "adapt_steps")]),
+    "adapt_data_budget": (int, [("meta", "adapt_data_budget")]),
+    "rollout_epsilon": (float, [("meta", "rollout_epsilon")]),
+    "embed_dim": (int, [("network", "embed_dim")]),
+    "compete_dim": (int, [("network", "compete_dim")]),
+    "kl_epsilon": (float, [("metrics", "kl_epsilon")]),
+}
 
 
 @dataclass
@@ -42,14 +80,6 @@ class Settings:
     meta: MetaHyper
     dims: tuple[int, int] = (16, 16)
     kl_epsilon: float = DEFAULT_KL_EPSILON
-
-
-def _parse_phases(text: str) -> tuple[tuple[int, ...], ...]:
-    try:
-        return tuple(tuple(int(m) for m in group.split("+"))
-                     for group in text.split(";") if group)
-    except ValueError as exc:
-        raise ValueError(f"cannot parse phases spec {text!r}") from exc
 
 
 def read_overrides(path) -> dict:
@@ -63,45 +93,25 @@ def read_overrides(path) -> dict:
             raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-        if key == "phases":
-            overrides[key] = _parse_phases(value)
-        elif key in _INT_KEYS:
-            overrides[key] = int(value)
-        else:
-            overrides[key] = float(value)
+        overrides[key] = _KEYS[key][0](value)
     return overrides
 
 
 def load_settings(path=None, seed: int | None = None) -> Settings:
     """Defaults, overridden by the config file, then by the seed flag."""
-    overrides = read_overrides(path) if path else {}
-
-    def pick(cls_defaults: dict, mapping: dict[str, str]) -> dict:
-        return {field: overrides[key]
-                for key, field in mapping.items() if key in overrides}
-
-    intersection = IntersectionConfig(**pick({}, {
-        "n_movements": "n_movements", "phases": "phases",
-        "saturation_rate": "saturation_rate", "approach_time": "approach_time",
-        "lost_time": "lost_time", "decision_interval": "decision_interval",
-        "tick": "tick", "horizon": "horizon", "drain": "drain"}))
-    dqn = DqnHyper(**pick({}, {
-        "gamma": "gamma", "lr": "lr", "batch_size": "batch_size",
-        "epsilon_start": "epsilon_start", "epsilon_end": "epsilon_end",
-        "epsilon_fraction": "epsilon_fraction", "episodes": "episodes",
-        "target_sync": "target_sync", "replay_capacity": "capacity",
-        "grad_clip": "grad_clip"}))
-    meta = MetaHyper(**pick({}, {
-        "alpha": "alpha", "beta": "beta", "task_batch": "task_batch",
-        "meta_iterations": "meta_iterations", "adapt_steps": "adapt_steps",
-        "adapt_data_budget": "adapt_data_budget",
-        "rollout_epsilon": "rollout_epsilon", "gamma": "gamma",
-        "batch_size": "batch_size", "replay_capacity": "capacity",
-        "grad_clip": "grad_clip"}))
-    dims = (overrides.get("embed_dim", 16), overrides.get("compete_dim", 16))
-    kl_epsilon = overrides.get("kl_epsilon", DEFAULT_KL_EPSILON)
+    sections: dict[str, dict] = {"intersection": {}, "dqn": {}, "meta": {},
+                                 "network": {}, "metrics": {}}
+    for key, value in (read_overrides(path) if path else {}).items():
+        for section, field in _KEYS[key][1]:
+            sections[section][field] = value
+    intersection = IntersectionConfig(**sections["intersection"])
+    dqn = DqnHyper(**sections["dqn"])
+    meta = MetaHyper(**sections["meta"])
+    network = sections["network"]
+    dims = (network.get("embed_dim", 16), network.get("compete_dim", 16))
+    kl_epsilon = sections["metrics"].get("kl_epsilon", DEFAULT_KL_EPSILON)
 
     if seed is not None:
         dqn = replace(dqn, seed=int(seed))

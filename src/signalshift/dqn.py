@@ -14,14 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .intersection import (
-    IntersectionConfig,
-    Observation,
-    initial_state,
-    observe,
-    step,
-)
+from .intersection import IntersectionConfig, Observation, rollout
+# kept bound here: bench/selftest.py checks that the tracer restores
+# `dqn.step`, a function imported from another module
+from .intersection import step  # noqa: F401
 from .network import (
+    GradientSet,
     QNetworkParams,
     QValues,
     bellman_grads,
@@ -117,6 +115,16 @@ def epsilon_greedy(q: QValues, epsilon: float, rng: np.random.Generator | None) 
     return int(np.argmax(values))
 
 
+def td_grads(params: QNetworkParams, target: QNetworkParams, memory: ReplayMemory,
+             hyper, config: IntersectionConfig) -> tuple[float, GradientSet]:
+    """Squared TD loss and its gradients, clipped to `hyper.grad_clip`, on a
+    fresh replay batch: the one update rule of DQN training, meta-training
+    and adaptation (`hyper` is a DqnHyper or a MetaHyper)."""
+    batch = memory.sample(hyper.batch_size)
+    loss, grads = bellman_grads(params, batch, target, hyper.gamma, config)
+    return loss, clip_gradients(grads, hyper.grad_clip)
+
+
 LogRow = namedtuple("LogRow", "update episode loss mean_reward epsilon")
 
 
@@ -153,35 +161,32 @@ def train_dqn(config: IntersectionConfig, scenarios, hyper: DqnHyper,
     log: list[LogRow] = []
     step_counter = 0
     updates = 0
+    epsilon = hyper.epsilon_start
+
+    def act(obs):
+        nonlocal epsilon
+        frac = min(1.0, step_counter / decay_steps)
+        epsilon = hyper.epsilon_start + (hyper.epsilon_end - hyper.epsilon_start) * frac
+        return epsilon_greedy(frap_forward(params, obs, config), epsilon, rng)
+
+    def learn(obs, action, reward, obs_next):
+        nonlocal params, target, step_counter, updates, reward_sum, reward_n
+        memory.push(Transition(obs, action, reward, obs_next))
+        reward_sum += reward
+        reward_n += 1
+        step_counter += 1
+        if len(memory) >= hyper.batch_size:
+            loss, grads = td_grads(params, target, memory, hyper, config)
+            params = sgd_step(params, grads, hyper.lr)
+            updates += 1
+            if updates % hyper.target_sync == 0:
+                target = params
+            log.append(LogRow(updates, episode, loss, reward_sum / reward_n, epsilon))
+
     for episode in range(hyper.episodes):
-        flow = flows[episode % len(flows)]
-        state = initial_state(config, flow)
-        obs = observe(state, config)
         reward_sum = 0.0
         reward_n = 0
-        while True:
-            if state.clock >= config.horizon:
-                if state.is_empty() or state.clock >= config.horizon + config.drain:
-                    break
-            frac = min(1.0, step_counter / decay_steps)
-            epsilon = hyper.epsilon_start + (hyper.epsilon_end - hyper.epsilon_start) * frac
-            action = epsilon_greedy(frap_forward(params, obs, config), epsilon, rng)
-            state, reward = step(state, action, config)
-            obs_next = observe(state, config)
-            memory.push(Transition(obs, action, reward, obs_next))
-            obs = obs_next
-            reward_sum += reward
-            reward_n += 1
-            step_counter += 1
-
-            if len(memory) >= hyper.batch_size:
-                batch = memory.sample(hyper.batch_size)
-                loss, grads = bellman_grads(params, batch, target, hyper.gamma, config)
-                params = sgd_step(params, clip_gradients(grads, hyper.grad_clip), hyper.lr)
-                updates += 1
-                if updates % hyper.target_sync == 0:
-                    target = params
-                log.append(LogRow(updates, episode, loss, reward_sum / reward_n, epsilon))
+        rollout(config, flows[episode % len(flows)], act, learn)
 
     return TrainResult(params, log, time.perf_counter() - t_start, updates)
 
@@ -274,10 +279,3 @@ class RandomPolicy:
     def __call__(self, obs: Observation) -> int:
         return int(self._rng.integers(self.n_phases))
 
-
-def fixed_time_policy(config: IntersectionConfig, green_split=None) -> FixedTimePolicy:
-    return FixedTimePolicy(config, green_split)
-
-
-def max_pressure_policy(config: IntersectionConfig) -> MaxPressurePolicy:
-    return MaxPressurePolicy(config)

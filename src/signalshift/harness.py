@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Settings, load_settings
+from .config import load_settings
 from .dqn import (
     FixedTimePolicy,
     GreedyPolicy,
@@ -164,8 +164,8 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else repr(x)
 
 
-def _policy_for(tag: str, settings: Settings, seed: int):
-    config = settings.intersection
+def baseline_policy(tag: str, config: IntersectionConfig, seed: int):
+    """The non-learning policy named by an algorithm tag."""
     if tag == "fixed_time":
         return FixedTimePolicy(config)
     if tag == "max_pressure":
@@ -227,17 +227,16 @@ def run_experiment(manifest: ExperimentManifest) -> list[EvalRecord]:
                         subject = adapted.params
                     elif algorithm == "rl_adapt":
                         stage = "adapt"
-                        mh = settings.meta
+                        # the same hyperparameters, clip included, as metalight
                         tuned = adapt_params(
-                            dqn_params, scenario, config, mh.alpha, mh.adapt_steps,
-                            mh.adapt_data_budget, mh.rollout_epsilon, mh.batch_size,
-                            mh.gamma, mh.capacity,
+                            dqn_params, scenario, config, settings.meta,
+                            settings.meta.adapt_steps,
                             spawn_rng(seed, 51, zlib.crc32(scenario.label.encode())))
                         subject = tuned.params
                     elif algorithm == "rl_no_adapt":
                         subject = dqn_params
                     else:
-                        subject = _policy_for(algorithm, settings, seed)
+                        subject = baseline_policy(algorithm, config, seed)
                     stage = "evaluate"
                     records.append(evaluate(subject, scenario, config, seed=seed,
                                             train_dist=train_dist,

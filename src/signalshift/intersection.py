@@ -196,27 +196,43 @@ def step(state: SimState, action: int, config: IntersectionConfig,
     return state, reward
 
 
+def rollout(config: IntersectionConfig, flow: FlowSpec, act, on_step=None,
+            validate: bool = False) -> SimState:
+    """Simulate one episode under `act`, the one copy of the episode loop.
+
+    `act(obs) -> phase index` picks every decision; `on_step(obs, action,
+    reward, obs_next)`, if given, sees every transition.  Simulates the
+    demand horizon, then up to `drain` extra seconds, stopping early once
+    the network is empty.  Returns the final state.
+    """
+    state = initial_state(config, flow)
+    obs = observe(state, config)
+    end = config.horizon + config.drain
+    while state.clock < config.horizon or (state.clock < end and not state.is_empty()):
+        action = int(act(obs))
+        state, reward = step(state, action, config, validate=validate)
+        obs_next = observe(state, config)
+        if on_step is not None:
+            on_step(obs, action, reward, obs_next)
+        obs = obs_next
+    return state
+
+
 def run_episode(config: IntersectionConfig, flow: FlowSpec, policy,
                 seed: int = 0, validate: bool = False) -> EpisodeResult:
-    """Roll one scenario under a decision policy.
+    """Roll one scenario under a decision policy (see `rollout`).
 
     `policy` is a callable Observation -> phase index; if it has a
     `reset(seed)` method it is re-initialized first, so stateful policies
-    can be reused across episodes.  Simulates the demand horizon, then up
-    to `drain` extra seconds, stopping early once the network is empty.
-    The result is fully determined by (config, flow, policy, seed).
+    can be reused across episodes.  The result is fully determined by
+    (config, flow, policy, seed).
     """
     if hasattr(policy, "reset"):
         policy.reset(seed)
-    state = initial_state(config, flow)
     rewards: list[float] = []
-    while True:
-        if state.clock >= config.horizon:
-            if state.is_empty() or state.clock >= config.horizon + config.drain:
-                break
-        action = policy(observe(state, config))
-        state, reward = step(state, int(action), config, validate=validate)
-        rewards.append(reward)
+    state = rollout(config, flow, policy,
+                    lambda obs, action, reward, obs_next: rewards.append(reward),
+                    validate=validate)
 
     end_clock = state.clock
     per_vehicle = [(arr, exit_t, m, False) for arr, exit_t, m in state.completed]

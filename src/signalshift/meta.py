@@ -20,14 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .intersection import IntersectionConfig, initial_state, observe, step
+from .intersection import IntersectionConfig, rollout
 from .network import (
     CHECKPOINT_SCHEMA,
     GradientSet,
     QNetworkParams,
     add_grads,
-    bellman_grads,
-    clip_gradients,
     frap_forward,
     init_params,
     params_from_lines,
@@ -35,7 +33,10 @@ from .network import (
     sgd_step,
 )
 from .scenarios import SCHEMA_LINE, FlowSpec, flow_to_csv_text
-from .dqn import ReplayMemory, Transition, epsilon_greedy
+from .dqn import ReplayMemory, Transition, epsilon_greedy, td_grads
+# kept bound here: bench/selftest.py checks that the tracer restores
+# `meta.bellman_grads`; TD steps go through `td_grads`
+from .network import bellman_grads  # noqa: F401
 from .seeding import NS_META, spawn_rng
 
 
@@ -124,26 +125,20 @@ def apply_gradient_steps(theta: QNetworkParams, grad_fn, lr: float,
     return theta, losses
 
 
-def individual_adapt(theta: QNetworkParams, memory: ReplayMemory, alpha: float,
-                     steps: int, config: IntersectionConfig,
-                     batch_size: int = 32, gamma: float = 0.8,
-                     grad_clip: float = 0.0) -> QNetworkParams:
-    """Per-scenario TD gradient steps from theta, fresh batch each step.
+def individual_adapt(theta: QNetworkParams, memory: ReplayMemory, steps: int,
+                     config: IntersectionConfig, hyper: MetaHyper) -> QNetworkParams:
+    """`steps` clipped TD gradient steps of size `hyper.alpha` from theta,
+    fresh batch each step.
 
     The bootstrap target uses the current iterate itself (held constant
-    within a step).  The original theta is untouched.  `grad_clip` is off
-    by default so the update rule stays the plain gradient step.
+    within a step).  The original theta is untouched.
     """
-    if len(memory) < batch_size:
+    if len(memory) < hyper.batch_size:
         raise ValueError(
-            f"memory holds {len(memory)} transitions, need >= {batch_size}")
-
-    def grad_fn(params):
-        batch = memory.sample(batch_size)
-        loss, grads = bellman_grads(params, batch, params, gamma, config)
-        return loss, clip_gradients(grads, grad_clip)
-
-    adapted, _ = apply_gradient_steps(theta, grad_fn, alpha, steps)
+            f"memory holds {len(memory)} transitions, need >= {hyper.batch_size}")
+    adapted, _ = apply_gradient_steps(
+        theta, lambda params: td_grads(params, params, memory, hyper, config),
+        hyper.alpha, steps)
     return adapted
 
 
@@ -156,31 +151,6 @@ def global_update(theta0: QNetworkParams, adapted_grads: list[GradientSet],
     for g in adapted_grads[1:]:
         total = add_grads(total, g)
     return sgd_step(theta0, total, beta)
-
-
-def _rollout_episode(theta: QNetworkParams, flow: FlowSpec, config: IntersectionConfig,
-                     memory: ReplayMemory, rng, hyper: MetaHyper,
-                     adapt_each_step: bool) -> tuple[QNetworkParams, list[float]]:
-    """One episode of experience; optionally one TD step per decision."""
-    state = initial_state(config, flow)
-    obs = observe(state, config)
-    losses: list[float] = []
-    while True:
-        if state.clock >= config.horizon:
-            if state.is_empty() or state.clock >= config.horizon + config.drain:
-                break
-        action = epsilon_greedy(frap_forward(theta, obs, config),
-                                hyper.rollout_epsilon, rng)
-        state, reward = step(state, action, config)
-        obs_next = observe(state, config)
-        memory.push(Transition(obs, action, reward, obs_next))
-        obs = obs_next
-        if adapt_each_step and len(memory) >= hyper.batch_size:
-            batch = memory.sample(hyper.batch_size)
-            loss, grads = bellman_grads(theta, batch, theta, hyper.gamma, config)
-            theta = sgd_step(theta, clip_gradients(grads, hyper.grad_clip), hyper.alpha)
-            losses.append(loss)
-    return theta, losses
 
 
 def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHyper,
@@ -208,15 +178,25 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
         meta_losses: list[float] = []
         for ti in task_idx:
             memory = ReplayMemory(hyper.capacity, seed=rng)
-            adapted, losses = _rollout_episode(theta0, flows[int(ti)], config,
-                                               memory, rng, hyper,
-                                               adapt_each_step=True)
-            rollout_losses.extend(losses)
+            adapted = theta0
+
+            def act(obs):
+                return epsilon_greedy(frap_forward(adapted, obs, config),
+                                      hyper.rollout_epsilon, rng)
+
+            def adapt_step(obs, action, reward, obs_next):
+                # the base learner takes one TD step per decision
+                nonlocal adapted
+                memory.push(Transition(obs, action, reward, obs_next))
+                if len(memory) >= hyper.batch_size:
+                    loss, grads = td_grads(adapted, adapted, memory, hyper, config)
+                    adapted = sgd_step(adapted, grads, hyper.alpha)
+                    rollout_losses.append(loss)
+
+            rollout(config, flows[int(ti)], act, adapt_step)
             if len(memory) >= hyper.batch_size:
-                batch = memory.sample(hyper.batch_size)
-                loss, grads = bellman_grads(adapted, batch, adapted,
-                                            hyper.gamma, config)
-                task_grads.append(clip_gradients(grads, hyper.grad_clip))
+                loss, grads = td_grads(adapted, adapted, memory, hyper, config)
+                task_grads.append(grads)
                 meta_losses.append(loss)
         if task_grads:
             theta0 = global_update(theta0, task_grads, hyper.beta)
@@ -231,24 +211,20 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
 
 
 def adapt_params(theta: QNetworkParams, scenario: FlowSpec, config: IntersectionConfig,
-                 alpha: float, steps: int, data_budget: int,
-                 rollout_epsilon: float, batch_size: int, gamma: float,
-                 capacity: int, rng, grad_clip: float = 0.0) -> AdaptResult:
-    """Collect `data_budget` episodes acting from theta, then take `steps`
-    TD gradient steps on the collected memory."""
+                 hyper: MetaHyper, steps: int, rng) -> AdaptResult:
+    """Collect `hyper.adapt_data_budget` episodes acting from theta, then
+    take `steps` TD gradient steps on the collected memory."""
     t_start = time.perf_counter()
-    hyper_like = MetaHyper(alpha=alpha, rollout_epsilon=rollout_epsilon,
-                           batch_size=batch_size, gamma=gamma, capacity=capacity,
-                           grad_clip=grad_clip)
-    memory = ReplayMemory(capacity, seed=rng)
-    for _ in range(data_budget):
-        _rollout_episode(theta, scenario, config, memory, rng, hyper_like,
-                         adapt_each_step=False)
-    adapted = individual_adapt(theta, memory, alpha, steps, config,
-                               batch_size=batch_size, gamma=gamma,
-                               grad_clip=grad_clip)
+    memory = ReplayMemory(hyper.capacity, seed=rng)
+
+    def act(obs):
+        return epsilon_greedy(frap_forward(theta, obs, config), hyper.rollout_epsilon, rng)
+
+    for _ in range(hyper.adapt_data_budget):
+        rollout(config, scenario, act, lambda *transition: memory.push(Transition(*transition)))
+    adapted = individual_adapt(theta, memory, steps, config, hyper)
     return AdaptResult(adapted, time.perf_counter() - t_start,
-                       episodes_used=data_budget, update_steps=steps)
+                       episodes_used=hyper.adapt_data_budget, update_steps=steps)
 
 
 def adapt_to_scenario(checkpoint: MetaCheckpoint, scenario: FlowSpec,
@@ -264,10 +240,7 @@ def adapt_to_scenario(checkpoint: MetaCheckpoint, scenario: FlowSpec,
     if k < 1:
         raise ValueError("adaptation needs at least one gradient step")
     rng = spawn_rng(hyper.seed, NS_META, 50, seed)
-    return adapt_params(checkpoint.theta0, scenario, config, hyper.alpha, k,
-                        hyper.adapt_data_budget, hyper.rollout_epsilon,
-                        hyper.batch_size, hyper.gamma, hyper.capacity, rng,
-                        grad_clip=hyper.grad_clip)
+    return adapt_params(checkpoint.theta0, scenario, config, hyper, k, rng)
 
 
 AblationRow = namedtuple("AblationRow", "k avg_travel_time_s scenario_count seed")

@@ -52,6 +52,12 @@ def default_config() -> ss.IntersectionConfig:
     return ss.IntersectionConfig()
 
 
+def param_distance(a: ss.QNetworkParams, b: ss.QNetworkParams) -> float:
+    """Euclidean distance between two parameter sets, over every tensor."""
+    return float(np.sqrt(sum(np.sum((getattr(a, name) - getattr(b, name)) ** 2)
+                             for name in ss.network.PARAM_FIELDS)))
+
+
 def make_toy_flow(total: int = 720, heavy_phase: int = 1,
                   seed: int = 11) -> ss.FlowSpec:
     """Scenario with 90% of the volume on one phase's two movements.

@@ -9,10 +9,13 @@ training set and takes a few minutes.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +252,16 @@ def _tree_bytes(root, exclude=()):
             if p.is_file() and p.name not in exclude}
 
 
+# SHA-256 of every output of the criterion-10 pipeline.  A change that
+# moves one of them must re-pin it and say why in CHANGES.md.
+GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "criterion10_sha256.json"
+
+
+def _tree_digests(root, exclude=()):
+    return {path.as_posix(): hashlib.sha256(data).hexdigest()
+            for path, data in _tree_bytes(root, exclude).items()}
+
+
 def test_criterion_10_end_to_end_determinism(tmp_path):
     with criterion(10, "CLI stages byte-identical across reruns"):
         bases_path = tmp_path / "bases.csv"
@@ -290,6 +303,9 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
         # file documented as non-reproducible
         assert _tree_bytes(tmp_path / "a" / "report", exclude=("timing.csv",)) == \
             _tree_bytes(tmp_path / "b" / "report", exclude=("timing.csv",))
+        # manifest.txt is an input naming this run's temporary paths
+        assert _tree_digests(tmp_path / "a", exclude=("timing.csv", "manifest.txt")) \
+            == json.loads(GOLDEN_DIGESTS.read_text())
 
 
 def test_criterion_11_experiment_shape(tmp_path):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import signalshift as ss
+from signalshift import harness
 from signalshift.harness import percent_delta
 
-from conftest import synthetic_base_list
+from conftest import param_distance, synthetic_base_list
 
 
 def small_config_file(tmp_path, **extra):
@@ -255,6 +256,32 @@ def test_experiment_stage_error_flags_output(tmp_path):
     assert err.value.stage == "evaluate"
     status = (out / "status.txt").read_text()
     assert "status=failed" in status and "stage=evaluate" in status
+
+
+def test_rl_adapt_clips_like_metalight(tmp_path, monkeypatch):
+    # rl_adapt adapts by metalight's rule: with the config's grad_clip=c,
+    # k steps of size alpha move the DQN parameters by at most k * alpha * c
+    clip = 0.05
+    train_dir, test_dir = write_sets(tmp_path)
+    config = small_config_file(tmp_path, grad_clip=clip)
+    real_adapt = harness.adapt_params
+    moves = []
+
+    def spy(theta, *args, **kwargs):
+        result = real_adapt(theta, *args, **kwargs)
+        moves.append(param_distance(result.params, theta))
+        return result
+
+    monkeypatch.setattr(harness, "adapt_params", spy)
+    manifest = ss.ExperimentManifest(train_dir, test_dir, tmp_path / "out",
+                                     algorithms=["rl_adapt"], seeds=[0],
+                                     config_path=config)
+    ss.run_experiment(manifest)
+    meta = ss.load_settings(config).meta
+    assert meta.grad_clip == clip
+    bound = meta.adapt_steps * meta.alpha * clip
+    assert len(moves) == 2
+    assert all(0.0 < m <= bound * (1 + 1e-9) for m in moves), (moves, bound)
 
 
 def test_percent_delta_formula():

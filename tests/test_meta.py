@@ -12,7 +12,7 @@ from signalshift.meta import (
 from signalshift.network import params_equal, params_to_text, zero_grads
 from signalshift.seeding import spawn_rng
 
-from conftest import make_toy_flow
+from conftest import make_toy_flow, param_distance
 
 
 def small_config():
@@ -102,7 +102,7 @@ def test_individual_adapt_zero_alpha_is_identity():
     cfg = small_config()
     params = ss.init_params((8, 8), seed=2)
     memory = filled_memory(cfg, params)
-    adapted = ss.individual_adapt(params, memory, 0.0, 3, cfg)
+    adapted = ss.individual_adapt(params, memory, 3, cfg, ss.MetaHyper(alpha=0.0))
     assert params_equal(adapted, params)
 
 
@@ -110,7 +110,8 @@ def test_individual_adapt_requires_warm_memory():
     cfg = small_config()
     params = ss.init_params((8, 8), seed=2)
     with pytest.raises(ValueError):
-        ss.individual_adapt(params, ss.ReplayMemory(16, seed=0), 1e-3, 1, cfg)
+        ss.individual_adapt(params, ss.ReplayMemory(16, seed=0), 1, cfg,
+                            ss.MetaHyper(alpha=1e-3))
 
 
 def test_individual_adapt_fixed_point():
@@ -121,7 +122,8 @@ def test_individual_adapt_fixed_point():
     memory = ss.ReplayMemory(64, seed=3)
     for t in hand_case_batch(cfg, 0.1) * 40:
         memory.push(t)
-    adapted = ss.individual_adapt(params, memory, 1e-3, 3, cfg, gamma=0.9)
+    adapted = ss.individual_adapt(params, memory, 3, cfg,
+                                   ss.MetaHyper(alpha=1e-3, gamma=0.9))
     assert params_equal(adapted, params)
 
 
@@ -130,7 +132,7 @@ def test_individual_adapt_does_not_mutate_input():
     params = ss.init_params((8, 8), seed=4)
     snapshot = params_to_text(params)
     memory = filled_memory(cfg, params)
-    ss.individual_adapt(params, memory, 1e-3, 2, cfg)
+    ss.individual_adapt(params, memory, 2, cfg, ss.MetaHyper(alpha=1e-3))
     assert params_to_text(params) == snapshot
 
 
@@ -206,6 +208,24 @@ def test_adapt_budget_accounting():
     assert k5.update_steps == 5
     with pytest.raises(ValueError):
         ss.adapt_to_scenario(ckpt, small_scenarios(4)[3], cfg, k_override=0)
+
+
+def test_adapt_params_steps_are_clipped():
+    # each of the `steps` updates moves theta by alpha times a gradient whose
+    # norm is capped at grad_clip, here on a memory whose raw gradient is
+    # larger than the cap
+    cfg = small_config()
+    theta = ss.init_params((8, 8), seed=2)
+    flow = small_scenarios(1)[0]
+    alpha, clip, steps = 1e-2, 0.05, 3
+    raw = adapt_params(theta, flow, cfg, ss.MetaHyper(alpha=alpha, grad_clip=0.0), 1,
+                       spawn_rng(0, 77))
+    raw_norm = param_distance(raw.params, theta) / alpha
+    assert raw_norm > 2 * clip, raw_norm
+    clipped = adapt_params(theta, flow, cfg, ss.MetaHyper(alpha=alpha, grad_clip=clip),
+                           steps, spawn_rng(0, 77))
+    moved = param_distance(clipped.params, theta)
+    assert 0.0 < moved <= steps * alpha * clip * (1 + 1e-9), (moved, raw_norm)
 
 
 # ---------------------------------------------------------------------------
