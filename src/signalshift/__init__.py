@@ -44,9 +44,7 @@ from .metrics import (
     movement_distribution,
 )
 from .network import (
-    GradientSet,
     QNetworkParams,
-    QValues,
     bellman_grads,
     frap_forward,
     init_params,

@@ -19,9 +19,7 @@ from .intersection import IntersectionConfig, Observation, rollout
 # `dqn.step`, a function imported from another module
 from .intersection import step  # noqa: F401
 from .network import (
-    GradientSet,
     QNetworkParams,
-    QValues,
     bellman_grads,
     clip_gradients,
     frap_forward,
@@ -99,10 +97,10 @@ class DqnHyper:
             raise ValueError("lr must be non-negative")
 
 
-def epsilon_greedy(q: QValues, epsilon: float, rng: np.random.Generator | None) -> int:
+def epsilon_greedy(q: np.ndarray, epsilon: float, rng: np.random.Generator | None) -> int:
     """Argmax with probability 1-epsilon (ties to the lowest index),
     otherwise a uniformly random phase."""
-    values = np.asarray(q.q if isinstance(q, QValues) else q)
+    values = np.asarray(q)
     if values.size == 0:
         raise ValueError("empty Q-values")
     if not 0.0 <= epsilon <= 1.0:
@@ -116,7 +114,7 @@ def epsilon_greedy(q: QValues, epsilon: float, rng: np.random.Generator | None) 
 
 
 def td_grads(params: QNetworkParams, target: QNetworkParams, memory: ReplayMemory,
-             hyper, config: IntersectionConfig) -> tuple[float, GradientSet]:
+             hyper, config: IntersectionConfig) -> tuple[float, QNetworkParams]:
     """Squared TD loss and its gradients, clipped to `hyper.grad_clip`, on a
     fresh replay batch: the one update rule of DQN training, meta-training
     and adaptation (`hyper` is a DqnHyper or a MetaHyper)."""
@@ -209,7 +207,7 @@ class GreedyPolicy:
         self.config = config
 
     def __call__(self, obs: Observation) -> int:
-        return int(np.argmax(frap_forward(self.params, obs, self.config).q))
+        return int(np.argmax(frap_forward(self.params, obs, self.config)))
 
 
 class FixedTimePolicy:

@@ -18,7 +18,6 @@ the mean movement distribution of the training scenarios.
 
 from __future__ import annotations
 
-import time
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -66,7 +65,6 @@ class EvalRecord:
     residual: int
     kl_to_train: float | None
     seed: int
-    wall_time: float
 
 
 @dataclass
@@ -133,15 +131,13 @@ def evaluate(subject, scenario: FlowSpec, config: IntersectionConfig, seed: int 
     """One greedy episode of `subject` (params or a policy) on a scenario."""
     policy = GreedyPolicy(subject, config) if isinstance(subject, QNetworkParams) \
         else subject
-    t0 = time.perf_counter()
     result = run_episode(config, scenario, policy, seed=seed)
-    wall = time.perf_counter() - t0
     kl = None
     if train_dist is not None:
         kl = kl_distance(train_dist, movement_distribution(scenario.movement_counts()),
                          epsilon=kl_epsilon)
     return EvalRecord(algorithm, scenario.label, result.avg_travel_time,
-                      result.completed_count, result.residual_count, kl, seed, wall)
+                      result.completed_count, result.residual_count, kl, seed)
 
 
 def emit_curve(records: list[EvalRecord]) -> str:

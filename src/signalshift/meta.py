@@ -23,9 +23,7 @@ import numpy as np
 from .intersection import IntersectionConfig, rollout
 from .network import (
     CHECKPOINT_SCHEMA,
-    GradientSet,
     QNetworkParams,
-    add_grads,
     frap_forward,
     init_params,
     params_from_lines,
@@ -111,7 +109,7 @@ def apply_gradient_steps(theta: QNetworkParams, grad_fn, lr: float,
                          steps: int) -> tuple[QNetworkParams, list[float]]:
     """Iterate theta <- theta - lr * grad for `steps` steps.
 
-    `grad_fn(theta) -> (loss, GradientSet)` is evaluated afresh each step.
+    `grad_fn(theta) -> (loss, gradient)` is evaluated afresh each step.
     Returns the final parameters and the per-step losses; the input object
     is never mutated.
     """
@@ -142,15 +140,13 @@ def individual_adapt(theta: QNetworkParams, memory: ReplayMemory, steps: int,
     return adapted
 
 
-def global_update(theta0: QNetworkParams, adapted_grads: list[GradientSet],
+def global_update(theta0: QNetworkParams, adapted_grads: list[QNetworkParams],
                   beta: float) -> QNetworkParams:
     """Move theta0 against the summed per-task gradients (first order)."""
     if not adapted_grads:
         raise ValueError("need at least one task gradient")
-    total = adapted_grads[0]
-    for g in adapted_grads[1:]:
-        total = add_grads(total, g)
-    return sgd_step(theta0, total, beta)
+    total = sum((g.theta for g in adapted_grads[1:]), adapted_grads[0].theta)
+    return sgd_step(theta0, adapted_grads[0].with_theta(total), beta)
 
 
 def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHyper,
@@ -173,7 +169,7 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
 
     for iteration in range(hyper.meta_iterations):
         task_idx = rng.choice(len(flows), size=hyper.task_batch, replace=False)
-        task_grads: list[GradientSet] = []
+        task_grads: list[QNetworkParams] = []
         rollout_losses: list[float] = []
         meta_losses: list[float] = []
         for ti in task_idx:

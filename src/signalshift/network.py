@@ -7,14 +7,17 @@ the sum of its scores against all rivals.  Because every layer is shared
 across movements and pairs, the network has no notion of movement
 identity: relabeling phases permutes the Q-values and nothing else.
 
-Parameters use value semantics: updates return new objects and never
-mutate their inputs, which keeps meta-learning bookkeeping honest.
+Weights and gradients are one type: a flat float64 vector `theta` with a
+named view per tensor, so SGD is `theta - lr * g.theta`.  Updates return
+new objects and never mutate their inputs, which keeps meta-learning
+bookkeeping honest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -30,35 +33,46 @@ PARAM_FIELDS = ("W_e", "b_e", "W_c", "b_c", "w_r", "b_r")
 CHECKPOINT_SCHEMA = "# schema=1"
 
 
-@dataclass
+@lru_cache(maxsize=64)
+def _layout(embed_dim: int, compete_dim: int) -> tuple:
+    """(name, shape, slice of theta) per tensor, in PARAM_FIELDS order."""
+    shapes = ((embed_dim, 2), (embed_dim,), (compete_dim, 2 * embed_dim),
+              (compete_dim,), (compete_dim,), ())
+    ends = accumulate(math.prod(shape) for shape in shapes)
+    return tuple((name, shape, slice(end - math.prod(shape), end))
+                 for name, shape, end in zip(PARAM_FIELDS, shapes, ends))
+
+
 class QNetworkParams:
-    """All weights of the Q-network (shared across movements and pairs)."""
+    """Weights or loss gradients of the Q-network: the flat vector `theta`
+    (zeros if omitted) and a view of it per tensor, W_e (E, 2), b_e (E,),
+    W_c (C, 2E), b_c (C,), w_r (C,) and b_r ().  The views are bound once:
+    writing through one changes `theta`; rebinding an attribute raises."""
 
-    W_e: np.ndarray   # (embed_dim, 2) movement embedding
-    b_e: np.ndarray   # (embed_dim,)
-    W_c: np.ndarray   # (compete_dim, 2*embed_dim) pair competition
-    b_c: np.ndarray   # (compete_dim,)
-    w_r: np.ndarray   # (compete_dim,) readout
-    b_r: np.ndarray   # () readout bias
-    embed_dim: int = DEFAULT_EMBED_DIM
-    compete_dim: int = DEFAULT_COMPETE_DIM
+    __slots__ = ("embed_dim", "compete_dim", "theta") + PARAM_FIELDS
 
+    def __init__(self, embed_dim: int = DEFAULT_EMBED_DIM,
+                 compete_dim: int = DEFAULT_COMPETE_DIM, theta=None):
+        bind = object.__setattr__
+        bind(self, "embed_dim", int(embed_dim))
+        bind(self, "compete_dim", int(compete_dim))
+        layout = _layout(self.embed_dim, self.compete_dim)
+        size = layout[-1][2].stop
+        theta = np.zeros(size) if theta is None else np.ascontiguousarray(theta, np.float64)
+        if theta.shape != (size,):
+            raise ValueError(f"theta has shape {theta.shape}, the dims need ({size},)")
+        bind(self, "theta", theta)
+        for name, shape, span in layout:
+            bind(self, name, theta[span].reshape(shape))
 
-@dataclass
-class GradientSet:
-    """Loss gradients, one array per parameter tensor (same shapes)."""
+    def with_theta(self, theta) -> QNetworkParams:
+        return QNetworkParams(self.embed_dim, self.compete_dim, theta)
 
-    W_e: np.ndarray
-    b_e: np.ndarray
-    W_c: np.ndarray
-    b_c: np.ndarray
-    w_r: np.ndarray
-    b_r: np.ndarray
-
-
-@dataclass
-class QValues:
-    q: np.ndarray  # one value per phase
+    def __setattr__(self, name, value):
+        # `p.W_e += x` writes in place, then rebinds the same view: allowed
+        if getattr(self, name, None) is not value:
+            raise AttributeError(f"cannot rebind {name!r}; write through the view "
+                                 f"instead (p.{name}[...] = value)")
 
 
 def init_params(dims: tuple[int, int] = (DEFAULT_EMBED_DIM, DEFAULT_COMPETE_DIM),
@@ -68,21 +82,12 @@ def init_params(dims: tuple[int, int] = (DEFAULT_EMBED_DIM, DEFAULT_COMPETE_DIM)
     if embed_dim <= 0 or compete_dim <= 0:
         raise ValueError("network dimensions must be positive")
     rng = spawn_rng(seed)
-
-    def uniform(shape, fan_in):
+    params = QNetworkParams(embed_dim, compete_dim)
+    for name, fan_in in (("W_e", 2), ("W_c", 2 * embed_dim), ("w_r", compete_dim)):
+        weights = getattr(params, name)
         bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    return QNetworkParams(
-        W_e=uniform((embed_dim, 2), 2),
-        b_e=np.zeros(embed_dim),
-        W_c=uniform((compete_dim, 2 * embed_dim), 2 * embed_dim),
-        b_c=np.zeros(compete_dim),
-        w_r=uniform((compete_dim,), compete_dim),
-        b_r=np.zeros(()),
-        embed_dim=embed_dim,
-        compete_dim=compete_dim,
-    )
+        weights[...] = rng.uniform(-bound, bound, size=weights.shape)
+    return params
 
 
 @lru_cache(maxsize=64)
@@ -120,26 +125,27 @@ def _forward_batch(params: QNetworkParams, demands: np.ndarray, greens: np.ndarr
 
 
 def _backward_batch(params: QNetworkParams, cache, d_q: np.ndarray,
-                    config: IntersectionConfig) -> GradientSet:
+                    config: IntersectionConfig) -> QNetworkParams:
     """Reverse-mode accumulation of d(loss)/d(params) given d(loss)/dQ."""
     mem_norm, _, _, agg_p, agg_q = _phase_structs(config)
     x, z_e, _, u, z_c, c = cache
 
+    grads = QNetworkParams(params.embed_dim, params.compete_dim)
     d_s = d_q @ agg_p                                         # (B, K)
-    g_b_r = d_s.sum()
-    g_w_r = np.tensordot(d_s, c, axes=([0, 1], [0, 1]))
+    grads.b_r[...] = d_s.sum()
+    grads.w_r[...] = np.tensordot(d_s, c, axes=([0, 1], [0, 1]))
     d_c = d_s[..., None] * params.w_r                         # (B, K, C)
     d_z_c = d_c * (z_c > 0.0)
-    g_W_c = np.tensordot(d_z_c, u, axes=([0, 1], [0, 1]))
-    g_b_c = d_z_c.sum(axis=(0, 1))
+    grads.W_c[...] = np.tensordot(d_z_c, u, axes=([0, 1], [0, 1]))
+    grads.b_c[...] = d_z_c.sum(axis=(0, 1))
     d_u = d_z_c @ params.W_c                                  # (B, K, 2E)
     embed = params.embed_dim
     d_rho = agg_p @ d_u[..., :embed] + agg_q @ d_u[..., embed:]  # (B, P, E)
     d_e = mem_norm.T @ d_rho                                  # (B, M, E)
     d_z_e = d_e * (z_e > 0.0)
-    g_W_e = np.tensordot(d_z_e, x, axes=([0, 1], [0, 1]))
-    g_b_e = d_z_e.sum(axis=(0, 1))
-    return GradientSet(g_W_e, g_b_e, g_W_c, g_b_c, g_w_r, np.asarray(g_b_r))
+    grads.W_e[...] = np.tensordot(d_z_e, x, axes=([0, 1], [0, 1]))
+    grads.b_e[...] = d_z_e.sum(axis=(0, 1))
+    return grads
 
 
 def _obs_arrays(observations) -> tuple[np.ndarray, np.ndarray]:
@@ -149,20 +155,19 @@ def _obs_arrays(observations) -> tuple[np.ndarray, np.ndarray]:
 
 
 def frap_forward(params: QNetworkParams, obs: Observation,
-                 config: IntersectionConfig) -> QValues:
+                 config: IntersectionConfig) -> np.ndarray:
     """Q-value per phase for a single observation."""
     if len(obs.queue_counts) != config.n_movements:
         raise ValueError("observation/config movement count mismatch")
-    demands, greens = _obs_arrays([obs])
-    q_values, _ = _forward_batch(params, demands, greens, config)
+    q_values, _ = _forward_batch(params, *_obs_arrays([obs]), config)
     q = q_values[0]
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("non-finite Q-values")
-    return QValues(q)
+    return q
 
 
 def bellman_grads(params: QNetworkParams, batch, target_params: QNetworkParams,
-                  gamma: float, config: IntersectionConfig) -> tuple[float, GradientSet]:
+                  gamma: float, config: IntersectionConfig) -> tuple[float, QNetworkParams]:
     """Squared TD loss over a batch of transitions and its gradients.
 
     Targets r + gamma * max_a' Q_target(s', a') are computed with
@@ -192,63 +197,31 @@ def bellman_grads(params: QNetworkParams, batch, target_params: QNetworkParams,
     return loss, _backward_batch(params, cache, d_q, config)
 
 
-def _check_congruent(params: QNetworkParams, grads: GradientSet) -> None:
-    for name in PARAM_FIELDS:
-        p, g = getattr(params, name), getattr(grads, name)
-        if np.shape(p) != np.shape(g):
-            raise ValueError(f"shape mismatch on {name}: {np.shape(p)} vs {np.shape(g)}")
-
-
-def sgd_step(params: QNetworkParams, grads: GradientSet, lr: float) -> QNetworkParams:
+def sgd_step(params: QNetworkParams, grads: QNetworkParams, lr: float) -> QNetworkParams:
     """One gradient-descent update; returns fresh params, inputs untouched."""
-    _check_congruent(params, grads)
-    updated = {name: getattr(params, name) - lr * getattr(grads, name)
-               for name in PARAM_FIELDS}
-    return QNetworkParams(**updated, embed_dim=params.embed_dim,
-                          compete_dim=params.compete_dim)
+    if (grads.embed_dim, grads.compete_dim) != (params.embed_dim, params.compete_dim):
+        raise ValueError("gradient and parameter dims differ")
+    return params.with_theta(params.theta - lr * grads.theta)
 
 
-def zero_grads(params: QNetworkParams) -> GradientSet:
-    return GradientSet(**{name: np.zeros_like(getattr(params, name))
-                          for name in PARAM_FIELDS})
-
-
-def grad_norm(grads: GradientSet) -> float:
+def grad_norm(grads: QNetworkParams) -> float:
+    # per-tensor sums of squares added in layout order: one sum over theta
+    # rounds differently and would move every clipped step's last bits
     return float(np.sqrt(sum(float(np.sum(getattr(grads, name) ** 2))
                              for name in PARAM_FIELDS)))
 
 
-def clip_gradients(grads: GradientSet, max_norm: float) -> GradientSet:
+def clip_gradients(grads: QNetworkParams, max_norm: float) -> QNetworkParams:
     """Rescale so the global norm is at most max_norm; max_norm<=0 disables.
 
     TD errors early in training can reach the hundreds (the reward is a raw
     queue count), and unclipped squared-loss steps at the default learning
     rate diverge; clipping caps the step size without biasing its direction.
+    Returns `grads` itself when it does not rescale.
     """
-    if max_norm <= 0:
+    if max_norm <= 0 or (total := grad_norm(grads)) <= max_norm:
         return grads
-    total = grad_norm(grads)
-    if total <= max_norm:
-        return grads
-    scale = max_norm / total
-    return GradientSet(**{name: getattr(grads, name) * scale
-                          for name in PARAM_FIELDS})
-
-
-def add_grads(a: GradientSet, b: GradientSet) -> GradientSet:
-    return GradientSet(**{name: getattr(a, name) + getattr(b, name)
-                          for name in PARAM_FIELDS})
-
-
-def params_equal(a: QNetworkParams, b: QNetworkParams) -> bool:
-    return all(np.array_equal(getattr(a, name), getattr(b, name))
-               for name in PARAM_FIELDS)
-
-
-def copy_params(params: QNetworkParams) -> QNetworkParams:
-    return QNetworkParams(
-        **{name: np.array(getattr(params, name), copy=True) for name in PARAM_FIELDS},
-        embed_dim=params.embed_dim, compete_dim=params.compete_dim)
+    return grads.with_theta(grads.theta * (max_norm / total))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +232,7 @@ def params_to_text(params: QNetworkParams) -> str:
              f"embed_dim={params.embed_dim}",
              f"compete_dim={params.compete_dim}"]
     for name in PARAM_FIELDS:
-        arr = np.asarray(getattr(params, name), dtype=np.float64)
+        arr = getattr(params, name)
         dims = " ".join(str(d) for d in arr.shape)
         lines.append(f"tensor {name} {dims}".rstrip())
         lines.append(arr.astype("<f8").tobytes().hex())
@@ -267,8 +240,10 @@ def params_to_text(params: QNetworkParams) -> str:
 
 
 def params_from_lines(lines: list[str]) -> QNetworkParams:
+    """Parse a checkpoint; every tensor must have the shape its header dims
+    give it, or ValueError names the tensor."""
     header: dict[str, str] = {}
-    tensors: dict[str, np.ndarray] = {}
+    tensors: dict[str, tuple] = {}        # name -> (shape, values)
     i = 0
     while i < len(lines):
         line = lines[i].strip()
@@ -276,21 +251,24 @@ def params_from_lines(lines: list[str]) -> QNetworkParams:
         if not line or line.startswith("#"):
             continue
         if line.startswith("tensor "):
-            parts = line.split()
-            name, shape = parts[1], tuple(int(d) for d in parts[2:])
-            payload = lines[i].strip()
+            name, *dims = line.split()[1:]
+            values = np.frombuffer(bytes.fromhex(lines[i].strip()), dtype="<f8")
+            tensors[name] = (tuple(int(d) for d in dims), values)
             i += 1
-            arr = np.frombuffer(bytes.fromhex(payload), dtype="<f8").astype(np.float64)
-            tensors[name] = arr.reshape(shape)
         elif "=" in line:
             key, _, value = line.partition("=")
             header[key.strip()] = value.strip()
-    missing = [name for name in PARAM_FIELDS if name not in tensors]
-    if missing:
-        raise ValueError(f"checkpoint missing tensors: {missing}")
-    return QNetworkParams(**{name: tensors[name] for name in PARAM_FIELDS},
-                          embed_dim=int(header.get("embed_dim", DEFAULT_EMBED_DIM)),
-                          compete_dim=int(header.get("compete_dim", DEFAULT_COMPETE_DIM)))
+    params = QNetworkParams(int(header.get("embed_dim", DEFAULT_EMBED_DIM)),
+                            int(header.get("compete_dim", DEFAULT_COMPETE_DIM)))
+    for name in PARAM_FIELDS:
+        if name not in tensors:
+            raise ValueError(f"checkpoint missing tensor {name}")
+        view, (shape, values) = getattr(params, name), tensors[name]
+        if shape != view.shape or values.size != view.size:
+            raise ValueError(f"tensor {name}: shape {shape} with {values.size} values; "
+                             f"the header dims give {view.shape}")
+        view[...] = values.reshape(shape)
+    return params
 
 
 def save_params(params: QNetworkParams, path) -> None:

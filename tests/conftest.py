@@ -52,6 +52,17 @@ def default_config() -> ss.IntersectionConfig:
     return ss.IntersectionConfig()
 
 
+def params_equal(a: ss.QNetworkParams, b: ss.QNetworkParams) -> bool:
+    """Same dims and bit-for-bit the same weights."""
+    return ((a.embed_dim, a.compete_dim) == (b.embed_dim, b.compete_dim)
+            and np.array_equal(a.theta, b.theta))
+
+
+def zero_grads(params: ss.QNetworkParams) -> ss.QNetworkParams:
+    """An all-zero gradient with the layout of `params`."""
+    return ss.QNetworkParams(params.embed_dim, params.compete_dim)
+
+
 def param_distance(a: ss.QNetworkParams, b: ss.QNetworkParams) -> float:
     """Euclidean distance between two parameter sets, over every tensor."""
     return float(np.sqrt(sum(np.sum((getattr(a, name) - getattr(b, name)) ** 2)

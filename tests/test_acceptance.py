@@ -125,11 +125,11 @@ def test_criterion_04_phase_permutation_equivariance():
             flags = np.array([1 if m in config.phases[phase] else 0
                               for m in range(8)])
             obs = ss.Observation(rng.integers(0, 25, 8), flags, phase)
-            q = ss.frap_forward(params, obs, config).q
+            q = ss.frap_forward(params, obs, config)
             for perm in itertools.permutations(range(config.n_phases)):
                 permuted = replace(config,
                                    phases=tuple(config.phases[p] for p in perm))
-                q_perm = ss.frap_forward(params, obs, permuted).q
+                q_perm = ss.frap_forward(params, obs, permuted)
                 assert np.max(np.abs(q_perm - q[list(perm)])) <= 1e-9
 
 

@@ -3,10 +3,10 @@ import pytest
 
 import signalshift as ss
 from signalshift.dqn import write_training_log
-from signalshift.network import params_equal, params_to_text
+from signalshift.network import params_to_text
 from signalshift.seeding import spawn_rng
 
-from conftest import make_toy_flow
+from conftest import make_toy_flow, params_equal
 
 
 def small_config():
@@ -21,18 +21,18 @@ def small_flow(seed=3):
 # epsilon_greedy
 
 def test_epsilon_greedy_argmax():
-    q = ss.QValues(np.array([1.0, 3.0, 2.0, 0.0]))
+    q = np.array([1.0, 3.0, 2.0, 0.0])
     assert ss.epsilon_greedy(q, 0.0, None) == 1
 
 
 def test_epsilon_greedy_tie_breaks_low():
-    q = ss.QValues(np.array([2.0, 2.0, 2.0, 2.0]))
+    q = np.array([2.0, 2.0, 2.0, 2.0])
     assert ss.epsilon_greedy(q, 0.0, None) == 0
 
 
 def test_epsilon_greedy_uniform_at_one():
     rng = spawn_rng(1)
-    q = ss.QValues(np.array([9.0, 0.0, 0.0, 0.0]))
+    q = np.array([9.0, 0.0, 0.0, 0.0])
     draws = np.array([ss.epsilon_greedy(q, 1.0, rng) for _ in range(10_000)])
     freq = np.bincount(draws, minlength=4) / len(draws)
     assert np.all(np.abs(freq - 0.25) < 0.02)
@@ -40,11 +40,11 @@ def test_epsilon_greedy_uniform_at_one():
 
 def test_epsilon_greedy_validation():
     with pytest.raises(ValueError):
-        ss.epsilon_greedy(ss.QValues(np.array([])), 0.0, None)
+        ss.epsilon_greedy(np.array([]), 0.0, None)
     with pytest.raises(ValueError):
-        ss.epsilon_greedy(ss.QValues(np.array([1.0])), 1.5, spawn_rng(0))
+        ss.epsilon_greedy(np.array([1.0]), 1.5, spawn_rng(0))
     with pytest.raises(ValueError):
-        ss.epsilon_greedy(ss.QValues(np.array([1.0])), 0.5, None)
+        ss.epsilon_greedy(np.array([1.0]), 0.5, None)
 
 
 # ---------------------------------------------------------------------------

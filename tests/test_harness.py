@@ -84,7 +84,7 @@ def test_evaluate_params_and_kl():
 # emit_curve
 
 def records_with_kl(kls):
-    return [ss.EvalRecord("alg", f"s{i}", 50.0 + i, 10, 0, kl, 0, 0.0)
+    return [ss.EvalRecord("alg", f"s{i}", 50.0 + i, 10, 0, kl, 0)
             for i, kl in enumerate(kls)]
 
 
@@ -109,7 +109,7 @@ def test_emit_curve_single_record():
 
 
 def test_emit_curve_requires_kl():
-    record = ss.EvalRecord("alg", "s", 50.0, 10, 0, None, 0, 0.0)
+    record = ss.EvalRecord("alg", "s", 50.0, 10, 0, None, 0)
     with pytest.raises(ValueError):
         ss.emit_curve([record])
 

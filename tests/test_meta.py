@@ -9,10 +9,10 @@ from signalshift.meta import (
     with_seed,
     write_ablation_csv,
 )
-from signalshift.network import params_equal, params_to_text, zero_grads
+from signalshift.network import params_to_text
 from signalshift.seeding import spawn_rng
 
-from conftest import make_toy_flow, param_distance
+from conftest import make_toy_flow, param_distance, params_equal, zero_grads
 
 
 def small_config():
@@ -44,7 +44,7 @@ def b_r_probe_grad(target: float):
     """Gradient function realizing the scalar loss (b_r - target)^2."""
     def grad_fn(params):
         grads = zero_grads(params)
-        grads.b_r = np.asarray(2.0 * (float(params.b_r) - target))
+        grads.b_r[...] = 2.0 * (float(params.b_r) - target)
         return (float(params.b_r) - target) ** 2, grads
     return grad_fn
 
@@ -86,7 +86,7 @@ def test_first_order_reduction_matches_two_plain_steps():
 def test_global_update_probes():
     theta0 = ss.init_params((2, 2), seed=1)
     g1, g3 = zero_grads(theta0), zero_grads(theta0)
-    g1.b_r, g3.b_r = np.asarray(1.0), np.asarray(3.0)
+    g1.b_r[...], g3.b_r[...] = 1.0, 3.0
     assert float(ss.global_update(theta0, [g1, g3], 0.1).b_r) == pytest.approx(-0.4)
     assert params_equal(ss.global_update(theta0, [g1, g3], 0.0), theta0)
     assert params_equal(ss.global_update(theta0, [g1], 0.2),

@@ -5,15 +5,9 @@ import numpy as np
 import pytest
 
 import signalshift as ss
-from signalshift.network import (
-    PARAM_FIELDS,
-    clip_gradients,
-    copy_params,
-    grad_norm,
-    params_equal,
-    params_to_text,
-    zero_grads,
-)
+from signalshift.network import PARAM_FIELDS, clip_gradients, grad_norm, params_to_text
+
+from conftest import params_equal, zero_grads
 
 
 def constant_net(per_pair_score: float, dims=(1, 1)) -> ss.QNetworkParams:
@@ -28,7 +22,7 @@ def constant_net(per_pair_score: float, dims=(1, 1)) -> ss.QNetworkParams:
     params.W_c[:] = 0.0
     params.b_c[:] = 1.0
     params.w_r[:] = per_pair_score
-    params.b_r = np.asarray(0.0)
+    params.b_r[...] = 0.0
     return params
 
 
@@ -68,7 +62,7 @@ def test_forward_shape_and_symmetry():
     cfg = ss.IntersectionConfig()
     params = ss.init_params((8, 8), seed=2)
     obs = ss.Observation(np.full(8, 5), np.zeros(8, dtype=int), 0)
-    q = ss.frap_forward(params, obs, cfg).q
+    q = ss.frap_forward(params, obs, cfg)
     assert q.shape == (4,)
     # identical inputs on every movement make all phases indistinguishable
     assert np.allclose(q, q[0], atol=1e-12)
@@ -80,10 +74,10 @@ def test_forward_phase_reorder_equivariance():
     rng = np.random.default_rng(4)
     for _ in range(5):
         obs = random_obs(cfg, rng)
-        q = ss.frap_forward(params, obs, cfg).q
+        q = ss.frap_forward(params, obs, cfg)
         for perm in itertools.permutations(range(4)):
             cfg_p = replace(cfg, phases=tuple(cfg.phases[p] for p in perm))
-            q_p = ss.frap_forward(params, obs, cfg_p).q
+            q_p = ss.frap_forward(params, obs, cfg_p)
             assert np.max(np.abs(q_p - q[list(perm)])) < 1e-9
 
 
@@ -94,14 +88,14 @@ def test_forward_movement_relabel_invariance():
     params = ss.init_params((16, 16), seed=6)
     rng = np.random.default_rng(7)
     obs = random_obs(cfg, rng)
-    q = ss.frap_forward(params, obs, cfg).q
+    q = ss.frap_forward(params, obs, cfg)
     perm = rng.permutation(8)
     inv = np.argsort(perm)
     cfg_p = replace(cfg, phases=tuple(tuple(int(perm[m]) for m in ph)
                                       for ph in cfg.phases))
     obs_p = ss.Observation(obs.queue_counts[inv], obs.green_flags[inv],
                            obs.phase_index)
-    q_p = ss.frap_forward(params, obs_p, cfg_p).q
+    q_p = ss.frap_forward(params, obs_p, cfg_p)
     assert np.max(np.abs(q_p - q)) < 1e-12
 
 
@@ -201,6 +195,33 @@ def test_gradients_match_finite_differences_small():
 
 
 # ---------------------------------------------------------------------------
+# flat vector and its views
+
+def test_views_alias_theta():
+    params = ss.init_params((4, 3), seed=7)
+    assert params.theta.size == 4 * 2 + 4 + 3 * 8 + 3 + 3 + 1
+    params.W_e[0, 0] = 123.0
+    assert params.theta[0] == 123.0
+    params.b_r[...] = -5.0
+    assert params.theta[-1] == -5.0
+    params.theta[4 * 2] = 7.0          # first entry of b_e
+    assert params.b_e[0] == 7.0
+    # bound once, not rebuilt per read (frap_forward reads all six per call)
+    assert params.W_c is params.W_c
+
+
+def test_rebinding_a_view_raises():
+    params = ss.init_params((4, 3), seed=8)
+    before = params.theta.copy()
+    for name in ("b_r", "W_e", "theta"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, np.asarray(0.0))
+    assert np.array_equal(params.theta, before)
+    params.W_e += 1.0                  # in place, then the same view rebound
+    assert np.array_equal(params.W_e, before[:8].reshape(4, 2) + 1.0)
+
+
+# ---------------------------------------------------------------------------
 # sgd + helpers
 
 def test_sgd_zero_lr_is_identity():
@@ -213,9 +234,9 @@ def test_sgd_zero_lr_is_identity():
 
 def test_sgd_scalar_probe():
     params = constant_net(0.0)
-    params.b_r = np.asarray(0.0)
+    params.b_r[...] = 0.0
     grads = zero_grads(params)
-    grads.b_r = np.asarray(1.0)
+    grads.b_r[...] = 1.0
     out = ss.sgd_step(params, grads, 0.25)
     assert out.b_r == -0.25
 
@@ -233,7 +254,7 @@ def test_sgd_two_steps_compose():
 
 def test_sgd_value_semantics():
     params = ss.init_params((4, 4), seed=3)
-    before = copy_params(params)
+    before = params.with_theta(params.theta.copy())
     grads = zero_grads(params)
     grads.w_r += 1.0
     ss.sgd_step(params, grads, 0.5)
@@ -273,3 +294,20 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert loaded.embed_dim == 16 and loaded.compete_dim == 16
     # serializing the loaded copy reproduces the file byte for byte
     assert params_to_text(loaded) == path.read_text()
+
+
+def test_checkpoint_header_dims_mismatch_names_tensor(tmp_path):
+    text = params_to_text(ss.init_params((8, 16), seed=22))
+    path = tmp_path / "ckpt.txt"
+    path.write_text(text.replace("embed_dim=8", "embed_dim=16"))
+    with pytest.raises(ValueError, match="W_e"):
+        ss.load_params(path)
+
+
+def test_checkpoint_tensor_shape_mismatch_names_tensor(tmp_path):
+    text = params_to_text(ss.init_params((8, 8), seed=23))
+    assert "\ntensor b_r\n" in text
+    path = tmp_path / "ckpt.txt"
+    path.write_text(text.replace("\ntensor b_r\n", "\ntensor b_r 1\n"))
+    with pytest.raises(ValueError, match="b_r"):
+        ss.load_params(path)
