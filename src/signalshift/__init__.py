@@ -44,6 +44,7 @@ from .metrics import (
     movement_distribution,
 )
 from .network import (
+    Batch,
     QNetworkParams,
     bellman_grads,
     frap_forward,

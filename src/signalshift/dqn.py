@@ -19,6 +19,7 @@ from .intersection import IntersectionConfig, Observation, rollout
 # `dqn.step`, a function imported from another module
 from .intersection import step  # noqa: F401
 from .network import (
+    Batch,
     QNetworkParams,
     bellman_grads,
     clip_gradients,
@@ -41,31 +42,45 @@ class Transition:
 
 
 class ReplayMemory:
-    """Ring buffer of transitions with uniform (with-replacement) sampling."""
+    """Ring buffer of transitions with uniform (with-replacement) sampling.
+
+    Transitions live in preallocated arrays, one row per slot: observations
+    as `Batch` rows (see `Batch.pack`), actions and rewards.  The
+    observation arrays are made at the first push, when M is known; rows
+    never written stay unallocated pages.
+    """
 
     def __init__(self, capacity: int = 10_000, seed=0):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._buffer: list[Transition] = []
+        self._x = self._x_next = None
+        self._a = np.empty(capacity, dtype=np.int64)
+        self._r = np.empty(capacity, dtype=np.float64)
+        self._size = 0
         self._cursor = 0
         self._rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(int(seed))
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return self._size
 
     def push(self, transition: Transition) -> None:
-        if len(self._buffer) < self.capacity:
-            self._buffer.append(transition)
-        else:
-            self._buffer[self._cursor] = transition
-            self._cursor = (self._cursor + 1) % self.capacity
+        if self._x is None:
+            shape = (self.capacity, len(transition.s.queue_counts), 2)
+            self._x, self._x_next = np.empty(shape), np.empty(shape)
+        i = self._cursor
+        Batch.pack(transition.s, self._x[i])
+        Batch.pack(transition.s_next, self._x_next[i])
+        self._a[i] = transition.a
+        self._r[i] = transition.r
+        self._cursor = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch_size: int) -> list[Transition]:
-        if not self._buffer:
+    def sample(self, batch_size: int) -> Batch:
+        if not self._size:
             raise ValueError("cannot sample from an empty memory")
-        idx = self._rng.integers(0, len(self._buffer), size=batch_size)
-        return [self._buffer[i] for i in idx]
+        idx = self._rng.integers(0, self._size, size=batch_size)
+        return Batch(self._x[idx], self._a[idx], self._r[idx], self._x_next[idx])
 
 
 @dataclass

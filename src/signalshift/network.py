@@ -7,6 +7,13 @@ the sum of its scores against all rivals.  Because every layer is shared
 across movements and pairs, the network has no notion of movement
 identity: relabeling phases permutes the Q-values and nothing else.
 
+The passes run on a `Batch` of arrays, x (B, M, 2), as 2-D products over
+the whole batch.  W_c splits into the half that sees the scored phase p and
+the half that sees its rival q, so each of the P phase vectors goes through
+each half once; the P x P pair grid then takes its K = P(P-1) off-diagonal
+entries, p != q, as sums of one p-side and one q-side score, and the
+diagonal is never formed.  No pair input of width 2E is built.
+
 Weights and gradients are one type: a flat float64 vector `theta` with a
 named view per tensor, so SGD is `theta - lr * g.theta`.  Updates return
 new objects and never mutate their inputs, which keeps meta-learning
@@ -19,6 +26,7 @@ import math
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,68 +98,97 @@ def init_params(dims: tuple[int, int] = (DEFAULT_EMBED_DIM, DEFAULT_COMPETE_DIM)
     return params
 
 
+class Batch(NamedTuple):
+    """Transitions as arrays: x and x_next (B, M, 2) hold each movement's
+    (queue count, green flag) before and after, a (B,) the int64 actions
+    and r (B,) the rewards."""
+
+    x: np.ndarray
+    a: np.ndarray
+    r: np.ndarray
+    x_next: np.ndarray
+
+    @staticmethod
+    def pack(obs: Observation, row: np.ndarray) -> None:
+        """Write one observation into an (M, 2) row of x or x_next."""
+        row[:, 0] = obs.queue_counts
+        row[:, 1] = obs.green_flags
+
+
 @lru_cache(maxsize=64)
 def _phase_structs(config: IntersectionConfig):
-    """Membership/pair matrices used by the batched forward/backward."""
-    n_phases, n_mov = config.n_phases, config.n_movements
-    mem_norm = np.zeros((n_phases, n_mov))
+    """The fixed matrices of the forward and backward passes: the phase
+    membership (M, P), each column the mean over the phase's movements;
+    the 0/1 selections (2, P, K) of the p and the q phase of each ordered
+    pair p != q, and their transposes (2, K, P)."""
+    n_phases = config.n_phases
+    mem_norm = np.zeros((config.n_movements, n_phases))
     for p, movements in enumerate(config.phases):
-        mem_norm[p, list(movements)] = 1.0 / len(movements)
+        mem_norm[list(movements), p] = 1.0 / len(movements)
     pairs = [(p, q) for p in range(n_phases) for q in range(n_phases) if q != p]
-    p_idx = np.array([p for p, _ in pairs])
-    q_idx = np.array([q for _, q in pairs])
-    agg_p = np.zeros((n_phases, len(pairs)))
-    agg_q = np.zeros((n_phases, len(pairs)))
-    agg_p[p_idx, np.arange(len(pairs))] = 1.0
-    agg_q[q_idx, np.arange(len(pairs))] = 1.0
-    return mem_norm, p_idx, q_idx, agg_p, agg_q
+    select = np.zeros((2, n_phases, len(pairs)))
+    for k, (p, q) in enumerate(pairs):
+        select[0, p, k] = select[1, q, k] = 1.0
+    return mem_norm, select, np.ascontiguousarray(select.transpose(0, 2, 1))
 
 
-def _forward_batch(params: QNetworkParams, demands: np.ndarray, greens: np.ndarray,
-                   config: IntersectionConfig):
-    """Q-values (B, n_phases) plus the cache needed for the backward pass."""
-    mem_norm, p_idx, q_idx, agg_p, _ = _phase_structs(config)
-    x = np.stack([demands, greens], axis=-1)                  # (B, M, 2)
-    z_e = x @ params.W_e.T + params.b_e                       # (B, M, E)
-    e = np.maximum(z_e, 0.0)
-    rho = mem_norm @ e                                        # (B, P, E)
-    u = np.concatenate([rho[:, p_idx, :], rho[:, q_idx, :]], axis=-1)  # (B, K, 2E)
-    z_c = u @ params.W_c.T + params.b_c                       # (B, K, C)
-    c = np.maximum(z_c, 0.0)
-    s = c @ params.w_r + params.b_r                           # (B, K)
-    q_values = s @ agg_p.T                                    # (B, P)
-    cache = (x, z_e, rho, u, z_c, c)
-    return q_values, cache
+def _forward(params: QNetworkParams, x: np.ndarray, config: IntersectionConfig):
+    """Q-values (B, P) for observations x (B, M, 2), plus the cache the
+    backward pass reads.
+
+    Features run along rows and samples along columns, so each layer is one
+    2-D GEMM over the whole batch and every bias and mask runs along rows:
+    W_e (E, 2) @ (2, B·M) embeds, (E·B, M) @ (M, P) takes the phase means,
+    the stacked p-half and q-half of W_c (2C, E) @ (E, B·P) score every
+    phase as each side of a pair, and 0/1 selections (P, K) add the two
+    sides of each of the K ordered pairs p != q.
+    """
+    mem_norm, select, _ = _phase_structs(config)
+    n, n_mov = x.shape[0], x.shape[1]
+    n_phases, n_pairs = select.shape[1:]
+    embed, compete = params.embed_dim, params.compete_dim
+    e = params.W_e @ x.reshape(n * n_mov, 2).T                # (E, B·M)
+    e += params.b_e[:, None]
+    np.maximum(e, 0.0, out=e)
+    rho = (e.reshape(embed * n, n_mov) @ mem_norm).reshape(embed, n * n_phases)
+    w_pq = params.W_c.reshape(compete, 2, embed).transpose(1, 0, 2).reshape(2 * compete, embed)
+    h = w_pq @ rho                                            # (2C, B·P)
+    h[:compete] += params.b_c[:, None]
+    z_c = h.reshape(2, compete * n, n_phases) @ select        # (2, C·B, K)
+    c = np.add(z_c[0], z_c[1], out=z_c[0])
+    np.maximum(c, 0.0, out=c)
+    c = c.reshape(compete, n * n_pairs)
+    s = params.w_r @ c                                        # (B·K,)
+    s += params.b_r
+    q_values = s.reshape(n, n_pairs) @ select[0].T            # (B, P)
+    return q_values, (x, e, rho, w_pq, c)
 
 
-def _backward_batch(params: QNetworkParams, cache, d_q: np.ndarray,
-                    config: IntersectionConfig) -> QNetworkParams:
-    """Reverse-mode accumulation of d(loss)/d(params) given d(loss)/dQ."""
-    mem_norm, _, _, agg_p, agg_q = _phase_structs(config)
-    x, z_e, _, u, z_c, c = cache
+def _backward(params: QNetworkParams, cache, d_q: np.ndarray,
+              config: IntersectionConfig) -> QNetworkParams:
+    """Reverse-mode d(loss)/d(params) given d(loss)/dQ (B, P)."""
+    mem_norm, select, select_t = _phase_structs(config)
+    x, e, rho, w_pq, c = cache
+    n, n_mov = x.shape[0], x.shape[1]
+    n_phases = select.shape[1]
+    embed, compete = params.embed_dim, params.compete_dim
 
-    grads = QNetworkParams(params.embed_dim, params.compete_dim)
-    d_s = d_q @ agg_p                                         # (B, K)
+    grads = QNetworkParams(embed, compete)
+    d_s = (d_q @ select[0]).reshape(-1)                       # (B·K,)
     grads.b_r[...] = d_s.sum()
-    grads.w_r[...] = np.tensordot(d_s, c, axes=([0, 1], [0, 1]))
-    d_c = d_s[..., None] * params.w_r                         # (B, K, C)
-    d_z_c = d_c * (z_c > 0.0)
-    grads.W_c[...] = np.tensordot(d_z_c, u, axes=([0, 1], [0, 1]))
-    grads.b_c[...] = d_z_c.sum(axis=(0, 1))
-    d_u = d_z_c @ params.W_c                                  # (B, K, 2E)
-    embed = params.embed_dim
-    d_rho = agg_p @ d_u[..., :embed] + agg_q @ d_u[..., embed:]  # (B, P, E)
-    d_e = mem_norm.T @ d_rho                                  # (B, M, E)
-    d_z_e = d_e * (z_e > 0.0)
-    grads.W_e[...] = np.tensordot(d_z_e, x, axes=([0, 1], [0, 1]))
-    grads.b_e[...] = d_z_e.sum(axis=(0, 1))
+    grads.w_r[...] = c @ d_s
+    d_z_c = params.w_r[:, None] * d_s                         # (C, B·K)
+    d_z_c *= c > 0.0
+    d_h = (d_z_c.reshape(compete * n, -1) @ select_t).reshape(2 * compete, n * n_phases)
+    grads.W_c.reshape(compete, 2, embed)[...] = (
+        (d_h @ rho.T).reshape(2, compete, embed).transpose(1, 0, 2))
+    grads.b_c[...] = d_h[:compete].sum(axis=1)
+    d_rho = w_pq.T @ d_h                                      # (E, B·P)
+    d_e = (d_rho.reshape(embed * n, n_phases) @ mem_norm.T).reshape(embed, n * n_mov)
+    d_e *= e > 0.0
+    grads.W_e[...] = d_e @ x.reshape(n * n_mov, 2)
+    grads.b_e[...] = d_e.sum(axis=1)
     return grads
-
-
-def _obs_arrays(observations) -> tuple[np.ndarray, np.ndarray]:
-    demands = np.array([o.queue_counts for o in observations], dtype=np.float64)
-    greens = np.array([o.green_flags for o in observations], dtype=np.float64)
-    return demands, greens
 
 
 def frap_forward(params: QNetworkParams, obs: Observation,
@@ -159,42 +196,42 @@ def frap_forward(params: QNetworkParams, obs: Observation,
     """Q-value per phase for a single observation."""
     if len(obs.queue_counts) != config.n_movements:
         raise ValueError("observation/config movement count mismatch")
-    q_values, _ = _forward_batch(params, *_obs_arrays([obs]), config)
-    q = q_values[0]
+    x = np.empty((1, config.n_movements, 2))
+    Batch.pack(obs, x[0])
+    q = _forward(params, x, config)[0][0]
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("non-finite Q-values")
     return q
 
 
-def bellman_grads(params: QNetworkParams, batch, target_params: QNetworkParams,
+def bellman_grads(params: QNetworkParams, batch: Batch, target_params: QNetworkParams,
                   gamma: float, config: IntersectionConfig) -> tuple[float, QNetworkParams]:
     """Squared TD loss over a batch of transitions and its gradients.
 
     Targets r + gamma * max_a' Q_target(s', a') are computed with
     `target_params` and treated as constants; only Q(s, a) is
-    differentiated.
+    differentiated.  A non-finite loss or gradient raises
+    FloatingPointError, so a diverging run stops at the update that
+    diverged.
     """
-    if not batch:
+    n = len(batch.a)
+    if n == 0:
         raise ValueError("empty transition batch")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must be in [0, 1)")
-    batch = list(batch)
-    n = len(batch)
-    demands, greens = _obs_arrays([t.s for t in batch])
-    q_values, cache = _forward_batch(params, demands, greens, config)
-    actions = np.array([t.a for t in batch])
-    rewards = np.array([t.r for t in batch], dtype=np.float64)
-
-    next_demands, next_greens = _obs_arrays([t.s_next for t in batch])
-    q_next, _ = _forward_batch(target_params, next_demands, next_greens, config)
-    targets = rewards + gamma * q_next.max(axis=1)
+    q_values, cache = _forward(params, batch.x, config)
+    q_next, _ = _forward(target_params, batch.x_next, config)
+    targets = batch.r + gamma * q_next.max(axis=1)
 
     rows = np.arange(n)
-    diff = q_values[rows, actions] - targets
+    diff = q_values[rows, batch.a] - targets
     loss = float(np.mean(diff ** 2))
     d_q = np.zeros_like(q_values)
-    d_q[rows, actions] = 2.0 * diff / n
-    return loss, _backward_batch(params, cache, d_q, config)
+    d_q[rows, batch.a] = 2.0 * diff / n
+    grads = _backward(params, cache, d_q, config)
+    if not (math.isfinite(loss) and np.isfinite(grads.theta).all()):
+        raise FloatingPointError(f"non-finite TD loss or gradient (loss={loss!r})")
+    return loss, grads
 
 
 def sgd_step(params: QNetworkParams, grads: QNetworkParams, lr: float) -> QNetworkParams:
@@ -205,10 +242,7 @@ def sgd_step(params: QNetworkParams, grads: QNetworkParams, lr: float) -> QNetwo
 
 
 def grad_norm(grads: QNetworkParams) -> float:
-    # per-tensor sums of squares added in layout order: one sum over theta
-    # rounds differently and would move every clipped step's last bits
-    return float(np.sqrt(sum(float(np.sum(getattr(grads, name) ** 2))
-                             for name in PARAM_FIELDS)))
+    return math.sqrt(grads.theta @ grads.theta)
 
 
 def clip_gradients(grads: QNetworkParams, max_norm: float) -> QNetworkParams:

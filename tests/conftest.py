@@ -63,6 +63,20 @@ def zero_grads(params: ss.QNetworkParams) -> ss.QNetworkParams:
     return ss.QNetworkParams(params.embed_dim, params.compete_dim)
 
 
+def batch_of(transitions) -> ss.Batch:
+    """Pack Transitions into the arrays `bellman_grads` takes."""
+    transitions = list(transitions)
+
+    def rows(observations):
+        return np.array([np.stack([o.queue_counts, o.green_flags], axis=-1)
+                         for o in observations], dtype=np.float64)
+
+    return ss.Batch(rows(t.s for t in transitions),
+                    np.array([t.a for t in transitions], dtype=np.int64),
+                    np.array([t.r for t in transitions], dtype=np.float64),
+                    rows(t.s_next for t in transitions))
+
+
 def param_distance(a: ss.QNetworkParams, b: ss.QNetworkParams) -> float:
     """Euclidean distance between two parameter sets, over every tensor."""
     return float(np.sqrt(sum(np.sum((getattr(a, name) - getattr(b, name)) ** 2)

@@ -1,0 +1,73 @@
+"""Per-pair reference of the phase-competition network, kept as a test oracle.
+
+This is the kernel `signalshift.network` ran before its forward and backward
+became 2-D products: it concatenates the K = P(P-1) ordered phase pairs
+(rho_p, rho_q) and multiplies them by the whole W_c.  Property tests compare
+the array kernel against it; it is not used by the program.
+"""
+
+import numpy as np
+
+import signalshift as ss
+
+
+def phase_structs(config: ss.IntersectionConfig):
+    """Membership/pair matrices used by the per-pair forward/backward."""
+    n_phases, n_mov = config.n_phases, config.n_movements
+    mem_norm = np.zeros((n_phases, n_mov))
+    for p, movements in enumerate(config.phases):
+        mem_norm[p, list(movements)] = 1.0 / len(movements)
+    pairs = [(p, q) for p in range(n_phases) for q in range(n_phases) if q != p]
+    p_idx = np.array([p for p, _ in pairs], dtype=int)
+    q_idx = np.array([q for _, q in pairs], dtype=int)
+    agg_p = np.zeros((n_phases, len(pairs)))
+    agg_q = np.zeros((n_phases, len(pairs)))
+    agg_p[p_idx, np.arange(len(pairs))] = 1.0
+    agg_q[q_idx, np.arange(len(pairs))] = 1.0
+    return mem_norm, p_idx, q_idx, agg_p, agg_q
+
+
+def forward_batch(params: ss.QNetworkParams, x: np.ndarray, config: ss.IntersectionConfig):
+    """Q-values (B, n_phases) for x (B, M, 2), plus the backward cache."""
+    mem_norm, p_idx, q_idx, agg_p, _ = phase_structs(config)
+    z_e = x @ params.W_e.T + params.b_e                       # (B, M, E)
+    e = np.maximum(z_e, 0.0)
+    rho = mem_norm @ e                                        # (B, P, E)
+    u = np.concatenate([rho[:, p_idx, :], rho[:, q_idx, :]], axis=-1)  # (B, K, 2E)
+    z_c = u @ params.W_c.T + params.b_c                       # (B, K, C)
+    c = np.maximum(z_c, 0.0)
+    s = c @ params.w_r + params.b_r                           # (B, K)
+    q_values = s @ agg_p.T                                    # (B, P)
+    return q_values, (x, z_e, u, z_c, c)
+
+
+def backward_batch(params: ss.QNetworkParams, cache, d_q: np.ndarray,
+                   config: ss.IntersectionConfig) -> ss.QNetworkParams:
+    """Reverse-mode accumulation of d(loss)/d(params) given d(loss)/dQ."""
+    mem_norm, _, _, agg_p, agg_q = phase_structs(config)
+    x, z_e, u, z_c, c = cache
+    grads = ss.QNetworkParams(params.embed_dim, params.compete_dim)
+    d_s = d_q @ agg_p                                         # (B, K)
+    grads.b_r[...] = d_s.sum()
+    grads.w_r[...] = np.tensordot(d_s, c, axes=([0, 1], [0, 1]))
+    d_z_c = d_s[..., None] * params.w_r * (z_c > 0.0)         # (B, K, C)
+    grads.W_c[...] = np.tensordot(d_z_c, u, axes=([0, 1], [0, 1]))
+    grads.b_c[...] = d_z_c.sum(axis=(0, 1))
+    d_u = d_z_c @ params.W_c                                  # (B, K, 2E)
+    embed = params.embed_dim
+    d_rho = agg_p @ d_u[..., :embed] + agg_q @ d_u[..., embed:]  # (B, P, E)
+    d_z_e = (mem_norm.T @ d_rho) * (z_e > 0.0)                # (B, M, E)
+    grads.W_e[...] = np.tensordot(d_z_e, x, axes=([0, 1], [0, 1]))
+    grads.b_e[...] = d_z_e.sum(axis=(0, 1))
+    return grads
+
+
+def bellman_grads(params, batch, target_params, gamma, config):
+    """The TD loss and gradients of `network.bellman_grads`, per pair."""
+    q_values, cache = forward_batch(params, batch.x, config)
+    q_next, _ = forward_batch(target_params, batch.x_next, config)
+    rows = np.arange(len(batch.a))
+    diff = q_values[rows, batch.a] - (batch.r + gamma * q_next.max(axis=1))
+    d_q = np.zeros_like(q_values)
+    d_q[rows, batch.a] = 2.0 * diff / len(rows)
+    return float(np.mean(diff ** 2)), backward_batch(params, cache, d_q, config)

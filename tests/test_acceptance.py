@@ -30,6 +30,7 @@ from conftest import (
     PEAK_BASES,
     SYNTHETIC_BASES,
     SYNTHETIC_SHARES_PCT,
+    batch_of,
     synthetic_base_list,
 )
 
@@ -90,9 +91,9 @@ def test_criterion_03_gradient_correctness():
                               for m in range(8)])
             return ss.Observation(rng.integers(0, 12, 8), flags, phase)
 
-        batch = [ss.Transition(rand_obs(), int(rng.integers(4)),
-                               -float(rng.integers(0, 30)), rand_obs())
-                 for _ in range(6)]
+        batch = batch_of([ss.Transition(rand_obs(), int(rng.integers(4)),
+                                        -float(rng.integers(0, 30)), rand_obs())
+                          for _ in range(6)])
         target = ss.init_params((16, 16), seed=7)
         _, grads = ss.bellman_grads(params, batch, target, 0.8, config)
 

@@ -6,7 +6,7 @@ from signalshift.dqn import write_training_log
 from signalshift.network import params_to_text
 from signalshift.seeding import spawn_rng
 
-from conftest import make_toy_flow, params_equal
+from conftest import batch_of, make_toy_flow, params_equal
 
 
 def small_config():
@@ -50,26 +50,71 @@ def test_epsilon_greedy_validation():
 # ---------------------------------------------------------------------------
 # replay memory
 
+def tagged(reward):
+    """A transition told apart from the others by its reward."""
+    obs = ss.Observation(np.zeros(8, dtype=int), np.zeros(8, dtype=int), 0)
+    return ss.Transition(obs, 0, float(reward), obs)
+
+
 def test_replay_fifo_eviction():
     mem = ss.ReplayMemory(capacity=3, seed=0)
     for i in range(5):
-        mem.push(i)  # transitions are opaque to the buffer
+        mem.push(tagged(i))
     assert len(mem) == 3
-    assert sorted(mem._buffer) == [2, 3, 4]
+    assert sorted(mem._r) == [2, 3, 4]
 
 
 def test_replay_sample_uniformity_within_3_sigma():
     mem = ss.ReplayMemory(capacity=100, seed=0)
     for i in range(100):
-        mem.push(i)
+        mem.push(tagged(i))
     draws = 100_000
     counts = np.zeros(100)
     for _ in range(draws // 50):
-        for item in mem.sample(50):
-            counts[item] += 1
+        for item in mem.sample(50).r:
+            counts[int(item)] += 1
     expected = draws / 100
     sigma = np.sqrt(draws * (1 / 100) * (99 / 100))
     assert np.all(np.abs(counts - expected) <= 3 * sigma)
+
+
+class ListReplay:
+    """The list ring buffer the array memory replaced, as a sampling reference."""
+
+    def __init__(self, capacity, seed):
+        self.capacity, self.buffer, self.cursor = capacity, [], 0
+        self.rng = spawn_rng(seed)
+
+    def push(self, transition):
+        if len(self.buffer) < self.capacity:
+            self.buffer.append(transition)
+        else:
+            self.buffer[self.cursor] = transition
+            self.cursor = (self.cursor + 1) % self.capacity
+
+    def sample(self, batch_size):
+        idx = self.rng.integers(0, len(self.buffer), size=batch_size)
+        return [self.buffer[i] for i in idx]
+
+
+def test_replay_samples_what_a_list_buffer_samples_after_overwrites():
+    capacity, pushes = 7, 40          # more than twice round the ring
+    mem, reference = ss.ReplayMemory(capacity, seed=5), ListReplay(capacity, seed=5)
+    rng = np.random.default_rng(6)
+
+    def obs():
+        return ss.Observation(rng.integers(0, 30, 8), rng.integers(0, 2, 8),
+                              int(rng.integers(4)))
+
+    for i in range(pushes):
+        transition = ss.Transition(obs(), int(rng.integers(4)), -float(i), obs())
+        mem.push(transition)
+        reference.push(transition)
+        batch_size = 1 + i % 9
+        got, want = mem.sample(batch_size), batch_of(reference.sample(batch_size))
+        for name in ss.Batch._fields:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (i, name)
+    assert len(mem) == capacity
 
 
 def test_replay_empty_sample_error():

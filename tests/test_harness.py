@@ -258,6 +258,25 @@ def test_experiment_stage_error_flags_output(tmp_path):
     assert "status=failed" in status and "stage=evaluate" in status
 
 
+@pytest.mark.parametrize("algorithm,stage,settings", [
+    ("rl_no_adapt", "train-dqn", dict(lr=1e6, grad_clip=0)),
+    ("metalight", "train-meta", dict(alpha=1e6, beta=1e6, grad_clip=0)),
+])
+def test_diverging_training_fails_in_its_stage(tmp_path, algorithm, stage, settings):
+    # unclipped steps at a huge learning rate overflow within the first
+    # episode; the run stops in training, not at the next evaluation
+    train_dir, test_dir = write_sets(tmp_path)
+    out = tmp_path / "out"
+    manifest = ss.ExperimentManifest(train_dir, test_dir, out, algorithms=[algorithm],
+                                     seeds=[0],
+                                     config_path=small_config_file(tmp_path, **settings))
+    with pytest.raises(ss.ExperimentError) as err, np.errstate(all="ignore"):
+        ss.run_experiment(manifest)
+    assert err.value.stage == stage
+    assert isinstance(err.value.__cause__, FloatingPointError)
+    assert f"stage={stage}" in (out / "status.txt").read_text()
+
+
 def test_rl_adapt_clips_like_metalight(tmp_path, monkeypatch):
     # rl_adapt adapts by metalight's rule: with the config's grad_clip=c,
     # k steps of size alpha move the DQN parameters by at most k * alpha * c

@@ -7,7 +7,7 @@ import pytest
 import signalshift as ss
 from signalshift.network import PARAM_FIELDS, clip_gradients, grad_norm, params_to_text
 
-from conftest import params_equal, zero_grads
+from conftest import batch_of, params_equal, zero_grads
 
 
 def constant_net(per_pair_score: float, dims=(1, 1)) -> ss.QNetworkParams:
@@ -111,8 +111,8 @@ def test_forward_backward_bit_stable():
     cfg = ss.IntersectionConfig()
     params = ss.init_params((16, 16), seed=9)
     rng = np.random.default_rng(10)
-    batch = [ss.Transition(random_obs(cfg, rng), 1, -3.0, random_obs(cfg, rng))
-             for _ in range(4)]
+    batch = batch_of([ss.Transition(random_obs(cfg, rng), 1, -3.0, random_obs(cfg, rng))
+                      for _ in range(4)])
     loss1, g1 = ss.bellman_grads(params, batch, params, 0.8, cfg)
     loss2, g2 = ss.bellman_grads(params, batch, params, 0.8, cfg)
     assert loss1 == loss2
@@ -133,7 +133,7 @@ def test_bellman_hand_case():
     # TD = 1.0 - 0.5 - 0.9 = -0.4, squared loss 0.16
     cfg = ss.IntersectionConfig()
     params = constant_net(1.0 / 3.0)
-    loss, _ = ss.bellman_grads(params, hand_case_batch(cfg, 0.5), params, 0.9, cfg)
+    loss, _ = ss.bellman_grads(params, batch_of(hand_case_batch(cfg, 0.5)), params, 0.9, cfg)
     assert loss == pytest.approx(0.16, abs=1e-12)
 
 
@@ -141,7 +141,8 @@ def test_bellman_fixed_point_has_zero_gradients():
     # reward chosen so Q already equals its own bootstrap target
     cfg = ss.IntersectionConfig()
     params = constant_net(1.0 / 3.0)
-    loss, grads = ss.bellman_grads(params, hand_case_batch(cfg, 0.1), params, 0.9, cfg)
+    loss, grads = ss.bellman_grads(params, batch_of(hand_case_batch(cfg, 0.1)), params,
+                                    0.9, cfg)
     assert loss == pytest.approx(0.0, abs=1e-15)
     assert grad_norm(grads) == pytest.approx(0.0, abs=1e-12)
 
@@ -150,9 +151,18 @@ def test_bellman_validations():
     cfg = ss.IntersectionConfig()
     params = ss.init_params((4, 4), seed=0)
     with pytest.raises(ValueError):
-        ss.bellman_grads(params, [], params, 0.8, cfg)
+        ss.bellman_grads(params, batch_of([]), params, 0.8, cfg)
     with pytest.raises(ValueError):
-        ss.bellman_grads(params, hand_case_batch(cfg, 0.0), params, 1.0, cfg)
+        ss.bellman_grads(params, batch_of(hand_case_batch(cfg, 0.0)), params, 1.0, cfg)
+
+
+def test_bellman_non_finite_loss_raises():
+    # a readout bias near the float range squares to inf in the loss
+    cfg = ss.IntersectionConfig()
+    params = constant_net(1.0 / 3.0)
+    params.b_r[...] = 1e300
+    with pytest.raises(FloatingPointError), np.errstate(all="ignore"):
+        ss.bellman_grads(params, batch_of(hand_case_batch(cfg, 0.5)), params, 0.9, cfg)
 
 
 def test_bellman_loss_non_negative():
@@ -160,9 +170,9 @@ def test_bellman_loss_non_negative():
     rng = np.random.default_rng(11)
     params = ss.init_params((8, 8), seed=12)
     for _ in range(20):
-        batch = [ss.Transition(random_obs(cfg, rng), int(rng.integers(4)),
-                               -float(rng.integers(0, 40)), random_obs(cfg, rng))
-                 for _ in range(5)]
+        batch = batch_of([ss.Transition(random_obs(cfg, rng), int(rng.integers(4)),
+                                        -float(rng.integers(0, 40)), random_obs(cfg, rng))
+                          for _ in range(5)])
         loss, _ = ss.bellman_grads(params, batch, params, 0.8, cfg)
         assert loss >= 0.0
 
@@ -174,9 +184,9 @@ def test_gradients_match_finite_differences_small():
     params.b_e += jitter.uniform(0.05, 0.2, params.b_e.shape)
     params.b_c += jitter.uniform(0.05, 0.2, params.b_c.shape)
     rng = np.random.default_rng(15)
-    batch = [ss.Transition(random_obs(cfg, rng), int(rng.integers(4)),
-                           -float(rng.integers(0, 20)), random_obs(cfg, rng))
-             for _ in range(4)]
+    batch = batch_of([ss.Transition(random_obs(cfg, rng), int(rng.integers(4)),
+                                    -float(rng.integers(0, 20)), random_obs(cfg, rng))
+                      for _ in range(4)])
     target = ss.init_params((3, 3), seed=16)
     _, grads = ss.bellman_grads(params, batch, target, 0.8, cfg)
     h = 1e-6

@@ -1,13 +1,18 @@
 """Property tests (hypothesis) for invariants that refactors must keep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import signalshift as ss
-from signalshift.network import params_to_text
+from signalshift.network import _forward, params_to_text
+
+from reference_kernel import bellman_grads as reference_bellman_grads
+from reference_kernel import forward_batch as reference_forward
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 # every finite float64, with subnormals and values near the range ends drawn often
@@ -32,3 +37,90 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path_factory, params):
     assert (loaded.embed_dim, loaded.compete_dim) == (params.embed_dim, params.compete_dim)
     assert np.array_equal(loaded.theta.view(np.uint64), params.theta.view(np.uint64))
     assert params_to_text(loaded) == path.read_text()
+
+
+# ---------------------------------------------------------------------------
+# The array kernel of the Q-network against the per-pair reference
+
+# float sums run in another order than the reference's, so values agree to
+# a few units in the last place of the array's largest magnitude
+REL = 1e-12
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = float(np.max(np.abs(want), initial=0.0))
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= REL * scale
+
+
+@st.composite
+def phase_configs(draw) -> ss.IntersectionConfig:
+    """1..6 distinct phases over 1..10 movements, of unequal sizes and
+    sharing movements; every movement is in at least one phase."""
+    n_mov = draw(st.integers(1, 10))
+    n_phases = draw(st.integers(1, min(6, 2 ** n_mov - 1)))
+    phases = [set() for _ in range(n_phases)]
+    for m in range(n_mov):
+        phases[draw(st.integers(0, n_phases - 1))].add(m)
+    for p, m in draw(st.lists(st.tuples(st.integers(0, n_phases - 1),
+                                        st.integers(0, n_mov - 1)), max_size=12)):
+        phases[p].add(m)
+    for members in phases:
+        if not members:
+            members.add(draw(st.integers(0, n_mov - 1)))
+    phases = tuple(tuple(sorted(members)) for members in phases)
+    assume(len(set(phases)) == n_phases)
+    return ss.IntersectionConfig(n_movements=n_mov, phases=phases)
+
+
+def random_case(config, embed_dim, compete_dim, n, seed):
+    """Weights with biases moved off zero, a target network and a batch."""
+    rng = np.random.default_rng(seed)
+    params, target = (ss.init_params((embed_dim, compete_dim), seed=s)
+                      for s in rng.integers(0, 2 ** 31, size=2))
+    params.b_e += rng.uniform(0.05, 0.2, embed_dim)
+    params.b_c += rng.uniform(0.05, 0.2, compete_dim)
+    m = config.n_movements
+
+    def observations():
+        return np.stack([rng.integers(0, 40, (n, m)), rng.integers(0, 2, (n, m))],
+                        axis=-1).astype(np.float64)
+
+    batch = ss.Batch(observations(), rng.integers(0, config.n_phases, n),
+                     -rng.integers(0, 40, n).astype(np.float64), observations())
+    return params, target, batch
+
+
+CASES = dict(config=phase_configs(), embed_dim=st.integers(1, 16),
+             compete_dim=st.integers(1, 16), n=st.integers(1, 64),
+             seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**CASES)
+def test_array_kernel_matches_the_per_pair_reference(config, embed_dim, compete_dim, n, seed):
+    params, target, batch = random_case(config, embed_dim, compete_dim, n, seed)
+    assert_close(_forward(params, batch.x, config)[0],
+                 reference_forward(params, batch.x, config)[0])
+    loss, grads = ss.bellman_grads(params, batch, target, 0.8, config)
+    want_loss, want = reference_bellman_grads(params, batch, target, 0.8, config)
+    assert_close(loss, want_loss)
+    assert_close(grads.theta, want.theta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perm_seed=st.integers(0, 2 ** 32 - 1), **CASES)
+def test_relabeling_phases_permutes_q_and_keeps_the_td_step(config, embed_dim, compete_dim,
+                                                           n, seed, perm_seed):
+    params, target, batch = random_case(config, embed_dim, compete_dim, n, seed)
+    perm = np.random.default_rng(perm_seed).permutation(config.n_phases)
+    relabeled = replace(config, phases=tuple(config.phases[p] for p in perm))
+    # new phase i is old phase perm[i]
+    q = _forward(params, batch.x, config)[0]
+    assert_close(_forward(params, batch.x, relabeled)[0], q[:, perm])
+    loss, grads = ss.bellman_grads(params, batch, target, 0.8, config)
+    relabeled_batch = batch._replace(a=np.argsort(perm)[batch.a])
+    loss_p, grads_p = ss.bellman_grads(params, relabeled_batch, target, 0.8, relabeled)
+    assert_close(loss_p, loss)
+    assert_close(grads_p.theta, grads.theta)
