@@ -10,7 +10,6 @@ an experiment harness that reports travel time against distribution shift.
 from .intersection import (
     EpisodeResult,
     IntersectionConfig,
-    Observation,
     SimState,
     initial_state,
     observe,
@@ -60,7 +59,6 @@ from .dqn import (
     MaxPressurePolicy,
     RandomPolicy,
     ReplayMemory,
-    Transition,
     TrainResult,
     epsilon_greedy,
     train_dqn,

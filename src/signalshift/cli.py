@@ -22,7 +22,6 @@ from .meta import (
     load_meta_checkpoint,
     save_meta_checkpoint,
     train_metalight,
-    with_seed,
     write_ablation_csv,
     write_meta_log,
 )

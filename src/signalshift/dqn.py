@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .intersection import IntersectionConfig, Observation, rollout
+from .intersection import IntersectionConfig, phase_membership, rollout
 # kept bound here: bench/selftest.py checks that the tracer restores
 # `dqn.step`, a function imported from another module
 from .intersection import step  # noqa: F401
@@ -22,6 +22,7 @@ from .network import (
     Batch,
     QNetworkParams,
     bellman_grads,
+    check_bounded,
     clip_gradients,
     frap_forward,
     init_params,
@@ -31,21 +32,11 @@ from .scenarios import SCHEMA_LINE
 from .seeding import NS_DQN, spawn_rng
 
 
-@dataclass
-class Transition:
-    """One (s, a, r, s') experience tuple."""
-
-    s: Observation
-    a: int
-    r: float
-    s_next: Observation
-
-
 class ReplayMemory:
     """Ring buffer of transitions with uniform (with-replacement) sampling.
 
-    Transitions live in preallocated arrays, one row per slot: observations
-    as `Batch` rows (see `Batch.pack`), actions and rewards.  The
+    Each slot is one row of preallocated arrays: the (M, 2) observations
+    of `observe` before and after, the action and the reward.  The
     observation arrays are made at the first push, when M is known; rows
     never written stay unallocated pages.
     """
@@ -64,15 +55,17 @@ class ReplayMemory:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, transition: Transition) -> None:
+    def push(self, transition: tuple) -> None:
+        """Store one (x, a, r, x_next) transition, as `rollout` hands it on."""
+        x, a, r, x_next = transition
         if self._x is None:
-            shape = (self.capacity, len(transition.s.queue_counts), 2)
+            shape = (self.capacity, *x.shape)
             self._x, self._x_next = np.empty(shape), np.empty(shape)
         i = self._cursor
-        Batch.pack(transition.s, self._x[i])
-        Batch.pack(transition.s_next, self._x_next[i])
-        self._a[i] = transition.a
-        self._r[i] = transition.r
+        self._x[i] = x
+        self._x_next[i] = x_next
+        self._a[i] = a
+        self._r[i] = r
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -158,7 +151,7 @@ def train_dqn(config: IntersectionConfig, scenarios, hyper: DqnHyper,
     step.  Episodes run through the demand horizon plus the drain period.
     Fully determined by (config, scenarios, hyper, dims).
     """
-    flows = list(getattr(scenarios, "scenarios", scenarios))
+    flows = list(scenarios)
     if not flows:
         raise ValueError("need at least one training scenario")
     t_start = time.perf_counter()
@@ -182,10 +175,10 @@ def train_dqn(config: IntersectionConfig, scenarios, hyper: DqnHyper,
         epsilon = hyper.epsilon_start + (hyper.epsilon_end - hyper.epsilon_start) * frac
         return epsilon_greedy(frap_forward(params, obs, config), epsilon, rng)
 
-    def learn(obs, action, reward, obs_next):
+    def learn(transition):
         nonlocal params, target, step_counter, updates, reward_sum, reward_n
-        memory.push(Transition(obs, action, reward, obs_next))
-        reward_sum += reward
+        memory.push(transition)
+        reward_sum += transition[2]
         reward_n += 1
         step_counter += 1
         if len(memory) >= hyper.batch_size:
@@ -201,7 +194,7 @@ def train_dqn(config: IntersectionConfig, scenarios, hyper: DqnHyper,
         reward_n = 0
         rollout(config, flows[episode % len(flows)], act, learn)
 
-    return TrainResult(params, log, time.perf_counter() - t_start, updates)
+    return TrainResult(check_bounded(params), log, time.perf_counter() - t_start, updates)
 
 
 def write_training_log(log: list[LogRow], path) -> None:
@@ -221,7 +214,7 @@ class GreedyPolicy:
         self.params = params
         self.config = config
 
-    def __call__(self, obs: Observation) -> int:
+    def __call__(self, obs: np.ndarray) -> int:
         return int(np.argmax(frap_forward(self.params, obs, self.config)))
 
 
@@ -247,7 +240,7 @@ class FixedTimePolicy:
     def reset(self, seed: int = 0) -> None:
         self._decisions = 0
 
-    def __call__(self, obs: Observation) -> int:
+    def __call__(self, obs) -> int:
         t = (self._decisions * self.config.decision_interval) % self.cycle
         self._decisions += 1
         acc = 0.0
@@ -262,20 +255,23 @@ class MaxPressurePolicy:
     """Serve the phase with the largest total queue over its movements.
 
     Ties keep the current phase when it is among the best, otherwise the
-    lowest phase index wins.
+    lowest phase index wins.  The current phase is read from the green
+    column; configs reject duplicate phases, so each green set names one.
     """
 
     def __init__(self, config: IntersectionConfig):
         self.config = config
+        self._phase_of = {row.tobytes(): p
+                          for p, row in enumerate(phase_membership(config))}
 
-    def __call__(self, obs: Observation) -> int:
-        pressures = [sum(int(obs.queue_counts[m]) for m in phase)
-                     for phase in self.config.phases]
+    def __call__(self, obs: np.ndarray) -> int:
+        queues = obs[:, 0].tolist()
+        pressures = [sum(queues[m] for m in phase) for phase in self.config.phases]
         best = max(pressures)
-        candidates = [p for p, v in enumerate(pressures) if v == best]
-        if obs.phase_index in candidates:
-            return obs.phase_index
-        return candidates[0]
+        current = self._phase_of[obs[:, 1].tobytes()]
+        if pressures[current] == best:
+            return current
+        return pressures.index(best)
 
 
 class RandomPolicy:
@@ -289,6 +285,6 @@ class RandomPolicy:
     def reset(self, seed: int = 0) -> None:
         self._rng = spawn_rng(self.seed, 99, seed)
 
-    def __call__(self, obs: Observation) -> int:
+    def __call__(self, obs) -> int:
         return int(self._rng.integers(self.n_phases))
 

@@ -33,7 +33,7 @@ from .dqn import (
     train_dqn,
 )
 from .intersection import IntersectionConfig, run_episode
-from .meta import adapt_params, adapt_to_scenario, train_metalight, with_seed
+from .meta import adapt_params, adapt_to_scenario, train_metalight
 from .metrics import (
     MovementDistribution,
     average_training_distribution,
@@ -201,7 +201,7 @@ def run_experiment(manifest: ExperimentManifest) -> list[EvalRecord]:
             if needs_meta:
                 stage = "train-meta"
                 meta_result = train_metalight(config, train_set,
-                                              with_seed(settings.meta, seed),
+                                              replace(settings.meta, seed=seed),
                                               dims=settings.dims)
                 meta_ckpt = meta_result.checkpoint
                 meta_train_times.append(meta_result.wall_time_s)

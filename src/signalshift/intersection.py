@@ -11,7 +11,8 @@ finer resolution.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -69,15 +70,6 @@ class IntersectionConfig:
 
 
 @dataclass
-class Observation:
-    """What the controller sees at a decision boundary."""
-
-    queue_counts: np.ndarray
-    green_flags: np.ndarray
-    phase_index: int
-
-
-@dataclass
 class SimState:
     """Mutable simulator state, exclusively owned by one episode."""
 
@@ -124,16 +116,28 @@ def initial_state(config: IntersectionConfig, flow: FlowSpec) -> SimState:
     )
 
 
-def observe(state: SimState, config: IntersectionConfig) -> Observation:
-    """Pure snapshot of queue lengths and the current green set."""
+@lru_cache(maxsize=64)
+def phase_membership(config: IntersectionConfig) -> np.ndarray:
+    """(P, M) 0/1 float matrix: row p flags the movements phase p serves.
+    Cached per config and shared by every caller, so it is read-only."""
+    member = np.zeros((config.n_phases, config.n_movements))
+    for p, movements in enumerate(config.phases):
+        member[p, list(movements)] = 1.0
+    member.flags.writeable = False
+    return member
+
+
+def observe(state: SimState, config: IntersectionConfig) -> np.ndarray:
+    """What the controller sees at a decision boundary: a fresh float64
+    (M, 2) array holding each movement's queue count and whether the
+    current phase gives it green.  This row is the Q-network's input and
+    the replay's storage format, and observe is its only writer."""
     if len(state.queues) != config.n_movements:
         raise ValueError("state/config movement count mismatch")
-    counts = np.fromiter((len(q) for q in state.queues), dtype=np.int64,
-                         count=config.n_movements)
-    flags = np.zeros(config.n_movements, dtype=np.int64)
-    for m in config.phases[state.current_phase]:
-        flags[m] = 1
-    return Observation(counts, flags, state.current_phase)
+    obs = np.empty((config.n_movements, 2))
+    obs[:, 0] = list(map(len, state.queues))
+    obs[:, 1] = phase_membership(config)[state.current_phase]
+    return obs
 
 
 def _check_conservation(state: SimState) -> None:
@@ -200,10 +204,11 @@ def rollout(config: IntersectionConfig, flow: FlowSpec, act, on_step=None,
             validate: bool = False) -> SimState:
     """Simulate one episode under `act`, the one copy of the episode loop.
 
-    `act(obs) -> phase index` picks every decision; `on_step(obs, action,
-    reward, obs_next)`, if given, sees every transition.  Simulates the
-    demand horizon, then up to `drain` extra seconds, stopping early once
-    the network is empty.  Returns the final state.
+    `act(obs) -> phase index` picks every decision; `on_step`, if given,
+    sees every transition as one tuple (obs, action, reward, obs_next), the
+    form `ReplayMemory.push` takes.  Simulates the demand horizon, then up
+    to `drain` extra seconds, stopping early once the network is empty.
+    Returns the final state.
     """
     state = initial_state(config, flow)
     obs = observe(state, config)
@@ -213,7 +218,7 @@ def rollout(config: IntersectionConfig, flow: FlowSpec, act, on_step=None,
         state, reward = step(state, action, config, validate=validate)
         obs_next = observe(state, config)
         if on_step is not None:
-            on_step(obs, action, reward, obs_next)
+            on_step((obs, action, reward, obs_next))
         obs = obs_next
     return state
 
@@ -222,7 +227,7 @@ def run_episode(config: IntersectionConfig, flow: FlowSpec, policy,
                 seed: int = 0, validate: bool = False) -> EpisodeResult:
     """Roll one scenario under a decision policy (see `rollout`).
 
-    `policy` is a callable Observation -> phase index; if it has a
+    `policy` is a callable (M, 2) observation -> phase index; if it has a
     `reset(seed)` method it is re-initialized first, so stateful policies
     can be reused across episodes.  The result is fully determined by
     (config, flow, policy, seed).
@@ -231,7 +236,7 @@ def run_episode(config: IntersectionConfig, flow: FlowSpec, policy,
         policy.reset(seed)
     rewards: list[float] = []
     state = rollout(config, flow, policy,
-                    lambda obs, action, reward, obs_next: rewards.append(reward),
+                    lambda transition: rewards.append(transition[2]),
                     validate=validate)
 
     end_clock = state.clock

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .intersection import IntersectionConfig, rollout
 from .network import (
     CHECKPOINT_SCHEMA,
     QNetworkParams,
+    check_bounded,
     frap_forward,
     init_params,
     params_from_lines,
@@ -31,7 +32,7 @@ from .network import (
     sgd_step,
 )
 from .scenarios import SCHEMA_LINE, FlowSpec, flow_to_csv_text
-from .dqn import ReplayMemory, Transition, epsilon_greedy, td_grads
+from .dqn import ReplayMemory, epsilon_greedy, td_grads
 # kept bound here: bench/selftest.py checks that the tracer restores
 # `meta.bellman_grads`; TD steps go through `td_grads`
 from .network import bellman_grads  # noqa: F401
@@ -96,8 +97,7 @@ class AdaptResult:
 
 def scenario_digest(scenarios) -> str:
     """Order-independent SHA-256 over every scenario's canonical CSV text."""
-    flows = getattr(scenarios, "scenarios", scenarios)
-    entries = sorted((flow.label, flow_to_csv_text(flow)) for flow in flows)
+    entries = sorted((flow.label, flow_to_csv_text(flow)) for flow in scenarios)
     h = hashlib.sha256()
     for label, text in entries:
         h.update(label.encode())
@@ -158,7 +158,7 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
     theta0 takes the global update from fresh batches drawn from each
     task's memory.  Deterministic per (config, scenarios, hyper, dims).
     """
-    flows = list(getattr(train_scenarios, "scenarios", train_scenarios))
+    flows = list(train_scenarios)
     if len(flows) < hyper.task_batch:
         raise ValueError(
             f"{len(flows)} scenarios but task_batch={hyper.task_batch}")
@@ -180,10 +180,10 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
                 return epsilon_greedy(frap_forward(adapted, obs, config),
                                       hyper.rollout_epsilon, rng)
 
-            def adapt_step(obs, action, reward, obs_next):
+            def adapt_step(transition):
                 # the base learner takes one TD step per decision
                 nonlocal adapted
-                memory.push(Transition(obs, action, reward, obs_next))
+                memory.push(transition)
                 if len(memory) >= hyper.batch_size:
                     loss, grads = td_grads(adapted, adapted, memory, hyper, config)
                     adapted = sgd_step(adapted, grads, hyper.alpha)
@@ -202,7 +202,7 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
             float(np.mean(meta_losses)) if meta_losses else float("nan"),
         ))
 
-    checkpoint = MetaCheckpoint(theta0, hyper, scenario_digest(flows))
+    checkpoint = MetaCheckpoint(check_bounded(theta0), hyper, scenario_digest(flows))
     return MetaTrainResult(checkpoint, log, time.perf_counter() - t_start)
 
 
@@ -217,9 +217,9 @@ def adapt_params(theta: QNetworkParams, scenario: FlowSpec, config: Intersection
         return epsilon_greedy(frap_forward(theta, obs, config), hyper.rollout_epsilon, rng)
 
     for _ in range(hyper.adapt_data_budget):
-        rollout(config, scenario, act, lambda *transition: memory.push(Transition(*transition)))
+        rollout(config, scenario, act, memory.push)
     adapted = individual_adapt(theta, memory, steps, config, hyper)
-    return AdaptResult(adapted, time.perf_counter() - t_start,
+    return AdaptResult(check_bounded(adapted), time.perf_counter() - t_start,
                        episodes_used=hyper.adapt_data_budget, update_steps=steps)
 
 
@@ -252,7 +252,7 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
     from .dqn import GreedyPolicy
     from .intersection import run_episode
 
-    flows = list(getattr(scenarios, "scenarios", scenarios))
+    flows = list(scenarios)
     if not ks:
         raise ValueError("ks must be non-empty")
     if not flows:
@@ -289,17 +289,10 @@ def write_meta_log(log: list[MetaLogRow], path) -> None:
 # ---------------------------------------------------------------------------
 # Meta checkpoint file: network checkpoint plus hyper block and digest.
 
-_HYPER_FIELDS = ("alpha", "beta", "task_batch", "meta_iterations", "adapt_steps",
-                 "adapt_data_budget", "rollout_epsilon", "batch_size", "gamma",
-                 "capacity", "grad_clip", "seed")
-_HYPER_INTS = {"task_batch", "meta_iterations", "adapt_steps", "adapt_data_budget",
-               "batch_size", "capacity", "seed"}
-
-
 def save_meta_checkpoint(checkpoint: MetaCheckpoint, path) -> None:
     lines = [CHECKPOINT_SCHEMA, "# meta"]
-    for name in _HYPER_FIELDS:
-        lines.append(f"{name}={getattr(checkpoint.hyper, name)!r}")
+    for f in fields(MetaHyper):
+        lines.append(f"{f.name}={getattr(checkpoint.hyper, f.name)!r}")
     lines.append(f"scenario_digest={checkpoint.scenario_digest}")
     Path(path).write_text("\n".join(lines) + "\n" + params_to_text(checkpoint.theta0))
 
@@ -315,14 +308,8 @@ def load_meta_checkpoint(path) -> MetaCheckpoint:
             continue
         key, _, value = line.partition("=")
         kv[key.strip()] = value.strip()
-    hyper_kwargs = {}
-    for name in _HYPER_FIELDS:
-        if name in kv:
-            hyper_kwargs[name] = int(kv[name]) if name in _HYPER_INTS else float(kv[name])
-    hyper = MetaHyper(**hyper_kwargs)
+    # each field parses as the type of its default: int or float
+    hyper = MetaHyper(**{f.name: type(f.default)(kv[f.name])
+                         for f in fields(MetaHyper) if f.name in kv})
     theta0 = params_from_lines(lines)
     return MetaCheckpoint(theta0, hyper, kv.get("scenario_digest", ""))
-
-
-def with_seed(hyper: MetaHyper, seed: int) -> MetaHyper:
-    return replace(hyper, seed=seed)

@@ -92,7 +92,7 @@ def average_distribution(dists: Iterable[MovementDistribution]) -> MovementDistr
 
 def average_training_distribution(scenario_set) -> MovementDistribution:
     """Mean movement distribution of a ScenarioSet (see scenarios module)."""
-    flows = getattr(scenario_set, "scenarios", scenario_set)
+    flows = list(scenario_set)
     if not flows:
         raise ValueError("scenario set is empty")
     return average_distribution(

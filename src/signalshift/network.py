@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .intersection import IntersectionConfig, Observation
+from .intersection import IntersectionConfig, phase_membership
 from .seeding import spawn_rng
 
 DEFAULT_EMBED_DIM = 16
@@ -99,20 +99,15 @@ def init_params(dims: tuple[int, int] = (DEFAULT_EMBED_DIM, DEFAULT_COMPETE_DIM)
 
 
 class Batch(NamedTuple):
-    """Transitions as arrays: x and x_next (B, M, 2) hold each movement's
-    (queue count, green flag) before and after, a (B,) the int64 actions
+    """A batch of transitions as arrays: x and x_next (B, M, 2) stack the
+    observations before and after (rows of `intersection.observe`: each
+    movement's queue count and green flag), a (B,) holds the int64 actions
     and r (B,) the rewards."""
 
     x: np.ndarray
     a: np.ndarray
     r: np.ndarray
     x_next: np.ndarray
-
-    @staticmethod
-    def pack(obs: Observation, row: np.ndarray) -> None:
-        """Write one observation into an (M, 2) row of x or x_next."""
-        row[:, 0] = obs.queue_counts
-        row[:, 1] = obs.green_flags
 
 
 @lru_cache(maxsize=64)
@@ -122,9 +117,8 @@ def _phase_structs(config: IntersectionConfig):
     the 0/1 selections (2, P, K) of the p and the q phase of each ordered
     pair p != q, and their transposes (2, K, P)."""
     n_phases = config.n_phases
-    mem_norm = np.zeros((config.n_movements, n_phases))
-    for p, movements in enumerate(config.phases):
-        mem_norm[list(movements), p] = 1.0 / len(movements)
+    member = phase_membership(config)
+    mem_norm = np.ascontiguousarray((member / member.sum(axis=1, keepdims=True)).T)
     pairs = [(p, q) for p in range(n_phases) for q in range(n_phases) if q != p]
     select = np.zeros((2, n_phases, len(pairs)))
     for k, (p, q) in enumerate(pairs):
@@ -191,14 +185,13 @@ def _backward(params: QNetworkParams, cache, d_q: np.ndarray,
     return grads
 
 
-def frap_forward(params: QNetworkParams, obs: Observation,
+def frap_forward(params: QNetworkParams, obs: np.ndarray,
                  config: IntersectionConfig) -> np.ndarray:
-    """Q-value per phase for a single observation."""
-    if len(obs.queue_counts) != config.n_movements:
-        raise ValueError("observation/config movement count mismatch")
-    x = np.empty((1, config.n_movements, 2))
-    Batch.pack(obs, x[0])
-    q = _forward(params, x, config)[0][0]
+    """Q-value per phase for a single (M, 2) observation from `observe`."""
+    if obs.shape != (config.n_movements, 2):
+        raise ValueError(f"observation has shape {obs.shape}, the config needs "
+                         f"({config.n_movements}, 2)")
+    q = _forward(params, obs[None], config)[0][0]
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("non-finite Q-values")
     return q
@@ -234,6 +227,23 @@ def bellman_grads(params: QNetworkParams, batch: Batch, target_params: QNetworkP
     return loss, grads
 
 
+# Largest |entry| of theta a training or adaptation run may return.  The
+# trained networks here stay below 2 (1.74 at most), so an entry past this
+# bound means the updates ran away, even while every value is still finite.
+MAX_PARAM_ABS = 1e6
+
+
+def check_bounded(params: QNetworkParams) -> QNetworkParams:
+    """Return `params`; raise FloatingPointError when an entry of theta is
+    not finite or exceeds MAX_PARAM_ABS in magnitude.  Runs check it once
+    where they return, not per update."""
+    largest = float(np.max(np.abs(params.theta)))
+    if not largest <= MAX_PARAM_ABS:
+        raise FloatingPointError(
+            f"parameters ran away: max |theta| = {largest!r} > {MAX_PARAM_ABS:g}")
+    return params
+
+
 def sgd_step(params: QNetworkParams, grads: QNetworkParams, lr: float) -> QNetworkParams:
     """One gradient-descent update; returns fresh params, inputs untouched."""
     if (grads.embed_dim, grads.compete_dim) != (params.embed_dim, params.compete_dim):
@@ -248,9 +258,11 @@ def grad_norm(grads: QNetworkParams) -> float:
 def clip_gradients(grads: QNetworkParams, max_norm: float) -> QNetworkParams:
     """Rescale so the global norm is at most max_norm; max_norm<=0 disables.
 
-    TD errors early in training can reach the hundreds (the reward is a raw
-    queue count), and unclipped squared-loss steps at the default learning
-    rate diverge; clipping caps the step size without biasing its direction.
+    The reward is a raw queue count, so at the default max_norm of 10 the
+    clip rescales nearly every step, not only early ones: measured on the
+    default report's inputs, 100 % of meta TD steps (median raw norm 1.3e4)
+    and 99.9 % of DQN steps (median 785).  Training is then normalised SGD
+    with step length lr * max_norm; the direction is left unbiased.
     Returns `grads` itself when it does not rescale.
     """
     if max_norm <= 0 or (total := grad_norm(grads)) <= max_norm:

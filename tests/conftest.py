@@ -63,18 +63,21 @@ def zero_grads(params: ss.QNetworkParams) -> ss.QNetworkParams:
     return ss.QNetworkParams(params.embed_dim, params.compete_dim)
 
 
+def obs_row(counts, flags) -> np.ndarray:
+    """An (M, 2) observation as `observe` writes it: queue counts and green
+    flags per movement."""
+    return np.stack([counts, flags], axis=-1).astype(np.float64)
+
+
 def batch_of(transitions) -> ss.Batch:
-    """Pack Transitions into the arrays `bellman_grads` takes."""
+    """Stack (x, a, r, x_next) transitions into the arrays `bellman_grads` takes."""
     transitions = list(transitions)
 
-    def rows(observations):
-        return np.array([np.stack([o.queue_counts, o.green_flags], axis=-1)
-                         for o in observations], dtype=np.float64)
+    def column(i, dtype):
+        return np.array([t[i] for t in transitions], dtype=dtype)
 
-    return ss.Batch(rows(t.s for t in transitions),
-                    np.array([t.a for t in transitions], dtype=np.int64),
-                    np.array([t.r for t in transitions], dtype=np.float64),
-                    rows(t.s_next for t in transitions))
+    return ss.Batch(column(0, np.float64), column(1, np.int64),
+                    column(2, np.float64), column(3, np.float64))
 
 
 def param_distance(a: ss.QNetworkParams, b: ss.QNetworkParams) -> float:

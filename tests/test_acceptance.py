@@ -31,6 +31,7 @@ from conftest import (
     SYNTHETIC_BASES,
     SYNTHETIC_SHARES_PCT,
     batch_of,
+    obs_row,
     synthetic_base_list,
 )
 
@@ -89,10 +90,10 @@ def test_criterion_03_gradient_correctness():
             phase = int(rng.integers(config.n_phases))
             flags = np.array([1 if m in config.phases[phase] else 0
                               for m in range(8)])
-            return ss.Observation(rng.integers(0, 12, 8), flags, phase)
+            return obs_row(rng.integers(0, 12, 8), flags)
 
-        batch = batch_of([ss.Transition(rand_obs(), int(rng.integers(4)),
-                                        -float(rng.integers(0, 30)), rand_obs())
+        batch = batch_of([(rand_obs(), int(rng.integers(4)),
+                           -float(rng.integers(0, 30)), rand_obs())
                           for _ in range(6)])
         target = ss.init_params((16, 16), seed=7)
         _, grads = ss.bellman_grads(params, batch, target, 0.8, config)
@@ -125,7 +126,7 @@ def test_criterion_04_phase_permutation_equivariance():
             phase = int(rng.integers(config.n_phases))
             flags = np.array([1 if m in config.phases[phase] else 0
                               for m in range(8)])
-            obs = ss.Observation(rng.integers(0, 25, 8), flags, phase)
+            obs = obs_row(rng.integers(0, 25, 8), flags)
             q = ss.frap_forward(params, obs, config)
             for perm in itertools.permutations(range(config.n_phases)):
                 permuted = replace(config,

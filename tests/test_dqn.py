@@ -6,7 +6,7 @@ from signalshift.dqn import write_training_log
 from signalshift.network import params_to_text
 from signalshift.seeding import spawn_rng
 
-from conftest import batch_of, make_toy_flow, params_equal
+from conftest import batch_of, make_toy_flow, obs_row, params_equal
 
 
 def small_config():
@@ -52,8 +52,8 @@ def test_epsilon_greedy_validation():
 
 def tagged(reward):
     """A transition told apart from the others by its reward."""
-    obs = ss.Observation(np.zeros(8, dtype=int), np.zeros(8, dtype=int), 0)
-    return ss.Transition(obs, 0, float(reward), obs)
+    obs = obs_row(np.zeros(8), np.zeros(8))
+    return (obs, 0, float(reward), obs)
 
 
 def test_replay_fifo_eviction():
@@ -103,11 +103,10 @@ def test_replay_samples_what_a_list_buffer_samples_after_overwrites():
     rng = np.random.default_rng(6)
 
     def obs():
-        return ss.Observation(rng.integers(0, 30, 8), rng.integers(0, 2, 8),
-                              int(rng.integers(4)))
+        return obs_row(rng.integers(0, 30, 8), rng.integers(0, 2, 8))
 
     for i in range(pushes):
-        transition = ss.Transition(obs(), int(rng.integers(4)), -float(i), obs())
+        transition = (obs(), int(rng.integers(4)), -float(i), obs())
         mem.push(transition)
         reference.push(transition)
         batch_size = 1 + i % 9
@@ -178,7 +177,7 @@ def test_trained_policy_prefers_heavy_phase(toy_training):
     while state.clock < tt.config.horizon:
         obs = ss.observe(state, tt.config)
         action = policy(obs)
-        if obs.queue_counts.sum() > 0:
+        if obs[:, 0].sum() > 0:
             total += 1
             # 90% of *arrivals* use phase 1, but its queue is often empty at
             # decision time while a light movement waits, so the oracle is
@@ -187,7 +186,7 @@ def test_trained_policy_prefers_heavy_phase(toy_training):
             actions[action] += 1
             oracle_actions[best] += 1
             agree += action == best
-            pressures = [obs.queue_counts[list(p)].sum()
+            pressures = [obs[list(p), 0].sum()
                          for p in tt.config.phases]
             if pressures[1] > max(pressures[:1] + pressures[2:]):
                 heavy_max += 1
@@ -241,26 +240,31 @@ def test_fixed_time_slower_than_always_green():
     assert ft.avg_travel_time >= always.avg_travel_time
 
 
+def green(cfg, phase):
+    """The green column of an observation taken while `phase` is green."""
+    return [m in cfg.phases[phase] for m in range(cfg.n_movements)]
+
+
 def test_max_pressure_picks_loaded_phase():
     cfg = ss.IntersectionConfig()
     policy = ss.MaxPressurePolicy(cfg)
     counts = np.zeros(8, dtype=int)
     counts[0] = 10
-    obs = ss.Observation(counts, np.zeros(8, dtype=int), 2)
+    obs = obs_row(counts, green(cfg, 2))
     assert policy(obs) == 0  # movement 0 belongs to phase 0
 
 
 def test_max_pressure_tie_keeps_current_phase():
     cfg = ss.IntersectionConfig()
     policy = ss.MaxPressurePolicy(cfg)
-    obs = ss.Observation(np.zeros(8, dtype=int), np.zeros(8, dtype=int), 2)
+    obs = obs_row(np.zeros(8), green(cfg, 2))
     assert policy(obs) == 2
     # engineered two-way tie between phases 0 and 3; current phase 3 wins
     counts = np.zeros(8, dtype=int)
     counts[0], counts[3] = 5, 5
-    assert policy(ss.Observation(counts, np.zeros(8, dtype=int), 3)) == 3
+    assert policy(obs_row(counts, green(cfg, 3))) == 3
     # when the current phase is not among the best, lowest index wins
-    assert policy(ss.Observation(counts, np.zeros(8, dtype=int), 1)) == 0
+    assert policy(obs_row(counts, green(cfg, 1))) == 0
 
 
 def test_baseline_ordering_on_skewed_toy(toy_training):

@@ -258,13 +258,20 @@ def test_experiment_stage_error_flags_output(tmp_path):
     assert "status=failed" in status and "stage=evaluate" in status
 
 
+RUNAWAY_ADAPT = dict(meta_iterations=0, alpha=1e6, adapt_steps=10, grad_clip=0)
+
+
 @pytest.mark.parametrize("algorithm,stage,settings", [
     ("rl_no_adapt", "train-dqn", dict(lr=1e6, grad_clip=0)),
     ("metalight", "train-meta", dict(alpha=1e6, beta=1e6, grad_clip=0)),
+    ("metalight", "adapt", RUNAWAY_ADAPT),
+    ("rl_adapt", "adapt", RUNAWAY_ADAPT),
 ])
 def test_diverging_training_fails_in_its_stage(tmp_path, algorithm, stage, settings):
     # unclipped steps at a huge learning rate overflow within the first
-    # episode; the run stops in training, not at the next evaluation
+    # episode; the run stops in training, not at the next evaluation.  Ten
+    # unclipped adaptation steps at alpha=1e6 leave parameters of 1e67 and
+    # more that are still finite: the bound on |theta| stops those
     train_dir, test_dir = write_sets(tmp_path)
     out = tmp_path / "out"
     manifest = ss.ExperimentManifest(train_dir, test_dir, out, algorithms=[algorithm],

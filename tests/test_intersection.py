@@ -47,10 +47,11 @@ def test_config_rejects_invalid(kwargs):
 def test_observe_empty_state():
     cfg = ss.IntersectionConfig()
     obs = ss.observe(ss.initial_state(cfg, empty_flow()), cfg)
-    assert np.array_equal(obs.queue_counts, np.zeros(8))
+    assert obs.shape == (8, 2) and obs.dtype == np.float64
+    assert np.array_equal(obs[:, 0], np.zeros(8))
+    # phase 0 is current: its movements, and only they, are green
     expected_flags = [1 if m in cfg.phases[0] else 0 for m in range(8)]
-    assert np.array_equal(obs.green_flags, expected_flags)
-    assert obs.phase_index == 0
+    assert np.array_equal(obs[:, 1], expected_flags)
 
 
 def test_observe_counts_and_flags():
@@ -58,8 +59,8 @@ def test_observe_counts_and_flags():
     cfg = ss.IntersectionConfig(phases=((0, 1), (2, 3), (4, 5), (6, 7)))
     state = seeded_state(cfg, {0: 2, 1: 3})
     obs = ss.observe(state, cfg)
-    assert list(obs.queue_counts) == [2, 3, 0, 0, 0, 0, 0, 0]
-    assert list(obs.green_flags) == [1, 1, 0, 0, 0, 0, 0, 0]
+    assert list(obs[:, 0]) == [2, 3, 0, 0, 0, 0, 0, 0]
+    assert list(obs[:, 1]) == [1, 1, 0, 0, 0, 0, 0, 0]
 
 
 def test_observe_is_pure():
@@ -67,10 +68,10 @@ def test_observe_is_pure():
     state = seeded_state(cfg, {1: 4})
     first = ss.observe(state, cfg)
     second = ss.observe(state, cfg)
-    assert np.array_equal(first.queue_counts, second.queue_counts)
-    assert np.array_equal(first.green_flags, second.green_flags)
-    first.queue_counts[0] = 99  # mutating a copy must not leak into the state
+    assert np.array_equal(first, second)
+    first[0] = 99  # mutating a copy must not leak into the state
     assert len(state.queues[0]) == 0
+    assert np.array_equal(ss.observe(state, cfg), second)
 
 
 def test_observe_movement_mismatch():

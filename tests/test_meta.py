@@ -6,7 +6,6 @@ from signalshift.meta import (
     MetaLogRow,
     adapt_params,
     scenario_digest,
-    with_seed,
     write_ablation_csv,
 )
 from signalshift.network import params_to_text
@@ -35,7 +34,7 @@ def filled_memory(cfg, params, seed=0, episodes=2):
             a = ss.epsilon_greedy(ss.frap_forward(params, obs, cfg), 0.3, rng)
             state, r = ss.step(state, a, cfg)
             obs2 = ss.observe(state, cfg)
-            memory.push(ss.Transition(obs, a, r, obs2))
+            memory.push((obs, a, r, obs2))
             obs = obs2
     return memory
 
@@ -286,12 +285,6 @@ def test_scenario_digest_tracks_content():
     assert d1 == scenario_digest(list(reversed(flows)))  # order-independent
     other = small_scenarios(3)[2:]
     assert scenario_digest(other) != d1
-
-
-def test_with_seed_helper():
-    hyper = ss.MetaHyper(seed=0)
-    assert with_seed(hyper, 9).seed == 9
-    assert hyper.seed == 0
 
 
 def test_adaptation_beats_frozen_theta0_on_held_out_skew():

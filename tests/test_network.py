@@ -7,7 +7,7 @@ import pytest
 import signalshift as ss
 from signalshift.network import PARAM_FIELDS, clip_gradients, grad_norm, params_to_text
 
-from conftest import batch_of, params_equal, zero_grads
+from conftest import batch_of, obs_row, params_equal, zero_grads
 
 
 def constant_net(per_pair_score: float, dims=(1, 1)) -> ss.QNetworkParams:
@@ -30,7 +30,7 @@ def random_obs(cfg, rng):
     phase = int(rng.integers(cfg.n_phases))
     flags = np.array([1 if m in cfg.phases[phase] else 0
                       for m in range(cfg.n_movements)])
-    return ss.Observation(rng.integers(0, 15, cfg.n_movements), flags, phase)
+    return obs_row(rng.integers(0, 15, cfg.n_movements), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def test_init_rejects_zero_dims():
 def test_forward_shape_and_symmetry():
     cfg = ss.IntersectionConfig()
     params = ss.init_params((8, 8), seed=2)
-    obs = ss.Observation(np.full(8, 5), np.zeros(8, dtype=int), 0)
+    obs = obs_row(np.full(8, 5), np.zeros(8))
     q = ss.frap_forward(params, obs, cfg)
     assert q.shape == (4,)
     # identical inputs on every movement make all phases indistinguishable
@@ -93,8 +93,7 @@ def test_forward_movement_relabel_invariance():
     inv = np.argsort(perm)
     cfg_p = replace(cfg, phases=tuple(tuple(int(perm[m]) for m in ph)
                                       for ph in cfg.phases))
-    obs_p = ss.Observation(obs.queue_counts[inv], obs.green_flags[inv],
-                           obs.phase_index)
+    obs_p = obs[inv]
     q_p = ss.frap_forward(params, obs_p, cfg_p)
     assert np.max(np.abs(q_p - q)) < 1e-12
 
@@ -102,7 +101,7 @@ def test_forward_movement_relabel_invariance():
 def test_forward_dimension_mismatch():
     cfg = ss.IntersectionConfig()
     params = ss.init_params((4, 4), seed=0)
-    obs = ss.Observation(np.zeros(4), np.zeros(4), 0)
+    obs = obs_row(np.zeros(4), np.zeros(4))
     with pytest.raises(ValueError):
         ss.frap_forward(params, obs, cfg)
 
@@ -111,7 +110,7 @@ def test_forward_backward_bit_stable():
     cfg = ss.IntersectionConfig()
     params = ss.init_params((16, 16), seed=9)
     rng = np.random.default_rng(10)
-    batch = batch_of([ss.Transition(random_obs(cfg, rng), 1, -3.0, random_obs(cfg, rng))
+    batch = batch_of([(random_obs(cfg, rng), 1, -3.0, random_obs(cfg, rng))
                       for _ in range(4)])
     loss1, g1 = ss.bellman_grads(params, batch, params, 0.8, cfg)
     loss2, g2 = ss.bellman_grads(params, batch, params, 0.8, cfg)
@@ -124,8 +123,8 @@ def test_forward_backward_bit_stable():
 # bellman loss
 
 def hand_case_batch(cfg, r):
-    obs = ss.Observation(np.full(8, 2), np.zeros(8, dtype=int), 0)
-    return [ss.Transition(obs, 0, r, obs)]
+    obs = obs_row(np.full(8, 2), np.zeros(8))
+    return [(obs, 0, r, obs)]
 
 
 def test_bellman_hand_case():
@@ -170,8 +169,8 @@ def test_bellman_loss_non_negative():
     rng = np.random.default_rng(11)
     params = ss.init_params((8, 8), seed=12)
     for _ in range(20):
-        batch = batch_of([ss.Transition(random_obs(cfg, rng), int(rng.integers(4)),
-                                        -float(rng.integers(0, 40)), random_obs(cfg, rng))
+        batch = batch_of([(random_obs(cfg, rng), int(rng.integers(4)),
+                           -float(rng.integers(0, 40)), random_obs(cfg, rng))
                           for _ in range(5)])
         loss, _ = ss.bellman_grads(params, batch, params, 0.8, cfg)
         assert loss >= 0.0
@@ -184,8 +183,8 @@ def test_gradients_match_finite_differences_small():
     params.b_e += jitter.uniform(0.05, 0.2, params.b_e.shape)
     params.b_c += jitter.uniform(0.05, 0.2, params.b_c.shape)
     rng = np.random.default_rng(15)
-    batch = batch_of([ss.Transition(random_obs(cfg, rng), int(rng.integers(4)),
-                                    -float(rng.integers(0, 20)), random_obs(cfg, rng))
+    batch = batch_of([(random_obs(cfg, rng), int(rng.integers(4)),
+                       -float(rng.integers(0, 20)), random_obs(cfg, rng))
                       for _ in range(4)])
     target = ss.init_params((3, 3), seed=16)
     _, grads = ss.bellman_grads(params, batch, target, 0.8, cfg)

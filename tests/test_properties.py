@@ -12,7 +12,7 @@ from reference_kernel import bellman_grads as reference_bellman_grads
 from reference_kernel import forward_batch as reference_forward
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 # every finite float64, with subnormals and values near the range ends drawn often
@@ -124,3 +124,39 @@ def test_relabeling_phases_permutes_q_and_keeps_the_td_step(config, embed_dim, c
     loss_p, grads_p = ss.bellman_grads(params, relabeled_batch, target, 0.8, relabeled)
     assert_close(loss_p, loss)
     assert_close(grads_p.theta, grads.theta)
+
+
+# ---------------------------------------------------------------------------
+# The observation row and the max-pressure rule, read against the state
+
+def max_pressure_reference(state, config) -> int:
+    """The documented rule on the state itself: the largest total queue wins;
+    a tie keeps the current phase if it is among the best, otherwise the
+    lowest phase index wins."""
+    pressures = [sum(len(state.queues[m]) for m in phase) for phase in config.phases]
+    best = [p for p, v in enumerate(pressures) if v == max(pressures)]
+    return state.current_phase if state.current_phase in best else best[0]
+
+
+@settings(max_examples=100, deadline=None)
+@example(config=ss.IntersectionConfig(n_movements=2, phases=((0,), (0, 1))), seed=0)
+@example(config=ss.IntersectionConfig(n_movements=3, phases=((0, 1, 2), (1,), (0, 1))),
+         seed=1)
+@given(config=phase_configs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_observe_and_max_pressure_read_the_state(config, seed):
+    # random demand and random decisions, through yellow and green, with
+    # phases that may nest in one another (one green set inside another)
+    rng = np.random.default_rng(seed)
+    config = replace(config, horizon=200.0, drain=100.0)
+    n_mov = config.n_movements
+    flow = ss.sample_arrivals(rng.integers(0, 60, n_mov), config.horizon, rng)
+    state = ss.initial_state(config, flow)
+    policy = ss.MaxPressurePolicy(config)
+    for action in rng.integers(0, config.n_phases, size=30):
+        obs = ss.observe(state, config)
+        assert obs.shape == (n_mov, 2) and obs.dtype == np.float64
+        assert obs[:, 0].tolist() == [len(q) for q in state.queues]
+        green = config.phases[state.current_phase]
+        assert obs[:, 1].tolist() == [float(m in green) for m in range(n_mov)]
+        assert policy(obs) == max_pressure_reference(state, config)
+        state, _ = ss.step(state, int(action), config, validate=True)
