@@ -118,7 +118,7 @@ def epsilon_greedy(q: np.ndarray, epsilon: float, rng: np.random.Generator | Non
             raise ValueError("epsilon > 0 requires an RNG")
         if rng.random() < epsilon:
             return int(rng.integers(values.size))
-    return int(np.argmax(values))
+    return int(values.argmax())
 
 
 def td_grads(params: QNetworkParams, target: QNetworkParams, memory: ReplayMemory,
@@ -169,13 +169,13 @@ def train_dqn(config: IntersectionConfig, scenarios, hyper: DqnHyper,
     updates = 0
     epsilon = hyper.epsilon_start
 
-    def act(obs):
+    def act(live, obs):
         nonlocal epsilon
         frac = min(1.0, step_counter / decay_steps)
         epsilon = hyper.epsilon_start + (hyper.epsilon_end - hyper.epsilon_start) * frac
-        return epsilon_greedy(frap_forward(params, obs, config), epsilon, rng)
+        return [epsilon_greedy(frap_forward(params, obs[0], config), epsilon, rng)]
 
-    def learn(transition):
+    def learn(i, transition):
         nonlocal params, target, step_counter, updates, reward_sum, reward_n
         memory.push(transition)
         reward_sum += transition[2]
@@ -192,7 +192,7 @@ def train_dqn(config: IntersectionConfig, scenarios, hyper: DqnHyper,
     for episode in range(hyper.episodes):
         reward_sum = 0.0
         reward_n = 0
-        rollout(config, flows[episode % len(flows)], act, learn)
+        rollout(config, [flows[episode % len(flows)]], act, learn)
 
     return TrainResult(check_bounded(params), log, time.perf_counter() - t_start, updates)
 
@@ -215,7 +215,7 @@ class GreedyPolicy:
         self.config = config
 
     def __call__(self, obs: np.ndarray) -> int:
-        return int(np.argmax(frap_forward(self.params, obs, self.config)))
+        return int(frap_forward(self.params, obs, self.config).argmax())
 
 
 class FixedTimePolicy:

@@ -84,7 +84,7 @@ class SimState:
     total_arrivals: int
 
     def queued_count(self) -> int:
-        return sum(len(q) for q in self.queues)
+        return sum(map(len, self.queues))
 
     def is_empty(self) -> bool:
         return not self.pending and self.queued_count() == 0
@@ -168,31 +168,36 @@ def step(state: SimState, action: int, config: IntersectionConfig,
         state.credits[:] = 0.0
 
     green = config.phases[state.current_phase]
+    # the tick loop runs on every decision: bind what it reads once
+    tick, approach = config.tick, config.approach_time
+    service = config.saturation_rate * tick
+    pending, queues, credits, completed = (state.pending, state.queues, state.credits,
+                                           state.completed)
     for _ in range(config.ticks_per_interval):
         t0 = state.clock
-        while state.pending and state.pending[0][0] + config.approach_time <= t0:
-            arrival, movement = state.pending.popleft()
-            state.queues[movement].append(arrival)
+        while pending and pending[0][0] + approach <= t0:
+            arrival, movement = pending.popleft()
+            queues[movement].append(arrival)
 
         if state.in_yellow > 0:
-            state.in_yellow = max(0.0, state.in_yellow - config.tick)
+            state.in_yellow = max(0.0, state.in_yellow - tick)
         else:
-            exit_time = t0 + config.tick
+            exit_time = t0 + tick
             for m in green:
-                queue = state.queues[m]
+                queue = queues[m]
                 if not queue:
-                    state.credits[m] = 0.0
+                    credits[m] = 0.0
                     continue
-                state.credits[m] += config.saturation_rate * config.tick
-                while state.credits[m] >= 1.0 - 1e-9 and queue:
+                credits[m] += service
+                while credits[m] >= 1.0 - 1e-9 and queue:
                     arrival = queue.popleft()
-                    state.completed.append((arrival, exit_time, m))
-                    state.credits[m] -= 1.0
+                    completed.append((arrival, exit_time, m))
+                    credits[m] -= 1.0
                 if not queue:
-                    state.credits[m] = 0.0
+                    credits[m] = 0.0
 
-        state.clock = t0 + config.tick
-        state.phase_elapsed += config.tick
+        state.clock = t0 + tick
+        state.phase_elapsed += tick
         if validate:
             _check_conservation(state)
 
@@ -200,27 +205,59 @@ def step(state: SimState, action: int, config: IntersectionConfig,
     return state, reward
 
 
-def rollout(config: IntersectionConfig, flow: FlowSpec, act, on_step=None,
-            validate: bool = False) -> SimState:
-    """Simulate one episode under `act`, the one copy of the episode loop.
+def rollout(config: IntersectionConfig, flows, act, on_step=None, on_end=None,
+            validate: bool = False) -> None:
+    """Simulate one episode per flow, stepped together: the one copy of the
+    episode loop.
 
-    `act(obs) -> phase index` picks every decision; `on_step`, if given,
-    sees every transition as one tuple (obs, action, reward, obs_next), the
-    form `ReplayMemory.push` takes.  Simulates the demand horizon, then up
-    to `drain` extra seconds, stopping early once the network is empty.
-    Returns the final state.
+    Each decision, `act(live, obs) -> actions` picks one phase index for
+    every episode still running: `live` lists their indices into `flows`
+    and `obs` their (M, 2) observations, in the same order.  `on_step`, if
+    given, sees every transition as `on_step(i, (obs, action, reward,
+    obs_next))`, where i is the episode's index; the tuple is the form
+    `ReplayMemory.push` takes.  An episode simulates the demand horizon,
+    then up to `drain` extra seconds, and leaves the lockstep early once
+    its network is empty; `on_end(i, state)`, if given, then receives its
+    final state, which the loop does not keep.
     """
-    state = initial_state(config, flow)
-    obs = observe(state, config)
-    end = config.horizon + config.drain
-    while state.clock < config.horizon or (state.clock < end and not state.is_empty()):
-        action = int(act(obs))
-        state, reward = step(state, action, config, validate=validate)
-        obs_next = observe(state, config)
-        if on_step is not None:
-            on_step((obs, action, reward, obs_next))
-        obs = obs_next
-    return state
+    horizon, end = config.horizon, config.horizon + config.drain
+    states = [initial_state(config, flow) for flow in flows]
+    live = list(range(len(states)))
+    obs = [observe(state, config) for state in states]
+    while live:
+        still, obs_next = [], []
+        for i, x, action in zip(live, obs, act(live, obs), strict=True):
+            action = int(action)
+            state, reward = step(states[i], action, config, validate=validate)
+            x_next = observe(state, config)
+            if on_step is not None:
+                on_step(i, (x, action, reward, x_next))
+            if state.clock < horizon or (state.clock < end and not state.is_empty()):
+                still.append(i)
+                obs_next.append(x_next)
+            else:
+                states[i] = None
+                if on_end is not None:
+                    on_end(i, state)
+        live, obs = still, obs_next
+
+
+def episode_result(state: SimState, rewards: list[float]) -> EpisodeResult:
+    """Score a finished episode: each vehicle's travel time, censored at the
+    final clock for those still in the network, and the counts."""
+    end_clock = state.clock
+    per_vehicle = [(arr, exit_t, m, False) for arr, exit_t, m in state.completed]
+    for m, queue in enumerate(state.queues):
+        per_vehicle.extend((arr, end_clock, m, True) for arr in queue)
+    per_vehicle.extend((arr, end_clock, m, True) for arr, m in state.pending)
+    per_vehicle.sort(key=lambda v: (v[0], v[2]))
+
+    completed_count = len(state.completed)
+    residual_count = len(per_vehicle) - completed_count
+    avg = None
+    if per_vehicle:
+        avg = float(np.mean([exit_t - arr for arr, exit_t, _, _ in per_vehicle]))
+    return EpisodeResult(avg, completed_count, residual_count, per_vehicle, rewards)
 
 
 def run_episode(config: IntersectionConfig, flow: FlowSpec, policy,
@@ -235,23 +272,12 @@ def run_episode(config: IntersectionConfig, flow: FlowSpec, policy,
     if hasattr(policy, "reset"):
         policy.reset(seed)
     rewards: list[float] = []
-    state = rollout(config, flow, policy,
-                    lambda transition: rewards.append(transition[2]),
-                    validate=validate)
-
-    end_clock = state.clock
-    per_vehicle = [(arr, exit_t, m, False) for arr, exit_t, m in state.completed]
-    for m, queue in enumerate(state.queues):
-        per_vehicle.extend((arr, end_clock, m, True) for arr in queue)
-    per_vehicle.extend((arr, end_clock, m, True) for arr, m in state.pending)
-    per_vehicle.sort(key=lambda v: (v[0], v[2]))
-
-    completed_count = len(state.completed)
-    residual_count = len(per_vehicle) - completed_count
-    avg = None
-    if per_vehicle:
-        avg = float(np.mean([exit_t - arr for arr, exit_t, _, _ in per_vehicle]))
-    return EpisodeResult(avg, completed_count, residual_count, per_vehicle, rewards)
+    results: list[EpisodeResult] = []
+    rollout(config, [flow], lambda live, obs: [policy(obs[0])],
+            lambda i, transition: rewards.append(transition[2]),
+            lambda i, state: results.append(episode_result(state, rewards)),
+            validate=validate)
+    return results[0]
 
 
 def write_vehicle_trace(result: EpisodeResult, path) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .intersection import IntersectionConfig, rollout
+from .intersection import IntersectionConfig, episode_result, rollout
 from .network import (
     CHECKPOINT_SCHEMA,
     QNetworkParams,
@@ -176,11 +176,11 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
             memory = ReplayMemory(hyper.capacity, seed=rng)
             adapted = theta0
 
-            def act(obs):
-                return epsilon_greedy(frap_forward(adapted, obs, config),
-                                      hyper.rollout_epsilon, rng)
+            def act(live, obs):
+                return [epsilon_greedy(frap_forward(adapted, obs[0], config),
+                                       hyper.rollout_epsilon, rng)]
 
-            def adapt_step(transition):
+            def adapt_step(i, transition):
                 # the base learner takes one TD step per decision
                 nonlocal adapted
                 memory.push(transition)
@@ -189,7 +189,7 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
                     adapted = sgd_step(adapted, grads, hyper.alpha)
                     rollout_losses.append(loss)
 
-            rollout(config, flows[int(ti)], act, adapt_step)
+            rollout(config, [flows[int(ti)]], act, adapt_step)
             if len(memory) >= hyper.batch_size:
                 loss, grads = td_grads(adapted, adapted, memory, hyper, config)
                 task_grads.append(grads)
@@ -206,18 +206,31 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
     return MetaTrainResult(checkpoint, log, time.perf_counter() - t_start)
 
 
+def _collect_experience(theta: QNetworkParams, scenarios: list[FlowSpec],
+                        config: IntersectionConfig, hyper: MetaHyper,
+                        rngs) -> list[ReplayMemory]:
+    """`hyper.adapt_data_budget` episodes per scenario acting
+    epsilon-greedily from theta, the scenarios stepped in lockstep.
+    Scenario i's epsilon draws come from rngs[i], and so do the batches its
+    replay memory (the one returned at i) later samples."""
+    memories = [ReplayMemory(hyper.capacity, seed=rng) for rng in rngs]
+
+    def act(live, obs):
+        return [epsilon_greedy(frap_forward(theta, x, config), hyper.rollout_epsilon, rngs[i])
+                for i, x in zip(live, obs)]
+
+    for _ in range(hyper.adapt_data_budget):
+        rollout(config, scenarios, act,
+                lambda i, transition: memories[i].push(transition))
+    return memories
+
+
 def adapt_params(theta: QNetworkParams, scenario: FlowSpec, config: IntersectionConfig,
                  hyper: MetaHyper, steps: int, rng) -> AdaptResult:
     """Collect `hyper.adapt_data_budget` episodes acting from theta, then
     take `steps` TD gradient steps on the collected memory."""
     t_start = time.perf_counter()
-    memory = ReplayMemory(hyper.capacity, seed=rng)
-
-    def act(obs):
-        return epsilon_greedy(frap_forward(theta, obs, config), hyper.rollout_epsilon, rng)
-
-    for _ in range(hyper.adapt_data_budget):
-        rollout(config, scenario, act, memory.push)
+    [memory] = _collect_experience(theta, [scenario], config, hyper, [rng])
     adapted = individual_adapt(theta, memory, steps, config, hyper)
     return AdaptResult(check_bounded(adapted), time.perf_counter() - t_start,
                        episodes_used=hyper.adapt_data_budget, update_steps=steps)
@@ -235,8 +248,13 @@ def adapt_to_scenario(checkpoint: MetaCheckpoint, scenario: FlowSpec,
     k = hyper.adapt_steps if k_override is None else int(k_override)
     if k < 1:
         raise ValueError("adaptation needs at least one gradient step")
-    rng = spawn_rng(hyper.seed, NS_META, 50, seed)
-    return adapt_params(checkpoint.theta0, scenario, config, hyper, k, rng)
+    return adapt_params(checkpoint.theta0, scenario, config, hyper, k,
+                        _adapt_rng(hyper, seed))
+
+
+def _adapt_rng(hyper: MetaHyper, seed: int):
+    """The generator of one adaptation: the same for every scenario and k."""
+    return spawn_rng(hyper.seed, NS_META, 50, seed)
 
 
 AblationRow = namedtuple("AblationRow", "k avg_travel_time_s scenario_count seed")
@@ -247,29 +265,56 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
     """Mean greedy travel time after adapting with each gradient-step count.
 
     One row per entry of `ks`, in the given order; the shape of the curve
-    is reported, never asserted.
+    is reported, never asserted.  A row is what `adapt_to_scenario(k)` and
+    a greedy episode per scenario give, computed with less work: for every
+    k that adaptation draws the same experience and batches from the same
+    generator, so k steps are the first k of max(ks) steps.  Each scenario
+    is therefore adapted once, keeping the iterate at each k, and the
+    greedy episodes of all (k, scenario) pairs run in lockstep.
     """
-    from .dqn import GreedyPolicy
-    from .intersection import run_episode
-
     flows = list(scenarios)
     if not ks:
         raise ValueError("ks must be non-empty")
     if not flows:
         raise ValueError("need at least one scenario")
-    rows = []
+    ks = [int(k) for k in ks]
     for k in ks:
-        times = []
-        for flow in flows:
-            adapted = adapt_to_scenario(checkpoint, flow, config,
-                                        k_override=k, seed=seed)
-            result = run_episode(config, flow, GreedyPolicy(adapted.params, config),
-                                 seed=seed)
-            if result.avg_travel_time is not None:
-                times.append(result.avg_travel_time)
-        rows.append(AblationRow(int(k), float(np.mean(times)) if times else float("nan"),
-                                len(flows), seed))
-    return rows
+        if k < 1:
+            raise ValueError(f"adaptation needs at least one gradient step, got k={k}")
+    hyper, theta0 = checkpoint.hyper, checkpoint.theta0
+    steps = sorted(set(ks))
+    rngs = [_adapt_rng(hyper, seed) for _ in flows]
+    iterates = {k: [] for k in steps}      # k -> adapted theta per scenario
+    for memory in _collect_experience(theta0, flows, config, hyper, rngs):
+        adapted, done = theta0, 0
+        for k in steps:
+            adapted = individual_adapt(adapted, memory, k - done, config, hyper)
+            iterates[k].append(check_bounded(adapted).theta)
+            done = k
+    thetas = np.stack([theta for k in steps for theta in iterates[k]])
+    stack, stack_live = None, None
+
+    def act(live, obs):
+        # the live episodes' networks as one stack: one forward at B=1
+        nonlocal stack, stack_live
+        if live != stack_live:
+            stack = QNetworkParams(theta0.embed_dim, theta0.compete_dim, thetas[live])
+            stack_live = live
+        return frap_forward(stack, np.array(obs), config).argmax(axis=1)
+
+    times: list[float | None] = [None] * len(thetas)
+
+    def score(i, state):
+        # keep the travel time only: every episode's vehicle trace held
+        # until the last one ends would add to the peak memory
+        times[i] = episode_result(state, []).avg_travel_time
+
+    rollout(config, flows * len(steps), act, on_end=score)
+    mean_time = {}
+    for j, k in enumerate(steps):
+        row = [t for t in times[j * len(flows):(j + 1) * len(flows)] if t is not None]
+        mean_time[k] = float(np.mean(row)) if row else float("nan")
+    return [AblationRow(k, mean_time[k], len(flows), seed) for k in ks]
 
 
 def write_ablation_csv(rows: list[AblationRow], path) -> None:

@@ -14,6 +14,14 @@ each half once; the P x P pair grid then takes its K = P(P-1) off-diagonal
 entries, p != q, as sums of one p-side and one q-side score, and the
 diagonal is never formed.  No pair input of width 2E is built.
 
+The forward pass is written over leading axes: a stack of T networks,
+theta (T, n) with observations x (T, B, M, 2), runs as the same 2-D
+products, one per network, through stacked `matmul` and `vecmat`.  Its
+Q-values equal the T separate forwards bit for bit (a property test checks
+this under one BLAS thread), which lets T greedy episodes act together at
+B=1 (see `frap_forward`).  Stack networks along T, never observations
+along B: rows batched under one network round differently from B=1 rows.
+
 Weights and gradients are one type: a flat float64 vector `theta` with a
 named view per tensor, so SGD is `theta - lr * g.theta`.  Updates return
 new objects and never mutate their inputs, which keeps meta-learning
@@ -55,7 +63,10 @@ class QNetworkParams:
     """Weights or loss gradients of the Q-network: the flat vector `theta`
     (zeros if omitted) and a view of it per tensor, W_e (E, 2), b_e (E,),
     W_c (C, 2E), b_c (C,), w_r (C,) and b_r ().  The views are bound once:
-    writing through one changes `theta`; rebinding an attribute raises."""
+    writing through one changes `theta`; rebinding an attribute raises.
+
+    A stack of T networks for the forward pass is a theta of shape (T, n);
+    each view then has the leading T axis, W_e (T, E, 2) and so on."""
 
     __slots__ = ("embed_dim", "compete_dim", "theta") + PARAM_FIELDS
 
@@ -67,11 +78,13 @@ class QNetworkParams:
         layout = _layout(self.embed_dim, self.compete_dim)
         size = layout[-1][2].stop
         theta = np.zeros(size) if theta is None else np.ascontiguousarray(theta, np.float64)
-        if theta.shape != (size,):
-            raise ValueError(f"theta has shape {theta.shape}, the dims need ({size},)")
+        if theta.ndim not in (1, 2) or theta.shape[-1] != size:
+            raise ValueError(f"theta has shape {theta.shape}, the dims need ({size},) "
+                             f"or (T, {size})")
         bind(self, "theta", theta)
+        lead = theta.shape[:-1]
         for name, shape, span in layout:
-            bind(self, name, theta[span].reshape(shape))
+            bind(self, name, theta[..., span].reshape(lead + shape))
 
     def with_theta(self, theta) -> QNetworkParams:
         return QNetworkParams(self.embed_dim, self.compete_dim, theta)
@@ -136,25 +149,32 @@ def _forward(params: QNetworkParams, x: np.ndarray, config: IntersectionConfig):
     the stacked p-half and q-half of W_c (2C, E) @ (E, B·P) score every
     phase as each side of a pair, and 0/1 selections (P, K) add the two
     sides of each of the K ordered pairs p != q.
+
+    A stack of networks, theta (T, n) with x (T, B, M, 2), gives Q (T, B, P):
+    every product above gains the leading T axis and runs once per network.
     """
     mem_norm, select, _ = _phase_structs(config)
-    n, n_mov = x.shape[0], x.shape[1]
+    lead = x.shape[:-3]                                       # () or (T,)
+    n, n_mov = x.shape[-3:-1]
     n_phases, n_pairs = select.shape[1:]
     embed, compete = params.embed_dim, params.compete_dim
-    e = params.W_e @ x.reshape(n * n_mov, 2).T                # (E, B·M)
-    e += params.b_e[:, None]
+    e = params.W_e @ x.reshape(lead + (n * n_mov, 2)).mT      # (E, B·M)
+    e += params.b_e[..., None]
     np.maximum(e, 0.0, out=e)
-    rho = (e.reshape(embed * n, n_mov) @ mem_norm).reshape(embed, n * n_phases)
-    w_pq = params.W_c.reshape(compete, 2, embed).transpose(1, 0, 2).reshape(2 * compete, embed)
+    rho = (e.reshape(lead + (embed * n, n_mov)) @ mem_norm).reshape(
+        lead + (embed, n * n_phases))
+    w_pq = params.W_c.reshape(lead + (compete, 2, embed)).swapaxes(-3, -2).reshape(
+        lead + (2 * compete, embed))
     h = w_pq @ rho                                            # (2C, B·P)
-    h[:compete] += params.b_c[:, None]
-    z_c = h.reshape(2, compete * n, n_phases) @ select        # (2, C·B, K)
-    c = np.add(z_c[0], z_c[1], out=z_c[0])
+    h[..., :compete, :] += params.b_c[..., None]
+    z_c = h.reshape(lead + (2, compete * n, n_phases)) @ select  # (2, C·B, K)
+    c = z_c[..., 0, :, :]
+    c += z_c[..., 1, :, :]
     np.maximum(c, 0.0, out=c)
-    c = c.reshape(compete, n * n_pairs)
-    s = params.w_r @ c                                        # (B·K,)
-    s += params.b_r
-    q_values = s.reshape(n, n_pairs) @ select[0].T            # (B, P)
+    c = c.reshape(lead + (compete, n * n_pairs))
+    s = np.vecmat(params.w_r, c)                              # (B·K,)
+    s += params.b_r[..., None]
+    q_values = s.reshape(lead + (n, n_pairs)) @ select[0].T   # (B, P)
     return q_values, (x, e, rho, w_pq, c)
 
 
@@ -187,12 +207,13 @@ def _backward(params: QNetworkParams, cache, d_q: np.ndarray,
 
 def frap_forward(params: QNetworkParams, obs: np.ndarray,
                  config: IntersectionConfig) -> np.ndarray:
-    """Q-value per phase for a single (M, 2) observation from `observe`."""
-    if obs.shape != (config.n_movements, 2):
-        raise ValueError(f"observation has shape {obs.shape}, the config needs "
-                         f"({config.n_movements}, 2)")
-    q = _forward(params, obs[None], config)[0][0]
-    if not np.all(np.isfinite(q)):
+    """Q-value per phase (P,) for a single (M, 2) observation from `observe`;
+    for a stack of T networks, Q (T, P) for obs (T, M, 2), one row each."""
+    if obs.shape != (*params.theta.shape[:-1], config.n_movements, 2):
+        raise ValueError(f"observation has shape {obs.shape}, the config and the "
+                         f"networks need {(*params.theta.shape[:-1], config.n_movements, 2)}")
+    q = _forward(params, obs[..., None, :, :], config)[0][..., 0, :]
+    if not np.isfinite(q).all():
         raise FloatingPointError("non-finite Q-values")
     return q
 

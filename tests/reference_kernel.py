@@ -1,9 +1,14 @@
-"""Per-pair reference of the phase-competition network, kept as a test oracle.
+"""Earlier forms of the program, kept as test oracles; the program does not
+use them.
 
-This is the kernel `signalshift.network` ran before its forward and backward
-became 2-D products: it concatenates the K = P(P-1) ordered phase pairs
-(rho_p, rho_q) and multiplies them by the whole W_c.  Property tests compare
-the array kernel against it; it is not used by the program.
+The per-pair network is the kernel `signalshift.network` ran before its
+forward and backward became 2-D products: it concatenates the K = P(P-1)
+ordered phase pairs (rho_p, rho_q) and multiplies them by the whole W_c.
+Property tests compare the array kernel against it.
+
+`ablate_steps` is the gradient-step ablation before it adapted each scenario
+once and ran its greedy episodes in lockstep: one adaptation and one greedy
+episode per k and scenario.
 """
 
 import numpy as np
@@ -71,3 +76,20 @@ def bellman_grads(params, batch, target_params, gamma, config):
     d_q = np.zeros_like(q_values)
     d_q[rows, batch.a] = 2.0 * diff / len(rows)
     return float(np.mean(diff ** 2)), backward_batch(params, cache, d_q, config)
+
+
+def ablate_steps(checkpoint, scenarios, ks, config, seed=0):
+    """Rows of `meta.ablate_steps`, one `adapt_to_scenario(k)` and one greedy
+    `run_episode` per k and scenario."""
+    rows = []
+    for k in ks:
+        times = []
+        for flow in scenarios:
+            adapted = ss.adapt_to_scenario(checkpoint, flow, config, k_override=k, seed=seed)
+            result = ss.run_episode(config, flow, ss.GreedyPolicy(adapted.params, config),
+                                    seed=seed)
+            if result.avg_travel_time is not None:
+                times.append(result.avg_travel_time)
+        rows.append(ss.meta.AblationRow(int(k), float(np.mean(times)) if times else float("nan"),
+                                        len(scenarios), seed))
+    return rows

@@ -12,6 +12,7 @@ from signalshift.network import params_to_text
 from signalshift.seeding import spawn_rng
 
 from conftest import make_toy_flow, param_distance, params_equal, zero_grads
+from reference_kernel import ablate_steps as reference_ablate_steps
 
 
 def small_config():
@@ -259,6 +260,37 @@ def test_ablate_validations():
         ss.ablate_steps(ckpt, small_scenarios(2), [], cfg)
     with pytest.raises(ValueError):
         ss.ablate_steps(ckpt, [], [1], cfg)
+
+
+def test_ablate_rejects_a_bad_k_before_any_rollout(monkeypatch):
+    cfg = small_config()
+    ckpt = tiny_checkpoint(cfg)
+
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out before checking ks")
+    monkeypatch.setattr(ss.meta, "rollout", no_rollout)
+    with pytest.raises(ValueError, match=r"at least one gradient step, got k=0"):
+        ss.ablate_steps(ckpt, small_scenarios(2), [1, 0], cfg)
+    with pytest.raises(ValueError, match=r"got k=-2"):
+        ss.ablate_steps(ckpt, small_scenarios(2), [3, -2, 0], cfg)
+
+
+def test_ablate_rows_equal_one_adaptation_per_k_and_scenario():
+    cfg = small_config()
+    # two episodes of experience: an empty flow yields 30 transitions per episode
+    ckpt = tiny_checkpoint(cfg, adapt_data_budget=2)
+    flows = [ss.sample_arrivals([8, 30, 4, 6, 8, 30, 4, 6], 300.0, 0),
+             ss.FlowSpec([], horizon=300.0),
+             ss.sample_arrivals([2] * 8, 300.0, 1),
+             ss.sample_arrivals([40, 60, 30, 50, 40, 60, 30, 50], 300.0, 2)]
+    # the greedy episodes leave the lockstep at different decisions
+    lengths = {len(ss.run_episode(cfg, flow, ss.GreedyPolicy(ckpt.theta0, cfg)).reward_trace)
+               for flow in flows}
+    assert len(lengths) > 1
+    ks = [5, 1, 3, 3, 10]
+    rows = ss.ablate_steps(ckpt, flows, ks, cfg, seed=2)
+    assert repr(rows) == repr(reference_ablate_steps(ckpt, flows, ks, cfg, seed=2))
+    assert [r.k for r in rows] == ks
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import signalshift as ss
+from signalshift.intersection import episode_result, rollout
 from signalshift.network import _forward, params_to_text
 
 from reference_kernel import bellman_grads as reference_bellman_grads
@@ -126,6 +127,22 @@ def test_relabeling_phases_permutes_q_and_keeps_the_td_step(config, embed_dim, c
     assert_close(grads_p.theta, grads.theta)
 
 
+@settings(max_examples=150, deadline=None)
+@given(config=phase_configs(), embed_dim=st.integers(1, 16), compete_dim=st.integers(1, 16),
+       n_sets=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_forward_equals_each_network_bit_for_bit(config, embed_dim, compete_dim,
+                                                         n_sets, seed):
+    # T networks at B=1, the shape lockstep episodes act with
+    cases = [random_case(config, embed_dim, compete_dim, 1, seed + t) for t in range(n_sets)]
+    stack = ss.QNetworkParams(embed_dim, compete_dim,
+                              np.stack([params.theta for params, _, _ in cases]))
+    x = np.stack([batch.x for _, _, batch in cases])                  # (T, 1, M, 2)
+    q = _forward(stack, x, config)[0]
+    assert q.shape == (n_sets, 1, config.n_phases)
+    for t, (params, _, batch) in enumerate(cases):
+        assert np.array_equal(q[t], _forward(params, batch.x, config)[0])
+
+
 # ---------------------------------------------------------------------------
 # The observation row and the max-pressure rule, read against the state
 
@@ -160,3 +177,45 @@ def test_observe_and_max_pressure_read_the_state(config, seed):
         assert obs[:, 1].tolist() == [float(m in green) for m in range(n_mov)]
         assert policy(obs) == max_pressure_reference(state, config)
         state, _ = ss.step(state, int(action), config, validate=True)
+
+
+# ---------------------------------------------------------------------------
+# The lockstep episode loop
+
+POLICIES = st.sampled_from(["random", "max_pressure", "fixed_time", "phase_0"])
+
+
+def make_policy(kind, config, seed):
+    if kind == "random":
+        return ss.RandomPolicy(config, seed=seed)
+    if kind == "max_pressure":
+        return ss.MaxPressurePolicy(config)
+    if kind == "fixed_time":
+        return ss.FixedTimePolicy(config)
+    return lambda obs: 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=phase_configs(), kinds=st.lists(POLICIES, min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lockstep_episodes_conserve_vehicles_and_equal_lone_episodes(config, kinds, seed):
+    rng = np.random.default_rng(seed)
+    config = replace(config, horizon=200.0, drain=100.0)
+    flows = [ss.sample_arrivals(rng.integers(0, 60, config.n_movements), config.horizon, rng)
+             for _ in kinds]
+    policies = [make_policy(kind, config, i) for i, kind in enumerate(kinds)]
+    for policy in policies:
+        if hasattr(policy, "reset"):
+            policy.reset(0)
+    rewards = [[] for _ in flows]
+    results = [None] * len(flows)
+
+    def score(i, state):
+        results[i] = episode_result(state, rewards[i])
+
+    rollout(config, flows, lambda live, obs: [policies[i](x) for i, x in zip(live, obs)],
+            lambda i, transition: rewards[i].append(transition[2]), score, validate=True)
+    for i, (flow, kind, result) in enumerate(zip(flows, kinds, results)):
+        assert result.completed_count + result.residual_count == len(flow.arrivals)
+        lone = ss.run_episode(config, flow, make_policy(kind, config, i), validate=True)
+        assert result == lone
