@@ -10,7 +10,6 @@ finer resolution.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -71,23 +70,24 @@ class IntersectionConfig:
 
 @dataclass
 class SimState:
-    """Mutable simulator state, exclusively owned by one episode."""
+    """Mutable simulator state, exclusively owned by one episode.  Service
+    is FIFO, so slot i of `arrivals[m]` leaves at `exits[m][i]`."""
 
     clock: float
     current_phase: int
-    phase_elapsed: float
-    queues: list[deque]                      # per movement: arrival_time FIFO
-    pending: deque                           # (arrival_time, movement), time order
-    completed: list[tuple[float, float, int]]  # (arrival, exit, movement)
-    in_yellow: float                         # remaining all-red seconds
-    credits: np.ndarray                      # fractional service per movement
-    total_arrivals: int
+    in_yellow: float                   # remaining all-red seconds
+    flow: list[tuple[float, int]]      # (arrival_time, movement), time order
+    cursor: int                        # flow[:cursor] have reached the stop line
+    arrivals: list[list[float]]        # per movement: arrival times, FIFO order
+    arrived: list[int]                 # per movement: slots past the approach
+    exits: list[list[float]]           # per movement: exit times of served slots
+    credits: list[float]               # fractional service per movement
 
     def queued_count(self) -> int:
-        return sum(map(len, self.queues))
+        return sum(self.arrived) - sum(map(len, self.exits))
 
     def is_empty(self) -> bool:
-        return not self.pending and self.queued_count() == 0
+        return self.cursor == len(self.flow) and self.queued_count() == 0
 
 
 @dataclass
@@ -103,17 +103,13 @@ def initial_state(config: IntersectionConfig, flow: FlowSpec) -> SimState:
     if flow.n_movements != config.n_movements:
         raise ValueError(
             f"flow has {flow.n_movements} movements, config has {config.n_movements}")
-    return SimState(
-        clock=0.0,
-        current_phase=0,
-        phase_elapsed=0.0,
-        queues=[deque() for _ in range(config.n_movements)],
-        pending=deque(flow.arrivals),
-        completed=[],
-        in_yellow=0.0,
-        credits=np.zeros(config.n_movements),
-        total_arrivals=len(flow.arrivals),
-    )
+    n = config.n_movements
+    arrivals: list[list[float]] = [[] for _ in range(n)]
+    for arrival, movement in flow.arrivals:
+        arrivals[movement].append(arrival)
+    return SimState(clock=0.0, current_phase=0, in_yellow=0.0, flow=flow.arrivals,
+                    cursor=0, arrivals=arrivals, arrived=[0] * n,
+                    exits=[[] for _ in range(n)], credits=[0.0] * n)
 
 
 @lru_cache(maxsize=64)
@@ -132,20 +128,20 @@ def observe(state: SimState, config: IntersectionConfig) -> np.ndarray:
     (M, 2) array holding each movement's queue count and whether the
     current phase gives it green.  This row is the Q-network's input and
     the replay's storage format, and observe is its only writer."""
-    if len(state.queues) != config.n_movements:
+    if len(state.arrived) != config.n_movements:
         raise ValueError("state/config movement count mismatch")
     obs = np.empty((config.n_movements, 2))
-    obs[:, 0] = list(map(len, state.queues))
+    obs[:, 0] = [n - len(served) for n, served in zip(state.arrived, state.exits)]
     obs[:, 1] = phase_membership(config)[state.current_phase]
     return obs
 
 
 def _check_conservation(state: SimState) -> None:
-    in_system = len(state.pending) + state.queued_count() + len(state.completed)
-    if in_system != state.total_arrivals:
-        raise RuntimeError(
-            f"conservation violated at t={state.clock}: "
-            f"{in_system} accounted vs {state.total_arrivals} arrivals")
+    """Served <= arrived <= vehicles on every movement; arrived total = cursor."""
+    counts = [(len(e), n, len(a)) for a, n, e in zip(state.arrivals, state.arrived, state.exits)]
+    if any(not s <= n <= v for s, n, v in counts) or sum(state.arrived) != state.cursor:
+        raise RuntimeError(f"conservation violated at t={state.clock}: (served, arrived, "
+                           f"vehicles) per movement {counts}, cursor {state.cursor}")
 
 
 def step(state: SimState, action: int, config: IntersectionConfig,
@@ -163,41 +159,37 @@ def step(state: SimState, action: int, config: IntersectionConfig,
         raise ValueError(f"invalid phase index {action}")
     if action != state.current_phase:
         state.current_phase = action
-        state.phase_elapsed = 0.0
         state.in_yellow = config.lost_time
-        state.credits[:] = 0.0
+        state.credits = [0.0] * config.n_movements
 
     green = config.phases[state.current_phase]
     # the tick loop runs on every decision: bind what it reads once
     tick, approach = config.tick, config.approach_time
     service = config.saturation_rate * tick
-    pending, queues, credits, completed = (state.pending, state.queues, state.credits,
-                                           state.completed)
+    flow, arrived, exits, credits = state.flow, state.arrived, state.exits, state.credits
     for _ in range(config.ticks_per_interval):
         t0 = state.clock
-        while pending and pending[0][0] + approach <= t0:
-            arrival, movement = pending.popleft()
-            queues[movement].append(arrival)
+        while state.cursor < len(flow) and flow[state.cursor][0] + approach <= t0:
+            arrived[flow[state.cursor][1]] += 1
+            state.cursor += 1
 
         if state.in_yellow > 0:
             state.in_yellow = max(0.0, state.in_yellow - tick)
         else:
             exit_time = t0 + tick
             for m in green:
-                queue = queues[m]
-                if not queue:
-                    credits[m] = 0.0
-                    continue
-                credits[m] += service
-                while credits[m] >= 1.0 - 1e-9 and queue:
-                    arrival = queue.popleft()
-                    completed.append((arrival, exit_time, m))
-                    credits[m] -= 1.0
-                if not queue:
+                served = exits[m]
+                waiting = arrived[m] - len(served)
+                if waiting:
+                    credits[m] += service
+                    while credits[m] >= 1.0 - 1e-9 and waiting:
+                        served.append(exit_time)
+                        credits[m] -= 1.0
+                        waiting -= 1
+                if not waiting:
                     credits[m] = 0.0
 
         state.clock = t0 + tick
-        state.phase_elapsed += tick
         if validate:
             _check_conservation(state)
 
@@ -246,13 +238,13 @@ def episode_result(state: SimState, rewards: list[float]) -> EpisodeResult:
     """Score a finished episode: each vehicle's travel time, censored at the
     final clock for those still in the network, and the counts."""
     end_clock = state.clock
-    per_vehicle = [(arr, exit_t, m, False) for arr, exit_t, m in state.completed]
-    for m, queue in enumerate(state.queues):
-        per_vehicle.extend((arr, end_clock, m, True) for arr in queue)
-    per_vehicle.extend((arr, end_clock, m, True) for arr, m in state.pending)
+    per_vehicle = []
+    for m, (slots, served) in enumerate(zip(state.arrivals, state.exits)):
+        per_vehicle.extend((arr, exit_t, m, False) for arr, exit_t in zip(slots, served))
+        per_vehicle.extend((arr, end_clock, m, True) for arr in slots[len(served):])
     per_vehicle.sort(key=lambda v: (v[0], v[2]))
 
-    completed_count = len(state.completed)
+    completed_count = sum(map(len, state.exits))
     residual_count = len(per_vehicle) - completed_count
     avg = None
     if per_vehicle:

@@ -319,8 +319,13 @@ def params_from_lines(lines: list[str]) -> QNetworkParams:
             continue
         if line.startswith("tensor "):
             name, *dims = line.split()[1:]
-            values = np.frombuffer(bytes.fromhex(lines[i].strip()), dtype="<f8")
-            tensors[name] = (tuple(int(d) for d in dims), values)
+            if i == len(lines):
+                raise ValueError(f"tensor {name}: the checkpoint ends before its values")
+            try:
+                tensors[name] = (tuple(int(d) for d in dims),
+                                 np.frombuffer(bytes.fromhex(lines[i].strip()), dtype="<f8"))
+            except ValueError as exc:
+                raise ValueError(f"tensor {name}: {exc}") from None
             i += 1
         elif "=" in line:
             key, _, value = line.partition("=")

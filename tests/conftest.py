@@ -86,6 +86,18 @@ def param_distance(a: ss.QNetworkParams, b: ss.QNetworkParams) -> float:
                              for name in ss.network.PARAM_FIELDS)))
 
 
+def queued_state(config: ss.IntersectionConfig, queues: dict[int, int]) -> ss.SimState:
+    """A consistent state with `queues[m]` vehicles waiting on movement m:
+    they arrived at t=0 and are marked as at the stop line, with the
+    cursor moved past them."""
+    arrivals = sorted((0.0, m) for m, count in queues.items() for _ in range(count))
+    state = ss.initial_state(config, ss.FlowSpec(arrivals, n_movements=config.n_movements))
+    for _, m in arrivals:
+        state.arrived[m] += 1
+    state.cursor = len(arrivals)
+    return state
+
+
 def make_toy_flow(total: int = 720, heavy_phase: int = 1,
                   seed: int = 11) -> ss.FlowSpec:
     """Scenario with 90% of the volume on one phase's two movements.

@@ -201,6 +201,18 @@ def test_report_runs_manifest(cli_workspace, capsys):
     assert (tmp_path / "report" / "report_pivot.csv").exists()
 
 
+def test_eval_truncated_checkpoint_exit_3(tmp_path, capsys):
+    lines = ss.network.params_to_text(ss.init_params((16, 16), seed=1)).splitlines()
+    ckpt = tmp_path / "ckpt.txt"
+    ckpt.write_text("\n".join(lines[:-1]) + "\n")  # ends after `tensor b_r`
+    scenario = tmp_path / "flow.csv"
+    ss.write_flow_csv(ss.sample_arrivals([10] * 8, 300.0, 3), scenario)
+    code, _, err = run_cli(capsys, "eval", "--scenario", str(scenario), "--checkpoint",
+                           str(ckpt), "--out", str(tmp_path / "eval"))
+    assert code == 3
+    assert err.startswith("ERROR[validation]: tensor b_r")
+
+
 # ---------------------------------------------------------------------------
 # parser behaviour
 

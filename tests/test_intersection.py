@@ -1,4 +1,3 @@
-from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -6,18 +5,11 @@ import pytest
 
 import signalshift as ss
 
+from conftest import queued_state
+
 
 def empty_flow():
     return ss.FlowSpec([], horizon=3600.0)
-
-
-def seeded_state(config, queues: dict[int, int]):
-    """State with pre-filled queues (arrival time 0) and matching totals."""
-    state = ss.initial_state(config, empty_flow())
-    for movement, count in queues.items():
-        state.queues[movement] = deque([0.0] * count)
-    state.total_arrivals = sum(queues.values())
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +49,7 @@ def test_observe_empty_state():
 def test_observe_counts_and_flags():
     # first two movements paired in phase 0 to mirror the worked example
     cfg = ss.IntersectionConfig(phases=((0, 1), (2, 3), (4, 5), (6, 7)))
-    state = seeded_state(cfg, {0: 2, 1: 3})
+    state = queued_state(cfg, {0: 2, 1: 3})
     obs = ss.observe(state, cfg)
     assert list(obs[:, 0]) == [2, 3, 0, 0, 0, 0, 0, 0]
     assert list(obs[:, 1]) == [1, 1, 0, 0, 0, 0, 0, 0]
@@ -65,12 +57,12 @@ def test_observe_counts_and_flags():
 
 def test_observe_is_pure():
     cfg = ss.IntersectionConfig()
-    state = seeded_state(cfg, {1: 4})
+    state = queued_state(cfg, {1: 4})
     first = ss.observe(state, cfg)
     second = ss.observe(state, cfg)
     assert np.array_equal(first, second)
     first[0] = 99  # mutating a copy must not leak into the state
-    assert len(state.queues[0]) == 0
+    assert state.arrived[0] == len(state.exits[0]) == 0
     assert np.array_equal(ss.observe(state, cfg), second)
 
 
@@ -86,12 +78,11 @@ def test_observe_movement_mismatch():
 
 def test_step_discharges_at_saturation():
     cfg = ss.IntersectionConfig()
-    state = seeded_state(cfg, {0: 5})
+    state = queued_state(cfg, {0: 5})
     state, reward = ss.step(state, 0, cfg)
-    assert len(state.queues[0]) == 0
+    assert state.arrived[0] == len(state.exits[0])
     assert reward == 0.0
-    exits = [exit_t for _, exit_t, _ in state.completed]
-    assert exits == [2.0, 4.0, 6.0, 8.0, 10.0]
+    assert state.exits[0] == [2.0, 4.0, 6.0, 8.0, 10.0]
 
 
 def test_step_empty_advances_clock():
@@ -104,17 +95,26 @@ def test_step_empty_advances_clock():
 
 def test_step_reward_is_negative_queue_total():
     cfg = ss.IntersectionConfig()
-    state = seeded_state(cfg, {1: 2, 2: 3})
+    state = queued_state(cfg, {1: 2, 2: 3})
     state, reward = ss.step(state, 0, cfg)  # phase 0 serves neither queue
     assert reward == -5.0
 
 
 def test_step_phase_change_spends_lost_time():
     cfg = ss.IntersectionConfig()
-    state = seeded_state(cfg, {1: 5})
+    state = queued_state(cfg, {1: 5})
     state, _ = ss.step(state, 1, cfg)  # switch: 3s all-red then 7s green
     # only 7 green seconds at 0.5 veh/s -> 3 vehicles out
-    assert len(state.queues[1]) == 2
+    assert state.arrived[1] - len(state.exits[1]) == 2
+
+
+def test_fast_discharge_serves_only_waiting_vehicles():
+    # 2.5 credits a tick could discharge two vehicles, but only one waits
+    cfg = ss.IntersectionConfig(saturation_rate=2.5)
+    state = queued_state(cfg, {0: 1})
+    state, reward = ss.step(state, 0, cfg, validate=True)
+    assert state.exits[0] == [1.0]
+    assert state.credits[0] == 0.0 and reward == 0.0
 
 
 def test_step_invalid_phase():
@@ -122,6 +122,25 @@ def test_step_invalid_phase():
     state = ss.initial_state(cfg, empty_flow())
     with pytest.raises(ValueError):
         ss.step(state, 4, cfg)
+
+
+# ---------------------------------------------------------------------------
+# validate: the conservation check fires on a corrupt state
+
+def test_validate_rejects_more_served_than_arrived():
+    cfg = ss.IntersectionConfig()
+    state = queued_state(cfg, {0: 2})
+    state.exits[0].extend([0.0, 0.0, 0.0])
+    with pytest.raises(RuntimeError, match=r"conservation violated at t=1\.0"):
+        ss.step(state, 1, cfg, validate=True)  # phase change: all-red, no service
+
+
+def test_validate_rejects_arrived_total_off_the_cursor():
+    cfg = ss.IntersectionConfig()
+    state = queued_state(cfg, {0: 1, 2: 1})
+    state.cursor = 1
+    with pytest.raises(RuntimeError, match=r"conservation violated at t=1\.0"):
+        ss.step(state, 0, cfg, validate=True)
 
 
 # ---------------------------------------------------------------------------

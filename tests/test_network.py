@@ -320,3 +320,22 @@ def test_checkpoint_tensor_shape_mismatch_names_tensor(tmp_path):
     path.write_text(text.replace("\ntensor b_r\n", "\ntensor b_r 1\n"))
     with pytest.raises(ValueError, match="b_r"):
         ss.load_params(path)
+
+
+def test_checkpoint_truncated_after_a_tensor_header_names_tensor(tmp_path):
+    lines = params_to_text(ss.init_params((8, 8), seed=24)).splitlines()
+    assert lines[-2] == "tensor b_r"
+    path = tmp_path / "ckpt.txt"
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match="tensor b_r: the checkpoint ends"):
+        ss.load_params(path)
+
+
+def test_checkpoint_non_hex_payload_names_tensor(tmp_path):
+    lines = params_to_text(ss.init_params((8, 8), seed=25)).splitlines()
+    assert lines[-4].startswith("tensor w_r ")
+    lines[-3] = "zz" + lines[-3][2:]
+    path = tmp_path / "ckpt.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="tensor w_r: non-hexadecimal"):
+        ss.load_params(path)

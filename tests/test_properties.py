@@ -1,5 +1,6 @@
 """Property tests (hypothesis) for invariants that refactors must keep."""
 
+import string
 from dataclasses import replace
 
 import numpy as np
@@ -150,7 +151,8 @@ def max_pressure_reference(state, config) -> int:
     """The documented rule on the state itself: the largest total queue wins;
     a tie keeps the current phase if it is among the best, otherwise the
     lowest phase index wins."""
-    pressures = [sum(len(state.queues[m]) for m in phase) for phase in config.phases]
+    queues = [n - len(served) for n, served in zip(state.arrived, state.exits)]
+    pressures = [sum(queues[m] for m in phase) for phase in config.phases]
     best = [p for p, v in enumerate(pressures) if v == max(pressures)]
     return state.current_phase if state.current_phase in best else best[0]
 
@@ -172,7 +174,10 @@ def test_observe_and_max_pressure_read_the_state(config, seed):
     for action in rng.integers(0, config.n_phases, size=30):
         obs = ss.observe(state, config)
         assert obs.shape == (n_mov, 2) and obs.dtype == np.float64
-        assert obs[:, 0].tolist() == [len(q) for q in state.queues]
+        # a movement's queue: its vehicles the cursor has passed, less the served
+        passed = [m for _, m in state.flow[:state.cursor]]
+        assert obs[:, 0].tolist() == [passed.count(m) - len(state.exits[m])
+                                      for m in range(n_mov)]
         green = config.phases[state.current_phase]
         assert obs[:, 1].tolist() == [float(m in green) for m in range(n_mov)]
         assert policy(obs) == max_pressure_reference(state, config)
@@ -219,3 +224,57 @@ def test_lockstep_episodes_conserve_vehicles_and_equal_lone_episodes(config, kin
         assert result.completed_count + result.residual_count == len(flow.arrivals)
         lone = ss.run_episode(config, flow, make_policy(kind, config, i), validate=True)
         assert result == lone
+
+
+# ---------------------------------------------------------------------------
+# Flow files and the KL distance
+
+# the characters scenario generators leave in labels (scenarios._slug)
+LABELS = st.text(string.ascii_letters + string.digits + "_-", min_size=1, max_size=30)
+
+
+@st.composite
+def flows(draw) -> ss.FlowSpec:
+    n_mov = draw(st.integers(1, 12))
+    horizon = draw(st.floats(1e-6, 1e7))
+    times = sorted(draw(st.lists(st.floats(0.0, horizon, exclude_max=True), max_size=60)))
+    movements = draw(st.lists(st.integers(0, n_mov - 1), min_size=len(times),
+                              max_size=len(times)))
+    provenance = draw(st.none() | st.builds(
+        ss.Provenance, LABELS, st.floats(-0.5, 0.5), st.floats(0.0, 0.5),
+        st.integers(0, 2 ** 63 - 1)))
+    return ss.FlowSpec(list(zip(times, movements)), horizon=horizon, n_movements=n_mov,
+                       label=draw(LABELS), provenance=provenance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flow=flows())
+def test_flow_csv_write_then_read_is_identity(tmp_path_factory, flow):
+    path = tmp_path_factory.mktemp("flow") / f"{flow.label}.csv"
+    ss.write_flow_csv(flow, path)
+    assert ss.read_flow_csv(path) == flow
+
+
+def count_vectors(n_mov):
+    return st.lists(st.integers(0, 10 ** 6), min_size=n_mov, max_size=n_mov).filter(any)
+
+
+EPSILONS = st.sampled_from([ss.metrics.DEFAULT_KL_EPSILON, 0.0, 1e-12, 0.1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_mov=st.integers(1, 12), epsilon=EPSILONS)
+def test_kl_is_non_negative(data, n_mov, epsilon):
+    p, q = (ss.movement_distribution(data.draw(count_vectors(n_mov))) for _ in range(2))
+    assert ss.kl_distance(p, q, epsilon) >= 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.integers(1, 12).flatmap(count_vectors), scale=st.integers(1, 1000),
+       epsilon=EPSILONS)
+def test_kl_is_zero_on_equal_counts_and_scaled_copies(counts, scale, epsilon):
+    p = ss.movement_distribution(counts)
+    assert ss.kl_distance(p, p, epsilon) == 0.0
+    scaled = ss.movement_distribution([scale * c for c in counts])
+    assert ss.kl_distance(p, scaled, epsilon) == 0.0
+    assert ss.kl_distance(scaled, p, epsilon) == 0.0
