@@ -22,6 +22,7 @@ from .network import (
     Batch,
     QNetworkParams,
     bellman_grads,
+    bind,
     check_bounded,
     clip_gradients,
     frap_forward,
@@ -208,14 +209,16 @@ def write_training_log(log: list[LogRow], path) -> None:
 # Policies
 
 class GreedyPolicy:
-    """Deterministic argmax policy over the network's Q-values."""
+    """Deterministic argmax policy over the network's Q-values; the network
+    is bound to the config once, for every decision."""
 
     def __init__(self, params: QNetworkParams, config: IntersectionConfig):
         self.params = params
         self.config = config
+        self._network = bind(params, config)
 
     def __call__(self, obs: np.ndarray) -> int:
-        return int(frap_forward(self.params, obs, self.config).argmax())
+        return int(frap_forward(self._network, obs, self.config).argmax())
 
 
 class FixedTimePolicy:

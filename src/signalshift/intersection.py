@@ -10,8 +10,9 @@ finer resolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -58,14 +59,18 @@ class IntersectionConfig:
             raise ValueError("decision_interval must be a multiple of tick")
         if self.lost_time >= self.decision_interval:
             raise ValueError("lost_time must be smaller than decision_interval")
+        # derived once here, not per decision; not fields, so equality,
+        # hashing and `replace` see the nine fields alone
+        object.__setattr__(self, "ticks_per_interval", int(round(ratio)))
+        member = np.zeros((len(phases), self.n_movements))
+        for p, movements in enumerate(phases):
+            member[p, list(movements)] = 1.0
+        member.flags.writeable = False
+        object.__setattr__(self, "_membership", member)
 
     @property
     def n_phases(self) -> int:
         return len(self.phases)
-
-    @property
-    def ticks_per_interval(self) -> int:
-        return int(round(self.decision_interval / self.tick))
 
 
 @dataclass
@@ -92,11 +97,28 @@ class SimState:
 
 @dataclass
 class EpisodeResult:
+    """A scored episode.  It keeps the episode's per-movement arrival and
+    exit times, and `per_vehicle` builds the per-vehicle list from them
+    when read."""
+
     avg_travel_time: float | None
     completed_count: int
     residual_count: int
-    per_vehicle: list[tuple[float, float, int, bool]]  # arrival, exit, movement, censored
     reward_trace: list[float]
+    arrivals: list[list[float]]        # per movement: arrival times, FIFO order
+    exits: list[list[float]]           # per movement: exit times of served slots
+    end_clock: float                   # the censored vehicles' exit time
+
+    @property
+    def per_vehicle(self) -> list[tuple[float, float, int, bool]]:
+        """(arrival, exit, movement, censored) per vehicle, in (arrival,
+        movement) order."""
+        per_vehicle = []
+        for m, (slots, served) in enumerate(zip(self.arrivals, self.exits)):
+            per_vehicle.extend((arr, exit_t, m, False) for arr, exit_t in zip(slots, served))
+            per_vehicle.extend((arr, self.end_clock, m, True) for arr in slots[len(served):])
+        per_vehicle.sort(key=lambda v: (v[0], v[2]))
+        return per_vehicle
 
 
 def initial_state(config: IntersectionConfig, flow: FlowSpec) -> SimState:
@@ -112,15 +134,11 @@ def initial_state(config: IntersectionConfig, flow: FlowSpec) -> SimState:
                     exits=[[] for _ in range(n)], credits=[0.0] * n)
 
 
-@lru_cache(maxsize=64)
 def phase_membership(config: IntersectionConfig) -> np.ndarray:
     """(P, M) 0/1 float matrix: row p flags the movements phase p serves.
-    Cached per config and shared by every caller, so it is read-only."""
-    member = np.zeros((config.n_phases, config.n_movements))
-    for p, movements in enumerate(config.phases):
-        member[p, list(movements)] = 1.0
-    member.flags.writeable = False
-    return member
+    Made once with the config and shared by every caller, so it is
+    read-only."""
+    return config._membership
 
 
 def observe(state: SimState, config: IntersectionConfig) -> np.ndarray:
@@ -132,7 +150,7 @@ def observe(state: SimState, config: IntersectionConfig) -> np.ndarray:
         raise ValueError("state/config movement count mismatch")
     obs = np.empty((config.n_movements, 2))
     obs[:, 0] = [n - len(served) for n, served in zip(state.arrived, state.exits)]
-    obs[:, 1] = phase_membership(config)[state.current_phase]
+    obs[:, 1] = config._membership[state.current_phase]
     return obs
 
 
@@ -163,18 +181,24 @@ def step(state: SimState, action: int, config: IntersectionConfig,
         state.credits = [0.0] * config.n_movements
 
     green = config.phases[state.current_phase]
-    # the tick loop runs on every decision: bind what it reads once
+    # the tick loop runs on every decision: it reads and writes locals, and
+    # the state's clock, cursor and in_yellow are written back at the end
     tick, approach = config.tick, config.approach_time
     service = config.saturation_rate * tick
     flow, arrived, exits, credits = state.flow, state.arrived, state.exits, state.credits
+    clock, cursor, in_yellow = state.clock, state.cursor, state.in_yellow
+    # when the vehicle at the cursor reaches the stop line (inf: none left)
+    n_flow = len(flow)
+    reach = flow[cursor][0] + approach if cursor < n_flow else math.inf
     for _ in range(config.ticks_per_interval):
-        t0 = state.clock
-        while state.cursor < len(flow) and flow[state.cursor][0] + approach <= t0:
-            arrived[flow[state.cursor][1]] += 1
-            state.cursor += 1
+        t0 = clock
+        while reach <= t0:
+            arrived[flow[cursor][1]] += 1
+            cursor += 1
+            reach = flow[cursor][0] + approach if cursor < n_flow else math.inf
 
-        if state.in_yellow > 0:
-            state.in_yellow = max(0.0, state.in_yellow - tick)
+        if in_yellow > 0:
+            in_yellow = max(0.0, in_yellow - tick)
         else:
             exit_time = t0 + tick
             for m in green:
@@ -189,10 +213,12 @@ def step(state: SimState, action: int, config: IntersectionConfig,
                 if not waiting:
                     credits[m] = 0.0
 
-        state.clock = t0 + tick
+        clock = t0 + tick
         if validate:
+            state.clock, state.cursor, state.in_yellow = clock, cursor, in_yellow
             _check_conservation(state)
 
+    state.clock, state.cursor, state.in_yellow = clock, cursor, in_yellow
     reward = float(-state.queued_count())
     return state, reward
 
@@ -236,20 +262,26 @@ def rollout(config: IntersectionConfig, flows, act, on_step=None, on_end=None,
 
 def episode_result(state: SimState, rewards: list[float]) -> EpisodeResult:
     """Score a finished episode: each vehicle's travel time, censored at the
-    final clock for those still in the network, and the counts."""
-    end_clock = state.clock
-    per_vehicle = []
-    for m, (slots, served) in enumerate(zip(state.arrivals, state.exits)):
-        per_vehicle.extend((arr, exit_t, m, False) for arr, exit_t in zip(slots, served))
-        per_vehicle.extend((arr, end_clock, m, True) for arr in slots[len(served):])
-    per_vehicle.sort(key=lambda v: (v[0], v[2]))
+    final clock for those still in the network, and the counts.
 
+    The mean runs over the travel times in `per_vehicle` order, (arrival,
+    movement), which a stable sort of the movement-major slots gives."""
+    sizes = [len(slots) for slots in state.arrivals]
+    total = sum(sizes)
     completed_count = sum(map(len, state.exits))
-    residual_count = len(per_vehicle) - completed_count
     avg = None
-    if per_vehicle:
-        avg = float(np.mean([exit_t - arr for arr, exit_t, _, _ in per_vehicle]))
-    return EpisodeResult(avg, completed_count, residual_count, per_vehicle, rewards)
+    if total:
+        arrival = np.fromiter(chain.from_iterable(state.arrivals), np.float64, total)
+        exit_t = np.full(total, state.clock)
+        start = 0
+        for size, served in zip(sizes, state.exits):
+            exit_t[start:start + len(served)] = served
+            start += size
+        movement = np.repeat(np.arange(len(sizes)), sizes)
+        order = np.lexsort((movement, arrival))
+        avg = float(np.mean((exit_t - arrival)[order]))
+    return EpisodeResult(avg, completed_count, total - completed_count, rewards,
+                         state.arrivals, state.exits, state.clock)
 
 
 def run_episode(config: IntersectionConfig, flow: FlowSpec, policy,

@@ -24,6 +24,7 @@ from .intersection import IntersectionConfig, episode_result, rollout
 from .network import (
     CHECKPOINT_SCHEMA,
     QNetworkParams,
+    bind,
     check_bounded,
     frap_forward,
     init_params,
@@ -214,9 +215,10 @@ def _collect_experience(theta: QNetworkParams, scenarios: list[FlowSpec],
     Scenario i's epsilon draws come from rngs[i], and so do the batches its
     replay memory (the one returned at i) later samples."""
     memories = [ReplayMemory(hyper.capacity, seed=rng) for rng in rngs]
+    network = bind(theta, config)
 
     def act(live, obs):
-        return [epsilon_greedy(frap_forward(theta, x, config), hyper.rollout_epsilon, rngs[i])
+        return [epsilon_greedy(frap_forward(network, x, config), hyper.rollout_epsilon, rngs[i])
                 for i, x in zip(live, obs)]
 
     for _ in range(hyper.adapt_data_budget):
@@ -295,10 +297,12 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
     stack, stack_live = None, None
 
     def act(live, obs):
-        # the live episodes' networks as one stack: one forward at B=1
+        # the live episodes' networks as one stack, bound while the live
+        # set holds: one forward at B=1
         nonlocal stack, stack_live
         if live != stack_live:
-            stack = QNetworkParams(theta0.embed_dim, theta0.compete_dim, thetas[live])
+            stack = bind(QNetworkParams(theta0.embed_dim, theta0.compete_dim, thetas[live]),
+                         config)
             stack_live = live
         return frap_forward(stack, np.array(obs), config).argmax(axis=1)
 

@@ -22,6 +22,14 @@ this under one BLAS thread), which lets T greedy episodes act together at
 B=1 (see `frap_forward`).  Stack networks along T, never observations
 along B: rows batched under one network round differently from B=1 rows.
 
+A forward has two parts.  `bind` makes what depends on the weights and the
+config only: the p/q relayout w_pq of W_c, the bias columns and the
+config's phase matrices.  `_forward_bound` runs the products on them, with
+the same shapes whether bound once or per call, so the Q-values are the
+same bits.  A greedy policy, adaptation's experience collection and each
+live stack of the ablation bind once for all their decisions; a TD update
+binds per call, since its weights change with every update.
+
 Weights and gradients are one type: a flat float64 vector `theta` with a
 named view per tensor, so SGD is `theta - lr * g.theta`.  Updates return
 new objects and never mutate their inputs, which keeps meta-learning
@@ -139,9 +147,47 @@ def _phase_structs(config: IntersectionConfig):
     return mem_norm, select, np.ascontiguousarray(select.transpose(0, 2, 1))
 
 
+class BoundNetwork(NamedTuple):
+    """What a forward reads besides the observations, made by `bind`; the
+    weight operands keep the network's leading T axis if it is a stack."""
+
+    W_e: np.ndarray
+    b_e: np.ndarray            # (E, 1)
+    w_pq: np.ndarray           # (2C, E): the p-half of W_c above the q-half
+    b_c: np.ndarray            # (C, 1)
+    w_r: np.ndarray
+    b_r: np.ndarray            # (1,)
+    mem_norm: np.ndarray       # (M, P)
+    select: np.ndarray         # (2, P, K)
+    select_t: np.ndarray       # (2, K, P)
+    embed_dim: int
+    compete_dim: int
+    obs_shape: tuple           # lead + (M, 2)
+
+
+def bind(params: QNetworkParams, config: IntersectionConfig) -> BoundNetwork:
+    """Bind a network (or a stack) to a config for any number of forwards.
+
+    The operands are views of `params`, except w_pq, a copy: write to the
+    weights after binding and the bound network no longer follows them."""
+    mem_norm, select, select_t = _phase_structs(config)
+    lead = params.theta.shape[:-1]
+    embed, compete = params.embed_dim, params.compete_dim
+    w_pq = params.W_c.reshape(lead + (compete, 2, embed)).swapaxes(-3, -2).reshape(
+        lead + (2 * compete, embed))
+    return BoundNetwork(params.W_e, params.b_e[..., None], w_pq, params.b_c[..., None],
+                        params.w_r, params.b_r[..., None], mem_norm, select, select_t,
+                        embed, compete, (*lead, config.n_movements, 2))
+
+
 def _forward(params: QNetworkParams, x: np.ndarray, config: IntersectionConfig):
     """Q-values (B, P) for observations x (B, M, 2), plus the cache the
-    backward pass reads.
+    backward pass reads: `bind`, then `_forward_bound`."""
+    return _forward_bound(bind(params, config), x)
+
+
+def _forward_bound(network: BoundNetwork, x: np.ndarray):
+    """The forward products on a bound network.
 
     Features run along rows and samples along columns, so each layer is one
     2-D GEMM over the whole batch and every bias and mask runs along rows:
@@ -152,46 +198,43 @@ def _forward(params: QNetworkParams, x: np.ndarray, config: IntersectionConfig):
 
     A stack of networks, theta (T, n) with x (T, B, M, 2), gives Q (T, B, P):
     every product above gains the leading T axis and runs once per network.
+    The B axis stays even at B=1: the products keep these shapes, because
+    BLAS may round others differently.
     """
-    mem_norm, select, _ = _phase_structs(config)
+    W_e, b_e, w_pq, b_c, w_r, b_r, mem_norm, select, _, embed, compete, _ = network
     lead = x.shape[:-3]                                       # () or (T,)
     n, n_mov = x.shape[-3:-1]
     n_phases, n_pairs = select.shape[1:]
-    embed, compete = params.embed_dim, params.compete_dim
-    e = params.W_e @ x.reshape(lead + (n * n_mov, 2)).mT      # (E, B·M)
-    e += params.b_e[..., None]
+    e = W_e @ x.reshape(lead + (n * n_mov, 2)).mT             # (E, B·M)
+    e += b_e
     np.maximum(e, 0.0, out=e)
     rho = (e.reshape(lead + (embed * n, n_mov)) @ mem_norm).reshape(
         lead + (embed, n * n_phases))
-    w_pq = params.W_c.reshape(lead + (compete, 2, embed)).swapaxes(-3, -2).reshape(
-        lead + (2 * compete, embed))
     h = w_pq @ rho                                            # (2C, B·P)
-    h[..., :compete, :] += params.b_c[..., None]
+    h[..., :compete, :] += b_c
     z_c = h.reshape(lead + (2, compete * n, n_phases)) @ select  # (2, C·B, K)
     c = z_c[..., 0, :, :]
     c += z_c[..., 1, :, :]
     np.maximum(c, 0.0, out=c)
     c = c.reshape(lead + (compete, n * n_pairs))
-    s = np.vecmat(params.w_r, c)                              # (B·K,)
-    s += params.b_r[..., None]
+    s = np.vecmat(w_r, c)                                     # (B·K,)
+    s += b_r
     q_values = s.reshape(lead + (n, n_pairs)) @ select[0].T   # (B, P)
-    return q_values, (x, e, rho, w_pq, c)
+    return q_values, (x, e, rho, c)
 
 
-def _backward(params: QNetworkParams, cache, d_q: np.ndarray,
-              config: IntersectionConfig) -> QNetworkParams:
+def _backward(network: BoundNetwork, cache, d_q: np.ndarray) -> QNetworkParams:
     """Reverse-mode d(loss)/d(params) given d(loss)/dQ (B, P)."""
-    mem_norm, select, select_t = _phase_structs(config)
-    x, e, rho, w_pq, c = cache
+    _, _, w_pq, _, w_r, _, mem_norm, select, select_t, embed, compete, _ = network
+    x, e, rho, c = cache
     n, n_mov = x.shape[0], x.shape[1]
     n_phases = select.shape[1]
-    embed, compete = params.embed_dim, params.compete_dim
 
     grads = QNetworkParams(embed, compete)
     d_s = (d_q @ select[0]).reshape(-1)                       # (B·K,)
     grads.b_r[...] = d_s.sum()
     grads.w_r[...] = c @ d_s
-    d_z_c = params.w_r[:, None] * d_s                         # (C, B·K)
+    d_z_c = w_r[:, None] * d_s                                # (C, B·K)
     d_z_c *= c > 0.0
     d_h = (d_z_c.reshape(compete * n, -1) @ select_t).reshape(2 * compete, n * n_phases)
     grads.W_c.reshape(compete, 2, embed)[...] = (
@@ -205,14 +248,18 @@ def _backward(params: QNetworkParams, cache, d_q: np.ndarray,
     return grads
 
 
-def frap_forward(params: QNetworkParams, obs: np.ndarray,
-                 config: IntersectionConfig) -> np.ndarray:
+def frap_forward(network, obs: np.ndarray, config: IntersectionConfig) -> np.ndarray:
     """Q-value per phase (P,) for a single (M, 2) observation from `observe`;
-    for a stack of T networks, Q (T, P) for obs (T, M, 2), one row each."""
-    if obs.shape != (*params.theta.shape[:-1], config.n_movements, 2):
+    for a stack of T networks, Q (T, P) for obs (T, M, 2), one row each.
+
+    `network` is QNetworkParams, bound to `config` per call, or a
+    `BoundNetwork` that `bind` made for `config` once."""
+    if isinstance(network, QNetworkParams):
+        network = bind(network, config)
+    if obs.shape != network.obs_shape:
         raise ValueError(f"observation has shape {obs.shape}, the config and the "
-                         f"networks need {(*params.theta.shape[:-1], config.n_movements, 2)}")
-    q = _forward(params, obs[..., None, :, :], config)[0][..., 0, :]
+                         f"networks need {network.obs_shape}")
+    q = _forward_bound(network, obs[..., None, :, :])[0][..., 0, :]
     if not np.isfinite(q).all():
         raise FloatingPointError("non-finite Q-values")
     return q
@@ -233,7 +280,8 @@ def bellman_grads(params: QNetworkParams, batch: Batch, target_params: QNetworkP
         raise ValueError("empty transition batch")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must be in [0, 1)")
-    q_values, cache = _forward(params, batch.x, config)
+    network = bind(params, config)
+    q_values, cache = _forward_bound(network, batch.x)
     q_next, _ = _forward(target_params, batch.x_next, config)
     targets = batch.r + gamma * q_next.max(axis=1)
 
@@ -242,7 +290,7 @@ def bellman_grads(params: QNetworkParams, batch: Batch, target_params: QNetworkP
     loss = float(np.mean(diff ** 2))
     d_q = np.zeros_like(q_values)
     d_q[rows, batch.a] = 2.0 * diff / n
-    grads = _backward(params, cache, d_q, config)
+    grads = _backward(network, cache, d_q)
     if not (math.isfinite(loss) and np.isfinite(grads.theta).all()):
         raise FloatingPointError(f"non-finite TD loss or gradient (loss={loss!r})")
     return loss, grads

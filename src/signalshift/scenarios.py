@@ -117,10 +117,9 @@ class FlowSpec:
         return len(self.arrivals)
 
     def movement_counts(self) -> np.ndarray:
-        counts = np.zeros(self.n_movements, dtype=np.int64)
-        for _, m in self.arrivals:
-            counts[m] += 1
-        return counts
+        """Vehicles per movement, int64 (M,)."""
+        movements = np.fromiter((m for _, m in self.arrivals), np.intp, len(self.arrivals))
+        return np.bincount(movements, minlength=self.n_movements).astype(np.int64)
 
 
 @dataclass

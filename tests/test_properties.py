@@ -8,8 +8,9 @@ import pytest
 
 import signalshift as ss
 from signalshift.intersection import episode_result, rollout
-from signalshift.network import _forward, params_to_text
+from signalshift.network import _forward, bind, params_to_text
 
+import reference_sim
 from reference_kernel import bellman_grads as reference_bellman_grads
 from reference_kernel import forward_batch as reference_forward
 
@@ -144,6 +145,29 @@ def test_stacked_forward_equals_each_network_bit_for_bit(config, embed_dim, comp
         assert np.array_equal(q[t], _forward(params, batch.x, config)[0])
 
 
+@settings(max_examples=150, deadline=None)
+@given(config=phase_configs(), embed_dim=st.integers(1, 16), compete_dim=st.integers(1, 16),
+       n_sets=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_bound_forward_equals_forward_bit_for_bit(config, embed_dim, compete_dim, n_sets,
+                                                  seed):
+    # bound once, then used for every decision: one network at B=1 and a
+    # T-stack, each forward twice, so a forward that wrote to its bound
+    # operands would show in the second
+    cases = [random_case(config, embed_dim, compete_dim, 1, seed + t) for t in range(n_sets)]
+    want = [_forward(params, batch.x, config)[0][0] for params, _, batch in cases]
+    for (params, _, batch), q in zip(cases, want):
+        network = bind(params, config)
+        for _ in range(2):
+            assert np.array_equal(ss.frap_forward(network, batch.x[0], config), q)
+        assert ss.GreedyPolicy(params, config)(batch.x[0]) == \
+            int(ss.frap_forward(params, batch.x[0], config).argmax())
+    stack = bind(ss.QNetworkParams(embed_dim, compete_dim,
+                                   np.stack([params.theta for params, _, _ in cases])), config)
+    x = np.stack([batch.x[0] for _, _, batch in cases])               # (T, M, 2)
+    for _ in range(2):
+        assert np.array_equal(ss.frap_forward(stack, x, config), np.stack(want))
+
+
 # ---------------------------------------------------------------------------
 # The observation row and the max-pressure rule, read against the state
 
@@ -227,6 +251,67 @@ def test_lockstep_episodes_conserve_vehicles_and_equal_lone_episodes(config, kin
 
 
 # ---------------------------------------------------------------------------
+# The simulator against its earlier form (tests/reference_sim.py)
+
+# ticks that are and are not binary fractions, with rates and times that
+# are not, so clocks and credits accumulate rounding as they do at 0.1 s
+TICKS = st.sampled_from([0.1, 0.25, 0.5, 1.0])
+NON_DYADIC = st.sampled_from([0.3, 0.7, 1.1, 2.9, 13.7, 1 / 3]) | st.floats(0.05, 30.0)
+
+
+@st.composite
+def sim_configs(draw) -> ss.IntersectionConfig:
+    tick = draw(TICKS)
+    decision_interval = tick * draw(st.integers(4, 60))
+    return replace(draw(phase_configs()), tick=tick, decision_interval=decision_interval,
+                   saturation_rate=draw(NON_DYADIC.filter(lambda r: r <= 5.0)),
+                   approach_time=draw(NON_DYADIC),
+                   lost_time=decision_interval * draw(st.floats(0.01, 0.95)),
+                   horizon=draw(st.sampled_from([60.0, 150.0, 300.0])),
+                   drain=draw(st.sampled_from([30.0, 100.0])))
+
+
+def sim_state(state):
+    return (state.clock, state.current_phase, state.in_yellow, state.cursor,
+            state.arrived, state.exits, state.credits)
+
+
+@settings(max_examples=80, deadline=None)
+@example(config=ss.IntersectionConfig(horizon=60.0, drain=30.0), grid=1.0, seed=0)
+@given(config=sim_configs(), grid=st.sampled_from([None, 1.0, 0.5, 0.1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_step_and_episode_result_equal_the_reference(config, grid, seed):
+    # arrival times on a grid tie within and across movements, so the
+    # (arrival, movement) order of the score is exercised
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 40 * config.n_movements))
+    times = rng.uniform(0.0, config.horizon, n)
+    if grid is not None:
+        times = np.floor(times / grid) * grid
+    arrivals = sorted(zip(times.tolist(), rng.integers(0, config.n_movements, n).tolist()),
+                      key=lambda a: a[0])
+    flow = ss.FlowSpec(arrivals, horizon=config.horizon, n_movements=config.n_movements)
+    state, ref = ss.initial_state(config, flow), ss.initial_state(config, flow)
+    rewards, ref_rewards = [], []
+    end = config.horizon + config.drain
+    while state.clock < config.horizon or (state.clock < end and not state.is_empty()):
+        action = int(rng.integers(0, config.n_phases))
+        state, reward = ss.step(state, action, config, validate=True)
+        ref, ref_reward = reference_sim.step(ref, action, config, validate=True)
+        assert sim_state(state) == sim_state(ref)
+        assert reward == ref_reward
+        rewards.append(reward)
+        ref_rewards.append(ref_reward)
+    result = episode_result(state, rewards)
+    want = reference_sim.episode_result(ref, ref_rewards)
+    assert result.avg_travel_time == want.avg_travel_time
+    assert (result.completed_count, result.residual_count) == \
+        (want.completed_count, want.residual_count)
+    assert result.per_vehicle == want.per_vehicle
+    assert result.reward_trace == want.reward_trace
+
+
+# ---------------------------------------------------------------------------
 # Flow files and the KL distance
 
 # the characters scenario generators leave in labels (scenarios._slug)
@@ -245,6 +330,18 @@ def flows(draw) -> ss.FlowSpec:
         st.integers(0, 2 ** 63 - 1)))
     return ss.FlowSpec(list(zip(times, movements)), horizon=horizon, n_movements=n_mov,
                        label=draw(LABELS), provenance=provenance)
+
+
+@settings(max_examples=150, deadline=None)
+@example(flow=ss.FlowSpec([], n_movements=3))
+@example(flow=ss.FlowSpec([(0.0, 2), (1.0, 2)], n_movements=5))
+@given(flow=flows())
+def test_movement_counts_equal_a_counting_loop(flow):
+    counts = [0] * flow.n_movements
+    for _, m in flow.arrivals:
+        counts[m] += 1
+    got = flow.movement_counts()
+    assert got.dtype == np.int64 and got.tolist() == counts
 
 
 @settings(max_examples=150, deadline=None)
