@@ -35,6 +35,7 @@ from .scenarios import (
     read_bases_csv,
     read_flow_csv,
     write_bases_csv,
+    write_file,
     write_scenario_set,
 )
 
@@ -153,10 +154,10 @@ def cmd_eval(args) -> int:
         tag = args.policy
     result = run_episode(config, scenario, policy, seed=args.seed)
     out = _out_dir(args)
-    lines = ["# schema=1", "algorithm,scenario,seed,avg_travel_time_s,completed,residual",
-             f"{tag},{scenario.label},{args.seed},"
-             f"{result.avg_travel_time!r},{result.completed_count},{result.residual_count}"]
-    (out / "eval.csv").write_text("\n".join(lines) + "\n")
+    write_file(out / "eval.csv",
+               ["algorithm,scenario,seed,avg_travel_time_s,completed,residual",
+                f"{tag},{scenario.label},{args.seed},"
+                f"{result.avg_travel_time!r},{result.completed_count},{result.residual_count}"])
     if args.trace:
         write_vehicle_trace(result, out / "vehicles.csv")
     print(f"{result.avg_travel_time!r}")

@@ -25,6 +25,8 @@ from .dqn import DqnHyper
 from .intersection import IntersectionConfig
 from .meta import MetaHyper
 from .metrics import DEFAULT_KL_EPSILON
+from .network import DEFAULT_COMPETE_DIM, DEFAULT_EMBED_DIM
+from .scenarios import read_key_values
 
 
 def _parse_phases(text: str) -> tuple[tuple[int, ...], ...]:
@@ -78,25 +80,17 @@ class Settings:
     intersection: IntersectionConfig
     dqn: DqnHyper
     meta: MetaHyper
-    dims: tuple[int, int] = (16, 16)
+    dims: tuple[int, int] = (DEFAULT_EMBED_DIM, DEFAULT_COMPETE_DIM)
     kl_epsilon: float = DEFAULT_KL_EPSILON
 
 
 def read_overrides(path) -> dict:
     """Parse a key=value override file, rejecting unknown keys."""
-    overrides: dict = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+    overrides = read_key_values(Path(path).read_text().splitlines(), path)
+    for key in overrides:
         if key not in _KEYS:
-            raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-        overrides[key] = _KEYS[key][0](value)
-    return overrides
+            raise ValueError(f"{path}: unknown config key {key!r}")
+    return {key: _KEYS[key][0](value) for key, value in overrides.items()}
 
 
 def load_settings(path=None, seed: int | None = None) -> Settings:
@@ -110,7 +104,8 @@ def load_settings(path=None, seed: int | None = None) -> Settings:
     dqn = DqnHyper(**sections["dqn"])
     meta = MetaHyper(**sections["meta"])
     network = sections["network"]
-    dims = (network.get("embed_dim", 16), network.get("compete_dim", 16))
+    dims = (network.get("embed_dim", DEFAULT_EMBED_DIM),
+            network.get("compete_dim", DEFAULT_COMPETE_DIM))
     kl_epsilon = sections["metrics"].get("kl_epsilon", DEFAULT_KL_EPSILON)
 
     if seed is not None:

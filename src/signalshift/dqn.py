@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +18,8 @@ from .intersection import IntersectionConfig, phase_membership, rollout
 # `dqn.step`, a function imported from another module
 from .intersection import step  # noqa: F401
 from .network import (
+    DEFAULT_COMPETE_DIM,
+    DEFAULT_EMBED_DIM,
     Batch,
     QNetworkParams,
     bellman_grads,
@@ -29,7 +30,7 @@ from .network import (
     init_params,
     sgd_step,
 )
-from .scenarios import SCHEMA_LINE
+from .scenarios import write_file
 from .seeding import NS_DQN, spawn_rng
 
 
@@ -156,7 +157,7 @@ def train_dqn(config: IntersectionConfig, scenarios, hyper: DqnHyper,
     if not flows:
         raise ValueError("need at least one training scenario")
     t_start = time.perf_counter()
-    params = init_params(dims or (16, 16), hyper.seed)
+    params = init_params(dims or (DEFAULT_EMBED_DIM, DEFAULT_COMPETE_DIM), hyper.seed)
     target = params
     rng = spawn_rng(hyper.seed, NS_DQN)
     memory = ReplayMemory(hyper.capacity, seed=rng)
@@ -199,10 +200,9 @@ def train_dqn(config: IntersectionConfig, scenarios, hyper: DqnHyper,
 
 
 def write_training_log(log: list[LogRow], path) -> None:
-    lines = [SCHEMA_LINE, "update,episode,loss,mean_reward,epsilon"]
-    lines.extend(f"{r.update},{r.episode},{r.loss!r},{r.mean_reward!r},{r.epsilon!r}"
-                 for r in log)
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, ["update,episode,loss,mean_reward,epsilon",
+                      *(f"{r.update},{r.episode},{r.loss!r},{r.mean_reward!r},{r.epsilon!r}"
+                        for r in log)])
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ class FixedTimePolicy:
             acc += split
             if t < acc - 1e-9:
                 return phase
-        return len(self.splits) - 1
+        return 0  # t within 1e-9 of the cycle end: the cycle wraps
 
 
 class MaxPressurePolicy:

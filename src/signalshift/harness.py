@@ -41,7 +41,7 @@ from .metrics import (
     movement_distribution,
 )
 from .network import QNetworkParams
-from .scenarios import SCHEMA_LINE, FlowSpec, load_scenario_dir
+from .scenarios import FlowSpec, file_text, load_scenario_dir, read_key_values, write_file
 from .seeding import spawn_rng
 
 ALGORITHMS = ("metalight", "rl_adapt", "rl_no_adapt",
@@ -98,15 +98,7 @@ def load_manifest(path) -> ExperimentManifest:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest {path} does not exist")
-    kv: dict[str, str] = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected key=value")
-        key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
+    kv = read_key_values(path.read_text().splitlines(), path)
     missing = [k for k in ("train_dir", "test_dir", "out") if k not in kv]
     if missing:
         raise ValueError(f"manifest {path} missing keys: {missing}")
@@ -146,10 +138,9 @@ def emit_curve(records: list[EvalRecord]) -> str:
         if r.kl_to_train is None:
             raise ValueError(f"record {r.algorithm}/{r.scenario} has no kl_to_train")
     ordered = sorted(records, key=lambda r: r.kl_to_train)
-    lines = [SCHEMA_LINE, "kl,algorithm,avg_travel_time_s"]
-    lines.extend(f"{r.kl_to_train!r},{r.algorithm},{r.avg_travel_time!r}"
-                 for r in ordered)
-    return "\n".join(lines) + "\n"
+    return file_text(["kl,algorithm,avg_travel_time_s",
+                      *(f"{r.kl_to_train!r},{r.algorithm},{r.avg_travel_time!r}"
+                        for r in ordered)])
 
 
 def percent_delta(value: float, best: float) -> int:
@@ -254,13 +245,12 @@ def run_experiment(manifest: ExperimentManifest) -> list[EvalRecord]:
 
 def _write_reports(records, manifest, out: Path,
                    meta_train_times, dqn_train_times, adapt_times) -> None:
-    lines = [SCHEMA_LINE,
-             "algorithm,scenario,seed,avg_travel_time_s,completed,residual,kl_to_train"]
+    lines = ["algorithm,scenario,seed,avg_travel_time_s,completed,residual,kl_to_train"]
     lines.extend(
         f"{r.algorithm},{r.scenario},{r.seed},{_fmt(r.avg_travel_time)},"
         f"{r.completed},{r.residual},{_fmt(r.kl_to_train)}"
         for r in records)
-    (out / "report_long.csv").write_text("\n".join(lines) + "\n")
+    write_file(out / "report_long.csv", lines)
 
     scenario_labels = sorted({r.scenario for r in records})
     cells: dict[tuple[str, str], list[float]] = {}
@@ -268,19 +258,19 @@ def _write_reports(records, manifest, out: Path,
         if r.avg_travel_time is not None:
             cells.setdefault((r.algorithm, r.scenario), []).append(r.avg_travel_time)
 
-    lines = [SCHEMA_LINE, "algorithm,scenario,mean_s,min_s,max_s,n_seeds"]
+    lines = ["algorithm,scenario,mean_s,min_s,max_s,n_seeds"]
     for algorithm in manifest.algorithms:
         for scenario in scenario_labels:
             values = cells.get((algorithm, scenario), [])
             if values:
                 lines.append(f"{algorithm},{scenario},{float(np.mean(values))!r},"
                              f"{min(values)!r},{max(values)!r},{len(values)}")
-    (out / "report_summary.csv").write_text("\n".join(lines) + "\n")
+    write_file(out / "report_summary.csv", lines)
 
     means = {key: float(np.mean(v)) for key, v in cells.items()}
     best = {s: min(means[(a, s)] for a in manifest.algorithms if (a, s) in means)
             for s in scenario_labels}
-    lines = [SCHEMA_LINE, "algorithm," + ",".join(scenario_labels)]
+    lines = ["algorithm," + ",".join(scenario_labels)]
     for algorithm in manifest.algorithms:
         row = [algorithm]
         for scenario in scenario_labels:
@@ -292,16 +282,16 @@ def _write_reports(records, manifest, out: Path,
             else:
                 row.append(f"{mean:.1f} (+{percent_delta(mean, best[scenario])}%)")
         lines.append(",".join(row))
-    (out / "report_pivot.csv").write_text("\n".join(lines) + "\n")
+    write_file(out / "report_pivot.csv", lines)
 
-    lines = [SCHEMA_LINE, "task,seconds"]
+    lines = ["task,seconds"]
     if meta_train_times:
         lines.append(f"metalight_training_base_model,{float(np.mean(meta_train_times))!r}")
     if adapt_times:
         lines.append(f"metalight_adapting_base_model,{float(np.mean(adapt_times))!r}")
     if dqn_train_times:
         lines.append(f"dqn_training_from_scratch,{float(np.mean(dqn_train_times))!r}")
-    (out / "timing.csv").write_text("\n".join(lines) + "\n")
+    write_file(out / "timing.csv", lines)
 
     curve_records = [r for r in records if r.kl_to_train is not None
                      and r.avg_travel_time is not None]

@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
-from .scenarios import SCHEMA_LINE, FlowSpec
+from .scenarios import FlowSpec, write_file
 
 DEFAULT_PHASES = ((0, 4), (1, 5), (2, 6), (3, 7))
 
@@ -306,7 +305,6 @@ def run_episode(config: IntersectionConfig, flow: FlowSpec, policy,
 
 def write_vehicle_trace(result: EpisodeResult, path) -> None:
     """Per-vehicle CSV trace (movement ids 1-based, censored as 0/1)."""
-    lines = [SCHEMA_LINE, "arrival_s,exit_s,movement,censored"]
-    lines.extend(f"{arr!r},{exit_t!r},{m + 1},{int(censored)}"
-                 for arr, exit_t, m, censored in result.per_vehicle)
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, ["arrival_s,exit_s,movement,censored",
+                      *(f"{arr!r},{exit_t!r},{m + 1},{int(censored)}"
+                        for arr, exit_t, m, censored in result.per_vehicle)])

@@ -22,7 +22,8 @@ import numpy as np
 
 from .intersection import IntersectionConfig, episode_result, rollout
 from .network import (
-    CHECKPOINT_SCHEMA,
+    DEFAULT_COMPETE_DIM,
+    DEFAULT_EMBED_DIM,
     QNetworkParams,
     bind,
     check_bounded,
@@ -32,7 +33,7 @@ from .network import (
     params_to_text,
     sgd_step,
 )
-from .scenarios import SCHEMA_LINE, FlowSpec, flow_to_csv_text
+from .scenarios import FlowSpec, file_text, flow_to_csv_text, read_key_values, write_file
 from .dqn import ReplayMemory, epsilon_greedy, td_grads
 # kept bound here: bench/selftest.py checks that the tracer restores
 # `meta.bellman_grads`; TD steps go through `td_grads`
@@ -164,7 +165,7 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
         raise ValueError(
             f"{len(flows)} scenarios but task_batch={hyper.task_batch}")
     t_start = time.perf_counter()
-    theta0 = init_params(dims or (16, 16), hyper.seed)
+    theta0 = init_params(dims or (DEFAULT_EMBED_DIM, DEFAULT_COMPETE_DIM), hyper.seed)
     rng = spawn_rng(hyper.seed, NS_META)
     log: list[MetaLogRow] = []
 
@@ -322,41 +323,33 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
 
 
 def write_ablation_csv(rows: list[AblationRow], path) -> None:
-    lines = [SCHEMA_LINE, "k,avg_travel_time_s,scenario_count,seed"]
-    lines.extend(f"{r.k},{r.avg_travel_time_s!r},{r.scenario_count},{r.seed}"
-                 for r in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, ["k,avg_travel_time_s,scenario_count,seed",
+                      *(f"{r.k},{r.avg_travel_time_s!r},{r.scenario_count},{r.seed}"
+                        for r in rows)])
 
 
 def write_meta_log(log: list[MetaLogRow], path) -> None:
-    lines = [SCHEMA_LINE, "iteration,mean_rollout_loss,mean_meta_loss"]
-    lines.extend(f"{r.iteration},{r.mean_rollout_loss!r},{r.mean_meta_loss!r}"
-                 for r in log)
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, ["iteration,mean_rollout_loss,mean_meta_loss",
+                      *(f"{r.iteration},{r.mean_rollout_loss!r},{r.mean_meta_loss!r}"
+                        for r in log)])
 
 
 # ---------------------------------------------------------------------------
 # Meta checkpoint file: network checkpoint plus hyper block and digest.
 
 def save_meta_checkpoint(checkpoint: MetaCheckpoint, path) -> None:
-    lines = [CHECKPOINT_SCHEMA, "# meta"]
-    for f in fields(MetaHyper):
-        lines.append(f"{f.name}={getattr(checkpoint.hyper, f.name)!r}")
+    lines = ["# meta"]
+    lines.extend(f"{f.name}={getattr(checkpoint.hyper, f.name)!r}" for f in fields(MetaHyper))
     lines.append(f"scenario_digest={checkpoint.scenario_digest}")
-    Path(path).write_text("\n".join(lines) + "\n" + params_to_text(checkpoint.theta0))
+    Path(path).write_text(file_text(lines) + params_to_text(checkpoint.theta0))
 
 
 def load_meta_checkpoint(path) -> MetaCheckpoint:
     lines = Path(path).read_text().splitlines()
-    kv: dict[str, str] = {}
-    for line in lines:
-        line = line.strip()
-        if line.startswith("tensor "):
-            break
-        if line.startswith("#") or "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
+    # the header is every line before the first tensor
+    n_header = next((i for i, line in enumerate(lines) if line.strip().startswith("tensor ")),
+                    len(lines))
+    kv = read_key_values(lines[:n_header], path)
     # each field parses as the type of its default: int or float
     hyper = MetaHyper(**{f.name: type(f.default)(kv[f.name])
                          for f in fields(MetaHyper) if f.name in kv})

@@ -47,14 +47,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .intersection import IntersectionConfig, phase_membership
+from .scenarios import file_text
 from .seeding import spawn_rng
 
 DEFAULT_EMBED_DIM = 16
 DEFAULT_COMPETE_DIM = 16
 
 PARAM_FIELDS = ("W_e", "b_e", "W_c", "b_c", "w_r", "b_r")
-
-CHECKPOINT_SCHEMA = "# schema=1"
 
 
 @lru_cache(maxsize=64)
@@ -343,15 +342,13 @@ def clip_gradients(grads: QNetworkParams, max_norm: float) -> QNetworkParams:
 # Checkpoint file: textual, hex-encoded float64 payload, bit-exact round-trip.
 
 def params_to_text(params: QNetworkParams) -> str:
-    lines = [CHECKPOINT_SCHEMA,
-             f"embed_dim={params.embed_dim}",
-             f"compete_dim={params.compete_dim}"]
+    lines = [f"embed_dim={params.embed_dim}", f"compete_dim={params.compete_dim}"]
     for name in PARAM_FIELDS:
         arr = getattr(params, name)
         dims = " ".join(str(d) for d in arr.shape)
         lines.append(f"tensor {name} {dims}".rstrip())
         lines.append(arr.astype("<f8").tobytes().hex())
-    return "\n".join(lines) + "\n"
+    return file_text(lines)
 
 
 def params_from_lines(lines: list[str]) -> QNetworkParams:

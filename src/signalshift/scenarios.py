@@ -12,9 +12,12 @@ files are 1-based):
 * flow CSV        header `arrival_s,movement`, one row per vehicle,
                   with a `<name>.meta` sidecar of `key=value` lines
                   (label, horizon, n_movements, base_label, uniform_scale,
-                  half_range, seed, kind)
+                  half_range, seed)
 * counts CSV      header `timestamp_iso8601,movement,count`
 * bases CSV       header `label,mov_1,...,mov_N`
+
+This module owns the framing every written file shares (`file_text`,
+`write_file`) and the one reader of key=value files (`read_key_values`).
 """
 
 from __future__ import annotations
@@ -59,6 +62,30 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = str(path)
         self.line_no = line_no
+
+
+def file_text(lines) -> str:
+    """The schema line, then `lines`, one per line, ending in a newline."""
+    return "\n".join([SCHEMA_LINE, *lines]) + "\n"
+
+
+def write_file(path, lines) -> None:
+    Path(path).write_text(file_text(lines))
+
+
+def read_key_values(lines, source) -> dict[str, str]:
+    """`key=value` lines as a dict (a later key wins); blank and `#` lines are
+    skipped, and any other line without `=` raises ParseError at `source`."""
+    kv: dict[str, str] = {}
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(source, line_no, f"expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        kv[key.strip()] = value.strip()
+    return kv
 
 
 @dataclass
@@ -317,9 +344,7 @@ def ingest_counts_csv(path, window_start, window_end, *,
 
 def flow_to_csv_text(flow: FlowSpec) -> str:
     """Canonical CSV text of a flow (also hashed for provenance digests)."""
-    lines = [SCHEMA_LINE, "arrival_s,movement"]
-    lines.extend(f"{t!r},{m + 1}" for t, m in flow.arrivals)
-    return "\n".join(lines) + "\n"
+    return file_text(["arrival_s,movement", *(f"{t!r},{m + 1}" for t, m in flow.arrivals)])
 
 
 def write_flow_csv(flow: FlowSpec, path) -> None:
@@ -339,20 +364,14 @@ def write_flow_csv(flow: FlowSpec, path) -> None:
             half_range=repr(flow.provenance.half_range),
             seed=flow.provenance.seed,
         )
-    sidecar = [SCHEMA_LINE] + [f"{k}={v}" for k, v in meta.items()]
-    path.with_suffix(".meta").write_text("\n".join(sidecar) + "\n")
+    write_file(path.with_suffix(".meta"), [f"{k}={v}" for k, v in meta.items()])
 
 
 def read_flow_csv(path) -> FlowSpec:
     path = Path(path)
-    meta: dict[str, str] = {}
     sidecar = path.with_suffix(".meta")
-    if sidecar.exists():
-        for line in sidecar.read_text().splitlines():
-            if line.startswith("#") or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
+    meta = read_key_values(sidecar.read_text().splitlines(), sidecar) \
+        if sidecar.exists() else {}
 
     horizon = float(meta.get("horizon", 3600.0))
     n_movements = int(meta.get("n_movements", 8))
@@ -402,12 +421,10 @@ def load_scenario_dir(directory, kind: str = "test") -> ScenarioSet:
 
 
 def write_bases_csv(bases: list[BaseDistribution], path) -> None:
-    path = Path(path)
     n = bases[0].n_movements
-    lines = [SCHEMA_LINE, "label," + ",".join(f"mov_{i + 1}" for i in range(n))]
-    for b in bases:
-        lines.append(b.label + "," + ",".join(str(int(v)) for v in b.volumes))
-    path.write_text("\n".join(lines) + "\n")
+    lines = ["label," + ",".join(f"mov_{i + 1}" for i in range(n))]
+    lines.extend(b.label + "," + ",".join(str(int(v)) for v in b.volumes) for b in bases)
+    write_file(path, lines)
 
 
 def read_bases_csv(path) -> list[BaseDistribution]:

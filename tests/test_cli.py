@@ -216,6 +216,17 @@ def test_eval_truncated_checkpoint_exit_3(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # parser behaviour
 
+def test_eval_malformed_sidecar_exit_3(tmp_path, capsys):
+    scenario = tmp_path / "flow.csv"
+    ss.write_flow_csv(ss.sample_arrivals([10] * 8, 300.0, 3), scenario)
+    sidecar = scenario.with_suffix(".meta")
+    sidecar.write_text(sidecar.read_text() + "horizon 1800.0\n")
+    code, _, err = run_cli(capsys, "eval", "--scenario", str(scenario), "--policy",
+                           "fixed_time", "--out", str(tmp_path / "eval"))
+    assert code == 3
+    assert err.startswith("ERROR[validation]: ") and "flow.meta:5: expected key=value" in err
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--help"])
@@ -242,4 +253,4 @@ def test_bad_config_key_exit_3(tmp_path, capsys):
     f = volumes_file(tmp_path, "p.csv", [50, 50])
     code, _, err = run_cli(capsys, "kl", "--a", str(f), "--b", str(f),
                            "--config", str(config))
-    assert code == 3 and "unknown config key" in err
+    assert code == 3 and "unknown config key 'not_a_key'" in err and str(config) in err

@@ -76,3 +76,10 @@ def test_key_lands_in_each_field(key, tmp_path):
     for section, field, value in expected:
         got = field_value(settings, section, field)
         assert got == value and type(got) is type(value), (section, field, got)
+
+
+def test_line_without_equals_names_its_line(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("# tuned\ngamma=0.9\nlr 0.01\n")
+    with pytest.raises(ValueError, match=r"config\.txt:3: expected key=value, got 'lr 0.01'"):
+        ss.load_settings(path)

@@ -140,6 +140,9 @@ def test_manifest_validations(tmp_path):
     bad.write_text("train_dir=x\n")
     with pytest.raises(ValueError, match="missing keys"):
         ss.load_manifest(bad)
+    bad.write_text("# schema=1\ntrain_dir x\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:2: expected key=value"):
+        ss.load_manifest(bad)
     with pytest.raises(ValueError, match="unknown algorithms"):
         ss.ExperimentManifest(train_dir, test_dir, tmp_path / "o",
                               algorithms=["sotl"])

@@ -311,6 +311,17 @@ def test_meta_checkpoint_round_trip(tmp_path):
     assert twice.read_text() == path.read_text()
 
 
+def test_meta_checkpoint_header_line_without_equals_names_its_line(tmp_path):
+    path = tmp_path / "m.ckpt"
+    ss.save_meta_checkpoint(tiny_checkpoint(small_config()), path)
+    lines = path.read_text().splitlines()
+    line_no = next(i for i, line in enumerate(lines, start=1) if line.startswith("alpha="))
+    lines[line_no - 1] = "alpha: 0.5"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"m\.ckpt:{line_no}: expected key=value"):
+        ss.load_meta_checkpoint(path)
+
+
 def test_scenario_digest_tracks_content():
     flows = small_scenarios(2)
     d1 = scenario_digest(flows)

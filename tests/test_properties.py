@@ -1,7 +1,10 @@
 """Property tests (hypothesis) for invariants that refactors must keep."""
 
 import string
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,3 +378,40 @@ def test_kl_is_zero_on_equal_counts_and_scaled_copies(counts, scale, epsilon):
     scaled = ss.movement_distribution([scale * c for c in counts])
     assert ss.kl_distance(p, scaled, epsilon) == 0.0
     assert ss.kl_distance(scaled, p, epsilon) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Fixed-time cycle
+
+@settings(max_examples=100, deadline=None)
+@given(interval=st.floats(0.05, 120.0) | st.integers(1, 1200).map(lambda k: k / 10),
+       n_phases=st.integers(1, 8))
+@example(interval=1.1, n_phases=2)
+def test_fixed_time_equal_splits_visit_decisions_mod_phases(interval, n_phases):
+    config = ss.IntersectionConfig(n_movements=n_phases,
+                                   phases=tuple((p,) for p in range(n_phases)),
+                                   decision_interval=interval, tick=interval,
+                                   lost_time=interval / 2)
+    policy = ss.FixedTimePolicy(config)
+    assert [policy(None) for _ in range(3000)] == [d % n_phases for d in range(3000)]
+
+
+# ---------------------------------------------------------------------------
+# The repository's pytest settings still let a failing property report itself
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_failing_property_prints_its_falsifying_example(tmp_path):
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_small(n):\n"
+        "    assert n < 10\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = run.stdout + run.stderr
+    assert run.returncode == 1, output
+    assert "Falsifying example" in output and "INTERNALERROR" not in output, output

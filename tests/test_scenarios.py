@@ -8,6 +8,7 @@ from signalshift.scenarios import (
     TEST_VARIABILITY_HALF_RANGE,
     TEST_VOLUME_SCALE,
     flow_to_csv_text,
+    read_key_values,
 )
 
 from conftest import PEAK_BASES, SYNTHETIC_BASES, synthetic_base_list
@@ -286,3 +287,23 @@ def test_flowspec_validation():
         ss.FlowSpec([(10.0, 9)], horizon=3600.0, n_movements=8)
     with pytest.raises(ValueError):
         ss.FlowSpec([(10.0, 0), (5.0, 0)], horizon=3600.0)
+
+
+# ---------------------------------------------------------------------------
+# key=value files
+
+def test_read_key_values_skips_comments_and_later_keys_win():
+    lines = ["# schema=1", "", "  a = 1 ", "b=x=y", "a=2"]
+    assert read_key_values(lines, "f.txt") == {"a": "2", "b": "x=y"}
+
+
+def test_flow_sidecar_line_without_equals_names_its_line(tmp_path):
+    path = tmp_path / "x.csv"
+    ss.write_flow_csv(ss.FlowSpec([(1.5, 0)], horizon=3600.0), path)
+    sidecar = path.with_suffix(".meta")
+    lines = sidecar.read_text().splitlines()
+    lines[lines.index("horizon=3600.0")] = "horizon 1800.0"
+    sidecar.write_text("\n".join(lines) + "\n")
+    line_no = lines.index("horizon 1800.0") + 1
+    with pytest.raises(ValueError, match=rf"x\.meta:{line_no}: expected key=value"):
+        ss.read_flow_csv(path)
