@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,11 +108,26 @@ class DqnHyper:
             raise ValueError("lr must be non-negative")
 
 
-def epsilon_greedy(q: np.ndarray, epsilon: float, rng: np.random.Generator | None) -> int:
-    """Argmax with probability 1-epsilon (ties to the lowest index),
-    otherwise a uniformly random phase."""
-    values = np.asarray(q)
-    if values.size == 0:
+class LazyQ(NamedTuple):
+    """The Q-values `frap_forward(network, obs, config)` before they are
+    computed, for `epsilon_greedy` to compute only when it exploits."""
+
+    network: object                    # QNetworkParams or a BoundNetwork
+    obs: np.ndarray
+    config: IntersectionConfig
+
+
+def epsilon_greedy(q, epsilon: float, rng: np.random.Generator | None) -> int:
+    """Argmax of the Q-values `q` with probability 1-epsilon (ties to the
+    lowest index), otherwise a uniformly random phase.
+
+    `q` may be a `LazyQ`, whose forward then runs on exploit decisions only.
+    The forward draws nothing from `rng`, so the draws and the phase picked
+    are those of passing its Q-values."""
+    lazy = isinstance(q, LazyQ)
+    values = None if lazy else np.asarray(q)
+    size = q.config.n_phases if lazy else values.size
+    if size == 0:
         raise ValueError("empty Q-values")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
@@ -119,7 +135,9 @@ def epsilon_greedy(q: np.ndarray, epsilon: float, rng: np.random.Generator | Non
         if rng is None:
             raise ValueError("epsilon > 0 requires an RNG")
         if rng.random() < epsilon:
-            return int(rng.integers(values.size))
+            return int(rng.integers(size))
+    if lazy:
+        values = frap_forward(*q)
     return int(values.argmax())
 
 
@@ -175,7 +193,7 @@ def train_dqn(config: IntersectionConfig, scenarios, hyper: DqnHyper,
         nonlocal epsilon
         frac = min(1.0, step_counter / decay_steps)
         epsilon = hyper.epsilon_start + (hyper.epsilon_end - hyper.epsilon_start) * frac
-        return [epsilon_greedy(frap_forward(params, obs[0], config), epsilon, rng)]
+        return [epsilon_greedy(LazyQ(params, obs[0], config), epsilon, rng)]
 
     def learn(i, transition):
         nonlocal params, target, step_counter, updates, reward_sum, reward_n

@@ -124,12 +124,15 @@ def evaluate(subject, scenario: FlowSpec, config: IntersectionConfig, seed: int 
     policy = GreedyPolicy(subject, config) if isinstance(subject, QNetworkParams) \
         else subject
     result = run_episode(config, scenario, policy, seed=seed)
-    kl = None
-    if train_dist is not None:
-        kl = kl_distance(train_dist, movement_distribution(scenario.movement_counts()),
-                         epsilon=kl_epsilon)
+    kl = None if train_dist is None else _kl_to_train(scenario, train_dist, kl_epsilon)
     return EvalRecord(algorithm, scenario.label, result.avg_travel_time,
                       result.completed_count, result.residual_count, kl, seed)
+
+
+def _kl_to_train(scenario: FlowSpec, train_dist: MovementDistribution,
+                 kl_epsilon: float) -> float:
+    return kl_distance(train_dist, movement_distribution(scenario.movement_counts()),
+                       epsilon=kl_epsilon)
 
 
 def emit_curve(records: list[EvalRecord]) -> str:
@@ -183,6 +186,8 @@ def run_experiment(manifest: ExperimentManifest) -> list[EvalRecord]:
         dqn_train_times: list[float] = []
         adapt_times: list[float] = []
 
+        # each test scenario's KL, computed at its first evaluated cell
+        kls: list[float | None] = [None] * len(test_set)
         needs_meta = "metalight" in manifest.algorithms
         needs_dqn = any(a in manifest.algorithms for a in ("rl_adapt", "rl_no_adapt"))
 
@@ -204,7 +209,7 @@ def run_experiment(manifest: ExperimentManifest) -> list[EvalRecord]:
                 dqn_params = dqn_result.params
                 dqn_train_times.append(dqn_result.wall_time_s)
 
-            for scenario in test_set:
+            for j, scenario in enumerate(test_set):
                 for algorithm in manifest.algorithms:
                     if algorithm == "metalight":
                         stage = "adapt"
@@ -225,10 +230,12 @@ def run_experiment(manifest: ExperimentManifest) -> list[EvalRecord]:
                     else:
                         subject = baseline_policy(algorithm, config, seed)
                     stage = "evaluate"
-                    records.append(evaluate(subject, scenario, config, seed=seed,
-                                            train_dist=train_dist,
-                                            kl_epsilon=settings.kl_epsilon,
-                                            algorithm=algorithm))
+                    record = evaluate(subject, scenario, config, seed=seed,
+                                      algorithm=algorithm)
+                    if kls[j] is None:
+                        kls[j] = _kl_to_train(scenario, train_dist, settings.kl_epsilon)
+                    record.kl_to_train = kls[j]
+                    records.append(record)
 
         stage = "report"
         _write_reports(records, manifest, out,

@@ -75,7 +75,9 @@ class IntersectionConfig:
 @dataclass
 class SimState:
     """Mutable simulator state, exclusively owned by one episode.  Service
-    is FIFO, so slot i of `arrivals[m]` leaves at `exits[m][i]`."""
+    is FIFO, so slot i of `arrivals[m]` leaves at `exits[m][i]`; the
+    `queued[m]` slots after the served ones wait at the stop line, and the
+    slots after those have not reached it yet."""
 
     clock: float
     current_phase: int
@@ -83,12 +85,12 @@ class SimState:
     flow: list[tuple[float, int]]      # (arrival_time, movement), time order
     cursor: int                        # flow[:cursor] have reached the stop line
     arrivals: list[list[float]]        # per movement: arrival times, FIFO order
-    arrived: list[int]                 # per movement: slots past the approach
+    queued: list[int]                  # per movement: vehicles waiting at the stop line
     exits: list[list[float]]           # per movement: exit times of served slots
     credits: list[float]               # fractional service per movement
 
     def queued_count(self) -> int:
-        return sum(self.arrived) - sum(map(len, self.exits))
+        return sum(self.queued)
 
     def is_empty(self) -> bool:
         return self.cursor == len(self.flow) and self.queued_count() == 0
@@ -129,7 +131,7 @@ def initial_state(config: IntersectionConfig, flow: FlowSpec) -> SimState:
     for arrival, movement in flow.arrivals:
         arrivals[movement].append(arrival)
     return SimState(clock=0.0, current_phase=0, in_yellow=0.0, flow=flow.arrivals,
-                    cursor=0, arrivals=arrivals, arrived=[0] * n,
+                    cursor=0, arrivals=arrivals, queued=[0] * n,
                     exits=[[] for _ in range(n)], credits=[0.0] * n)
 
 
@@ -145,18 +147,21 @@ def observe(state: SimState, config: IntersectionConfig) -> np.ndarray:
     (M, 2) array holding each movement's queue count and whether the
     current phase gives it green.  This row is the Q-network's input and
     the replay's storage format, and observe is its only writer."""
-    if len(state.arrived) != config.n_movements:
+    if len(state.queued) != config.n_movements:
         raise ValueError("state/config movement count mismatch")
     obs = np.empty((config.n_movements, 2))
-    obs[:, 0] = [n - len(served) for n, served in zip(state.arrived, state.exits)]
+    obs[:, 0] = state.queued
     obs[:, 1] = config._membership[state.current_phase]
     return obs
 
 
 def _check_conservation(state: SimState) -> None:
-    """Served <= arrived <= vehicles on every movement; arrived total = cursor."""
-    counts = [(len(e), n, len(a)) for a, n, e in zip(state.arrivals, state.arrived, state.exits)]
-    if any(not s <= n <= v for s, n, v in counts) or sum(state.arrived) != state.cursor:
+    """Served <= arrived <= vehicles on every movement, where arrived is
+    queued + served; arrived total = cursor."""
+    counts = [(len(e), q + len(e), len(a))
+              for a, q, e in zip(state.arrivals, state.queued, state.exits)]
+    arrived = sum(n for _, n, _ in counts)
+    if any(not s <= n <= v for s, n, v in counts) or arrived != state.cursor:
         raise RuntimeError(f"conservation violated at t={state.clock}: (served, arrived, "
                            f"vehicles) per movement {counts}, cursor {state.cursor}")
 
@@ -184,7 +189,7 @@ def step(state: SimState, action: int, config: IntersectionConfig,
     # the state's clock, cursor and in_yellow are written back at the end
     tick, approach = config.tick, config.approach_time
     service = config.saturation_rate * tick
-    flow, arrived, exits, credits = state.flow, state.arrived, state.exits, state.credits
+    flow, queued, exits, credits = state.flow, state.queued, state.exits, state.credits
     clock, cursor, in_yellow = state.clock, state.cursor, state.in_yellow
     # when the vehicle at the cursor reaches the stop line (inf: none left)
     n_flow = len(flow)
@@ -192,7 +197,7 @@ def step(state: SimState, action: int, config: IntersectionConfig,
     for _ in range(config.ticks_per_interval):
         t0 = clock
         while reach <= t0:
-            arrived[flow[cursor][1]] += 1
+            queued[flow[cursor][1]] += 1
             cursor += 1
             reach = flow[cursor][0] + approach if cursor < n_flow else math.inf
 
@@ -201,14 +206,14 @@ def step(state: SimState, action: int, config: IntersectionConfig,
         else:
             exit_time = t0 + tick
             for m in green:
-                served = exits[m]
-                waiting = arrived[m] - len(served)
+                waiting = queued[m]
                 if waiting:
                     credits[m] += service
                     while credits[m] >= 1.0 - 1e-9 and waiting:
-                        served.append(exit_time)
+                        exits[m].append(exit_time)
                         credits[m] -= 1.0
                         waiting -= 1
+                    queued[m] = waiting
                 if not waiting:
                     credits[m] = 0.0
 

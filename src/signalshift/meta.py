@@ -33,8 +33,8 @@ from .network import (
     params_to_text,
     sgd_step,
 )
-from .scenarios import FlowSpec, file_text, flow_to_csv_text, read_key_values, write_file
-from .dqn import ReplayMemory, epsilon_greedy, td_grads
+from .scenarios import FlowSpec, file_text, flow_to_csv_text, read_known_keys, write_file
+from .dqn import LazyQ, ReplayMemory, epsilon_greedy, td_grads
 # kept bound here: bench/selftest.py checks that the tracer restores
 # `meta.bellman_grads`; TD steps go through `td_grads`
 from .network import bellman_grads  # noqa: F401
@@ -179,7 +179,7 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
             adapted = theta0
 
             def act(live, obs):
-                return [epsilon_greedy(frap_forward(adapted, obs[0], config),
+                return [epsilon_greedy(LazyQ(adapted, obs[0], config),
                                        hyper.rollout_epsilon, rng)]
 
             def adapt_step(i, transition):
@@ -219,7 +219,7 @@ def _collect_experience(theta: QNetworkParams, scenarios: list[FlowSpec],
     network = bind(theta, config)
 
     def act(live, obs):
-        return [epsilon_greedy(frap_forward(network, x, config), hyper.rollout_epsilon, rngs[i])
+        return [epsilon_greedy(LazyQ(network, x, config), hyper.rollout_epsilon, rngs[i])
                 for i, x in zip(live, obs)]
 
     for _ in range(hyper.adapt_data_budget):
@@ -344,12 +344,17 @@ def save_meta_checkpoint(checkpoint: MetaCheckpoint, path) -> None:
     Path(path).write_text(file_text(lines) + params_to_text(checkpoint.theta0))
 
 
+# the header's keys: the hyperparameters, the digest and the network's dims
+HEADER_KEYS = (*(f.name for f in fields(MetaHyper)), "scenario_digest", "embed_dim",
+               "compete_dim")
+
+
 def load_meta_checkpoint(path) -> MetaCheckpoint:
     lines = Path(path).read_text().splitlines()
     # the header is every line before the first tensor
     n_header = next((i for i, line in enumerate(lines) if line.strip().startswith("tensor ")),
                     len(lines))
-    kv = read_key_values(lines[:n_header], path)
+    kv = read_known_keys(lines[:n_header], path, HEADER_KEYS)
     # each field parses as the type of its default: int or float
     hyper = MetaHyper(**{f.name: type(f.default)(kv[f.name])
                          for f in fields(MetaHyper) if f.name in kv})

@@ -24,11 +24,19 @@ along B: rows batched under one network round differently from B=1 rows.
 
 A forward has two parts.  `bind` makes what depends on the weights and the
 config only: the p/q relayout w_pq of W_c, the bias columns and the
-config's phase matrices.  `_forward_bound` runs the products on them, with
-the same shapes whether bound once or per call, so the Q-values are the
-same bits.  A greedy policy, adaptation's experience collection and each
-live stack of the ablation bind once for all their decisions; a TD update
-binds per call, since its weights change with every update.
+config's phase matrices.  The products then run on them, with the same
+shapes whether bound once or per call, so the Q-values are the same bits.
+A greedy policy, adaptation's experience collection and each live stack of
+the ablation bind once for all their decisions; a TD update binds per
+call, since its weights change with every update.
+
+There are two forwards on a bound network.  `_forward_bound` is the batch
+forward of the TD step: x (B, M, 2), and the cache the backward pass
+reads.  `_decide`, behind `frap_forward`, is the decision forward: one
+observation (M, 2), or one per network of a stack (T, M, 2).  It runs the
+batch forward's products at B=1 on the same shapes, so its Q-values equal
+the batch forward's bit for bit (a property test checks this), but it
+skips the B axis's reshapes and indexing and builds no cache.
 
 Weights and gradients are one type: a flat float64 vector `theta` with a
 named view per tensor, so SGD is `theta - lr * g.theta`.  Updates return
@@ -247,6 +255,28 @@ def _backward(network: BoundNetwork, cache, d_q: np.ndarray) -> QNetworkParams:
     return grads
 
 
+def _decide(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
+    """The decision forward: Q (P,) for one observation (M, 2), or Q (T, P)
+    for a stack's observations (T, M, 2), one each.
+
+    It runs the products of `_forward_bound` at B=1 on the same shapes, so
+    its Q-values are the same bits, but it skips the B axis's reshapes and
+    indexing and keeps no cache for a backward pass."""
+    W_e, b_e, w_pq, b_c, w_r, b_r, mem_norm, select, _, _, compete, _ = network
+    e = W_e @ obs.mT                                          # (E, M)
+    e += b_e
+    np.maximum(e, 0.0, out=e)
+    h = w_pq @ (e @ mem_norm)                                 # (2C, P)
+    h[..., :compete, :] += b_c
+    z_c = h.reshape(h.shape[:-2] + (2, compete, h.shape[-1])) @ select  # (2, C, K)
+    c = z_c[..., 0, :, :]
+    c += z_c[..., 1, :, :]
+    np.maximum(c, 0.0, out=c)
+    s = np.vecmat(w_r, c)                                     # (K,)
+    s += b_r
+    return (s[..., None, :] @ select[0].T)[..., 0, :]        # (1, K) @ (K, P)
+
+
 def frap_forward(network, obs: np.ndarray, config: IntersectionConfig) -> np.ndarray:
     """Q-value per phase (P,) for a single (M, 2) observation from `observe`;
     for a stack of T networks, Q (T, P) for obs (T, M, 2), one row each.
@@ -258,7 +288,7 @@ def frap_forward(network, obs: np.ndarray, config: IntersectionConfig) -> np.nda
     if obs.shape != network.obs_shape:
         raise ValueError(f"observation has shape {obs.shape}, the config and the "
                          f"networks need {network.obs_shape}")
-    q = _forward_bound(network, obs[..., None, :, :])[0][..., 0, :]
+    q = _decide(network, obs)
     if not np.isfinite(q).all():
         raise FloatingPointError("non-finite Q-values")
     return q

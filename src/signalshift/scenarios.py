@@ -17,7 +17,8 @@ files are 1-based):
 * bases CSV       header `label,mov_1,...,mov_N`
 
 This module owns the framing every written file shares (`file_text`,
-`write_file`) and the one reader of key=value files (`read_key_values`).
+`write_file`) and the one reader of key=value files (`read_key_values`;
+`read_known_keys` also rejects keys its caller does not know).
 """
 
 from __future__ import annotations
@@ -86,6 +87,22 @@ def read_key_values(lines, source) -> dict[str, str]:
         key, _, value = line.partition("=")
         kv[key.strip()] = value.strip()
     return kv
+
+
+def read_known_keys(lines, source, known) -> dict[str, str]:
+    """`read_key_values`, where a key not in `known` raises ParseError at
+    its line, naming the key."""
+    kv = read_key_values(lines, source)
+    for key in kv:
+        if key not in known:
+            raise ParseError(source, _key_line(lines, key), f"unknown key {key!r}")
+    return kv
+
+
+def _key_line(lines, key: str) -> int:
+    """The 1-based number of the first `key=value` line of `lines` for `key`."""
+    return next(line_no for line_no, raw in enumerate(lines, start=1)
+                if "=" in raw and raw.partition("=")[0].strip() == key)
 
 
 @dataclass
@@ -347,6 +364,11 @@ def flow_to_csv_text(flow: FlowSpec) -> str:
     return file_text(["arrival_s,movement", *(f"{t!r},{m + 1}" for t, m in flow.arrivals)])
 
 
+# the sidecar's keys; the provenance keys are written, and read, as a set
+FLOW_KEYS = ("label", "horizon", "n_movements")
+PROVENANCE_KEYS = ("base_label", "uniform_scale", "half_range", "seed")
+
+
 def write_flow_csv(flow: FlowSpec, path) -> None:
     """Write the arrivals CSV and its `.meta` sidecar (1-based movements)."""
     path = Path(path)
@@ -370,8 +392,8 @@ def write_flow_csv(flow: FlowSpec, path) -> None:
 def read_flow_csv(path) -> FlowSpec:
     path = Path(path)
     sidecar = path.with_suffix(".meta")
-    meta = read_key_values(sidecar.read_text().splitlines(), sidecar) \
-        if sidecar.exists() else {}
+    lines = sidecar.read_text().splitlines() if sidecar.exists() else []
+    meta = read_known_keys(lines, sidecar, FLOW_KEYS + PROVENANCE_KEYS)
 
     horizon = float(meta.get("horizon", 3600.0))
     n_movements = int(meta.get("n_movements", 8))
@@ -393,7 +415,11 @@ def read_flow_csv(path) -> FlowSpec:
             arrivals.append((t, m - 1))
 
     provenance = None
-    if "base_label" in meta:
+    if present := [key for key in PROVENANCE_KEYS if key in meta]:
+        missing = [key for key in PROVENANCE_KEYS if key not in meta]
+        if missing:
+            raise ParseError(sidecar, _key_line(lines, present[0]),
+                             f"provenance keys {present} without {missing}")
         provenance = Provenance(meta["base_label"], float(meta["uniform_scale"]),
                                 float(meta["half_range"]), int(meta["seed"]))
     return FlowSpec(arrivals, horizon=horizon, n_movements=n_movements,

@@ -93,7 +93,7 @@ def queued_state(config: ss.IntersectionConfig, queues: dict[int, int]) -> ss.Si
     arrivals = sorted((0.0, m) for m, count in queues.items() for _ in range(count))
     state = ss.initial_state(config, ss.FlowSpec(arrivals, n_movements=config.n_movements))
     for _, m in arrivals:
-        state.arrived[m] += 1
+        state.queued[m] += 1
     state.cursor = len(arrivals)
     return state
 

@@ -1,9 +1,12 @@
 """The simulator's `step` and `episode_result` as they were before the tick
-loop ran on locals and the episode score on per-movement arrays, kept as
-test oracles; the program does not use them.
+loop ran on locals, the queues on one counter per movement and the episode
+score on per-movement arrays, kept as test oracles; the program does not
+use them.
 
 `step` reads and writes the state's clock, cursor and in_yellow on every
-tick and re-reads the head vehicle's arrival each tick; `episode_result`
+tick, re-reads the head vehicle's arrival each tick and recounts each queue
+as arrived - served (arrived is derived from the state's `queued` on entry,
+and `queued` is written back from it every tick); `episode_result`
 builds the per-vehicle list and averages its travel times in that list's
 (arrival, movement) order.  Property tests run both forms side by side.
 """
@@ -35,7 +38,8 @@ def step(state: SimState, action: int, config: IntersectionConfig,
     green = config.phases[state.current_phase]
     tick, approach = config.tick, config.approach_time
     service = config.saturation_rate * tick
-    flow, arrived, exits, credits = state.flow, state.arrived, state.exits, state.credits
+    flow, exits, credits = state.flow, state.exits, state.credits
+    arrived = [n + len(served) for n, served in zip(state.queued, exits)]
     for _ in range(int(round(config.decision_interval / config.tick))):
         t0 = state.clock
         while state.cursor < len(flow) and flow[state.cursor][0] + approach <= t0:
@@ -59,6 +63,7 @@ def step(state: SimState, action: int, config: IntersectionConfig,
                     credits[m] = 0.0
 
         state.clock = t0 + tick
+        state.queued[:] = [n - len(served) for n, served in zip(arrived, exits)]
         if validate:
             _check_conservation(state)
 

@@ -227,6 +227,17 @@ def test_eval_malformed_sidecar_exit_3(tmp_path, capsys):
     assert err.startswith("ERROR[validation]: ") and "flow.meta:5: expected key=value" in err
 
 
+def test_eval_unknown_sidecar_key_exit_3(tmp_path, capsys):
+    scenario = tmp_path / "flow.csv"
+    ss.write_flow_csv(ss.sample_arrivals([10] * 8, 300.0, 3), scenario)
+    sidecar = scenario.with_suffix(".meta")
+    sidecar.write_text(sidecar.read_text() + "horizn=1800.0\n")
+    code, _, err = run_cli(capsys, "eval", "--scenario", str(scenario), "--policy",
+                           "fixed_time", "--out", str(tmp_path / "eval"))
+    assert code == 3
+    assert err.startswith("ERROR[validation]: ") and "flow.meta:5: unknown key 'horizn'" in err
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--help"])

@@ -317,3 +317,29 @@ def test_percent_delta_formula():
     assert percent_delta(97.0, 79.0) == 23
     assert percent_delta(85.0, 79.0) == 8
     assert percent_delta(79.0, 79.0) == 0
+
+
+def test_experiment_computes_each_scenario_kl_once(tmp_path, monkeypatch):
+    train_dir, test_dir = write_sets(tmp_path, n_test=3)
+    calls = []
+    real_kl = harness.kl_distance
+
+    def counting_kl(*args, **kwargs):
+        calls.append(args)
+        return real_kl(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "kl_distance", counting_kl)
+    manifest = ss.ExperimentManifest(train_dir, test_dir, tmp_path / "out",
+                                     algorithms=["fixed_time", "max_pressure"], seeds=[0, 1],
+                                     config_path=small_config_file(tmp_path))
+    records = ss.run_experiment(manifest)
+    assert len(records) == 12 and len(calls) == 3
+    settings = ss.load_settings(manifest.config_path)
+    train_dist = ss.average_training_distribution(ss.load_scenario_dir(train_dir))
+    test_set = ss.load_scenario_dir(test_dir)
+    for record in records:
+        [scenario] = [s for s in test_set if s.label == record.scenario]
+        want = harness.evaluate(ss.MaxPressurePolicy(settings.intersection), scenario,
+                                settings.intersection, train_dist=train_dist,
+                                kl_epsilon=settings.kl_epsilon)
+        assert record.kl_to_train == want.kl_to_train

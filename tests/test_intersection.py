@@ -62,7 +62,7 @@ def test_observe_is_pure():
     second = ss.observe(state, cfg)
     assert np.array_equal(first, second)
     first[0] = 99  # mutating a copy must not leak into the state
-    assert state.arrived[0] == len(state.exits[0]) == 0
+    assert state.queued[0] == len(state.exits[0]) == 0
     assert np.array_equal(ss.observe(state, cfg), second)
 
 
@@ -80,7 +80,7 @@ def test_step_discharges_at_saturation():
     cfg = ss.IntersectionConfig()
     state = queued_state(cfg, {0: 5})
     state, reward = ss.step(state, 0, cfg)
-    assert state.arrived[0] == len(state.exits[0])
+    assert state.queued[0] == 0 and len(state.exits[0]) == 5
     assert reward == 0.0
     assert state.exits[0] == [2.0, 4.0, 6.0, 8.0, 10.0]
 
@@ -105,7 +105,7 @@ def test_step_phase_change_spends_lost_time():
     state = queued_state(cfg, {1: 5})
     state, _ = ss.step(state, 1, cfg)  # switch: 3s all-red then 7s green
     # only 7 green seconds at 0.5 veh/s -> 3 vehicles out
-    assert state.arrived[1] - len(state.exits[1]) == 2
+    assert state.queued[1] == 2 and len(state.exits[1]) == 3
 
 
 def test_fast_discharge_serves_only_waiting_vehicles():
@@ -141,6 +141,16 @@ def test_validate_rejects_arrived_total_off_the_cursor():
     state.cursor = 1
     with pytest.raises(RuntimeError, match=r"conservation violated at t=1\.0"):
         ss.step(state, 0, cfg, validate=True)
+
+
+@pytest.mark.parametrize("corrupt", [1, -3])
+def test_validate_rejects_a_queue_counter_off_its_vehicles(corrupt):
+    # one vehicle too many waits (3 arrived of 2), or fewer than none
+    cfg = ss.IntersectionConfig()
+    state = queued_state(cfg, {0: 2})
+    state.queued[0] += corrupt
+    with pytest.raises(RuntimeError, match=r"conservation violated at t=1\.0"):
+        ss.step(state, 1, cfg, validate=True)  # phase change: all-red, no service
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,25 @@ def test_meta_checkpoint_header_line_without_equals_names_its_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"m\.ckpt:{line_no}: expected key=value"):
         ss.load_meta_checkpoint(path)
+
+
+def test_meta_checkpoint_header_rejects_an_unknown_key(tmp_path):
+    # a misspelt key once fell back to its default
+    path = tmp_path / "m.ckpt"
+    ss.save_meta_checkpoint(tiny_checkpoint(small_config(), alpha=5e-4), path)
+    lines = path.read_text().splitlines()
+    line_no = next(i for i, line in enumerate(lines, start=1) if line.startswith("alpha="))
+    lines[line_no - 1] = "alpah=0.0005"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ss.ParseError, match=rf"m\.ckpt:{line_no}: unknown key 'alpah'"):
+        ss.load_meta_checkpoint(path)
+
+
+def test_checked_in_meta_checkpoint_loads_and_resaves_byte_identical(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "meta_seed0.ckpt"
+    loaded = ss.load_meta_checkpoint(path)
+    ss.save_meta_checkpoint(loaded, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 def test_scenario_digest_tracks_content():

@@ -11,7 +11,7 @@ import pytest
 
 import signalshift as ss
 from signalshift.intersection import episode_result, rollout
-from signalshift.network import _forward, bind, params_to_text
+from signalshift.network import _decide, _forward, _forward_bound, bind, params_to_text
 
 import reference_sim
 from reference_kernel import bellman_grads as reference_bellman_grads
@@ -171,6 +171,28 @@ def test_bound_forward_equals_forward_bit_for_bit(config, embed_dim, compete_dim
         assert np.array_equal(ss.frap_forward(stack, x, config), np.stack(want))
 
 
+@settings(max_examples=200, deadline=None)
+@given(config=phase_configs(), embed_dim=st.integers(1, 16), compete_dim=st.integers(1, 16),
+       n_sets=st.none() | st.integers(1, 30), scale=st.sampled_from([1e-3, 1.0, 30.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_decision_forward_equals_the_batch_forward_at_b1_bit_for_bit(
+        config, embed_dim, compete_dim, n_sets, scale, seed):
+    # one network (n_sets None) or a T-stack, one observation each, with
+    # random weights and biases
+    rng = np.random.default_rng(seed)
+    lead = () if n_sets is None else (n_sets,)
+    size = ss.QNetworkParams(embed_dim, compete_dim).theta.size
+    network = bind(ss.QNetworkParams(embed_dim, compete_dim,
+                                     scale * rng.standard_normal(lead + (size,))), config)
+    m = config.n_movements
+    x = np.stack([rng.integers(0, 40, lead + (m,)), rng.integers(0, 2, lead + (m,))],
+                 axis=-1).astype(np.float64)
+    want = _forward_bound(network, x[..., None, :, :])[0]
+    q = _decide(network, x)
+    assert q.shape == lead + (config.n_phases,)
+    assert np.array_equal(q.view(np.uint64), want[..., 0, :].view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # The observation row and the max-pressure rule, read against the state
 
@@ -178,7 +200,8 @@ def max_pressure_reference(state, config) -> int:
     """The documented rule on the state itself: the largest total queue wins;
     a tie keeps the current phase if it is among the best, otherwise the
     lowest phase index wins."""
-    queues = [n - len(served) for n, served in zip(state.arrived, state.exits)]
+    passed = [m for _, m in state.flow[:state.cursor]]
+    queues = [passed.count(m) - len(state.exits[m]) for m in range(config.n_movements)]
     pressures = [sum(queues[m] for m in phase) for phase in config.phases]
     best = [p for p, v in enumerate(pressures) if v == max(pressures)]
     return state.current_phase if state.current_phase in best else best[0]
@@ -276,7 +299,7 @@ def sim_configs(draw) -> ss.IntersectionConfig:
 
 def sim_state(state):
     return (state.clock, state.current_phase, state.in_yellow, state.cursor,
-            state.arrived, state.exits, state.credits)
+            state.queued, state.exits, state.credits)
 
 
 @settings(max_examples=80, deadline=None)
@@ -312,6 +335,22 @@ def test_step_and_episode_result_equal_the_reference(config, grid, seed):
         (want.completed_count, want.residual_count)
     assert result.per_vehicle == want.per_vehicle
     assert result.reward_trace == want.reward_trace
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=sim_configs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_queue_counters_equal_the_queues_recounted_after_every_step(config, seed):
+    rng = np.random.default_rng(seed)
+    flow = ss.sample_arrivals(rng.integers(0, 40, config.n_movements), config.horizon, rng)
+    state = ss.initial_state(config, flow)
+    end = config.horizon + config.drain
+    while state.clock < config.horizon or (state.clock < end and not state.is_empty()):
+        state, reward = ss.step(state, int(rng.integers(config.n_phases)), config)
+        # a movement's queue: its vehicles the cursor has passed, less the served
+        passed = [m for _, m in state.flow[:state.cursor]]
+        queues = [passed.count(m) - len(state.exits[m]) for m in range(config.n_movements)]
+        assert state.queued == queues
+        assert reward == -sum(queues)
 
 
 # ---------------------------------------------------------------------------

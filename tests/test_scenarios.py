@@ -307,3 +307,35 @@ def test_flow_sidecar_line_without_equals_names_its_line(tmp_path):
     line_no = lines.index("horizon 1800.0") + 1
     with pytest.raises(ValueError, match=rf"x\.meta:{line_no}: expected key=value"):
         ss.read_flow_csv(path)
+
+
+def rewrite_sidecar_line(path, old: str, new: str | None) -> int:
+    """Replace (or, with new=None, delete) the sidecar line `old`; its line number."""
+    sidecar = path.with_suffix(".meta")
+    lines = sidecar.read_text().splitlines()
+    line_no = lines.index(old) + 1
+    lines[line_no - 1:line_no] = [] if new is None else [new]
+    sidecar.write_text("\n".join(lines) + "\n")
+    return line_no
+
+
+def test_flow_sidecar_rejects_an_unknown_key(tmp_path):
+    # a misspelt key once fell back to its default: horizon 3600.0
+    path = tmp_path / "x.csv"
+    ss.write_flow_csv(ss.FlowSpec([(1.5, 0)], horizon=600.0), path)
+    line_no = rewrite_sidecar_line(path, "horizon=600.0", "horizn=600.0")
+    with pytest.raises(ss.ParseError, match=rf"x\.meta:{line_no}: unknown key 'horizn'"):
+        ss.read_flow_csv(path)
+
+
+def test_flow_sidecar_provenance_keys_come_as_a_set(tmp_path):
+    path = tmp_path / "x.csv"
+    flow = ss.FlowSpec([(1.5, 0)], horizon=600.0,
+                       provenance=ss.Provenance("base2", 0.1, 0.2, 7))
+    ss.write_flow_csv(flow, path)
+    assert ss.read_flow_csv(path) == flow
+    rewrite_sidecar_line(path, "uniform_scale=0.1", None)
+    line_no = path.with_suffix(".meta").read_text().splitlines().index("base_label=base2") + 1
+    missing = r"without \['uniform_scale'\]"
+    with pytest.raises(ss.ParseError, match=rf"x\.meta:{line_no}: provenance keys .* {missing}"):
+        ss.read_flow_csv(path)
