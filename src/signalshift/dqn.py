@@ -76,7 +76,8 @@ class ReplayMemory:
         if not self._size:
             raise ValueError("cannot sample from an empty memory")
         idx = self._rng.integers(0, self._size, size=batch_size)
-        return Batch(self._x[idx], self._a[idx], self._r[idx], self._x_next[idx])
+        return Batch(self._x.take(idx, axis=0), self._a.take(idx), self._r.take(idx),
+                     self._x_next.take(idx, axis=0))
 
 
 @dataclass
@@ -141,11 +142,12 @@ def epsilon_greedy(q, epsilon: float, rng: np.random.Generator | None) -> int:
     return int(values.argmax())
 
 
-def td_grads(params: QNetworkParams, target: QNetworkParams, memory: ReplayMemory,
-             hyper, config: IntersectionConfig) -> tuple[float, QNetworkParams]:
+def td_grads(params, target, memory: ReplayMemory, hyper,
+             config: IntersectionConfig) -> tuple[float, QNetworkParams]:
     """Squared TD loss and its gradients, clipped to `hyper.grad_clip`, on a
     fresh replay batch: the one update rule of DQN training, meta-training
-    and adaptation (`hyper` is a DqnHyper or a MetaHyper)."""
+    and adaptation (`hyper` is a DqnHyper or a MetaHyper).  The networks
+    are QNetworkParams or bound networks, as `bellman_grads` takes them."""
     batch = memory.sample(hyper.batch_size)
     loss, grads = bellman_grads(params, batch, target, hyper.gamma, config)
     return loss, clip_gradients(grads, hyper.grad_clip)
@@ -176,7 +178,10 @@ def train_dqn(config: IntersectionConfig, scenarios, hyper: DqnHyper,
         raise ValueError("need at least one training scenario")
     t_start = time.perf_counter()
     params = init_params(dims or (DEFAULT_EMBED_DIM, DEFAULT_COMPETE_DIM), hyper.seed)
-    target = params
+    # each parameter version is bound once, after its SGD step: the binding
+    # serves the next decisions, the next TD step, and the target's steps
+    # while it is the target
+    network = target = bind(params, config)
     rng = spawn_rng(hyper.seed, NS_DQN)
     memory = ReplayMemory(hyper.capacity, seed=rng)
 
@@ -193,20 +198,21 @@ def train_dqn(config: IntersectionConfig, scenarios, hyper: DqnHyper,
         nonlocal epsilon
         frac = min(1.0, step_counter / decay_steps)
         epsilon = hyper.epsilon_start + (hyper.epsilon_end - hyper.epsilon_start) * frac
-        return [epsilon_greedy(LazyQ(params, obs[0], config), epsilon, rng)]
+        return [epsilon_greedy(LazyQ(network, obs[0], config), epsilon, rng)]
 
     def learn(i, transition):
-        nonlocal params, target, step_counter, updates, reward_sum, reward_n
+        nonlocal params, network, target, step_counter, updates, reward_sum, reward_n
         memory.push(transition)
         reward_sum += transition[2]
         reward_n += 1
         step_counter += 1
         if len(memory) >= hyper.batch_size:
-            loss, grads = td_grads(params, target, memory, hyper, config)
+            loss, grads = td_grads(network, target, memory, hyper, config)
             params = sgd_step(params, grads, hyper.lr)
+            network = bind(params, config)
             updates += 1
             if updates % hyper.target_sync == 0:
-                target = params
+                target = network
             log.append(LogRow(updates, episode, loss, reward_sum / reward_n, epsilon))
 
     for episode in range(hyper.episodes):

@@ -33,7 +33,14 @@ from .network import (
     params_to_text,
     sgd_step,
 )
-from .scenarios import FlowSpec, file_text, flow_to_csv_text, read_known_keys, write_file
+from .scenarios import (
+    FlowSpec,
+    ParseError,
+    file_text,
+    flow_to_csv_text,
+    read_known_keys,
+    write_file,
+)
 from .dqn import LazyQ, ReplayMemory, epsilon_greedy, td_grads
 # kept bound here: bench/selftest.py checks that the tracer restores
 # `meta.bellman_grads`; TD steps go through `td_grads`
@@ -131,7 +138,8 @@ def individual_adapt(theta: QNetworkParams, memory: ReplayMemory, steps: int,
     fresh batch each step.
 
     The bootstrap target uses the current iterate itself (held constant
-    within a step).  The original theta is untouched.
+    within a step), so each iterate is bound once, in its TD step.  The
+    original theta is untouched.
     """
     if len(memory) < hyper.batch_size:
         raise ValueError(
@@ -170,30 +178,34 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
     log: list[MetaLogRow] = []
 
     for iteration in range(hyper.meta_iterations):
+        theta0_network = bind(theta0, config)
         task_idx = rng.choice(len(flows), size=hyper.task_batch, replace=False)
         task_grads: list[QNetworkParams] = []
         rollout_losses: list[float] = []
         meta_losses: list[float] = []
         for ti in task_idx:
             memory = ReplayMemory(hyper.capacity, seed=rng)
-            adapted = theta0
+            # each iterate is bound once, after its SGD step, for the next
+            # decisions and the next TD step, whose target it also is
+            adapted, network = theta0, theta0_network
 
             def act(live, obs):
-                return [epsilon_greedy(LazyQ(adapted, obs[0], config),
+                return [epsilon_greedy(LazyQ(network, obs[0], config),
                                        hyper.rollout_epsilon, rng)]
 
             def adapt_step(i, transition):
                 # the base learner takes one TD step per decision
-                nonlocal adapted
+                nonlocal adapted, network
                 memory.push(transition)
                 if len(memory) >= hyper.batch_size:
-                    loss, grads = td_grads(adapted, adapted, memory, hyper, config)
+                    loss, grads = td_grads(network, network, memory, hyper, config)
                     adapted = sgd_step(adapted, grads, hyper.alpha)
+                    network = bind(adapted, config)
                     rollout_losses.append(loss)
 
             rollout(config, [flows[int(ti)]], act, adapt_step)
             if len(memory) >= hyper.batch_size:
-                loss, grads = td_grads(adapted, adapted, memory, hyper, config)
+                loss, grads = td_grads(network, network, memory, hyper, config)
                 task_grads.append(grads)
                 meta_losses.append(loss)
         if task_grads:
@@ -344,9 +356,11 @@ def save_meta_checkpoint(checkpoint: MetaCheckpoint, path) -> None:
     Path(path).write_text(file_text(lines) + params_to_text(checkpoint.theta0))
 
 
-# the header's keys: the hyperparameters, the digest and the network's dims
-HEADER_KEYS = (*(f.name for f in fields(MetaHyper)), "scenario_digest", "embed_dim",
-               "compete_dim")
+# the header's keys: the hyperparameters and the digest, which
+# `save_meta_checkpoint` always writes and a load requires, then the
+# network's dims
+REQUIRED_KEYS = (*(f.name for f in fields(MetaHyper)), "scenario_digest")
+HEADER_KEYS = (*REQUIRED_KEYS, "embed_dim", "compete_dim")
 
 
 def load_meta_checkpoint(path) -> MetaCheckpoint:
@@ -355,8 +369,9 @@ def load_meta_checkpoint(path) -> MetaCheckpoint:
     n_header = next((i for i, line in enumerate(lines) if line.strip().startswith("tensor ")),
                     len(lines))
     kv = read_known_keys(lines[:n_header], path, HEADER_KEYS)
+    if missing := [key for key in REQUIRED_KEYS if key not in kv]:
+        raise ParseError(path, max(n_header, 1), f"the header ends without {missing}")
     # each field parses as the type of its default: int or float
-    hyper = MetaHyper(**{f.name: type(f.default)(kv[f.name])
-                         for f in fields(MetaHyper) if f.name in kv})
-    theta0 = params_from_lines(lines)
-    return MetaCheckpoint(theta0, hyper, kv.get("scenario_digest", ""))
+    hyper = MetaHyper(**{f.name: type(f.default)(kv[f.name]) for f in fields(MetaHyper)})
+    theta0 = params_from_lines(lines, path, HEADER_KEYS)
+    return MetaCheckpoint(theta0, hyper, kv["scenario_digest"])

@@ -26,9 +26,11 @@ A forward has two parts.  `bind` makes what depends on the weights and the
 config only: the p/q relayout w_pq of W_c, the bias columns and the
 config's phase matrices.  The products then run on them, with the same
 shapes whether bound once or per call, so the Q-values are the same bits.
-A greedy policy, adaptation's experience collection and each live stack of
-the ablation bind once for all their decisions; a TD update binds per
-call, since its weights change with every update.
+Each parameter version is bound once: a greedy policy, adaptation's
+experience collection and each live stack of the ablation for all their
+decisions; a training loop binds each new iterate once, after its SGD
+step, and that binding serves the next decision and the next TD step (and
+the target, while the target is the learner itself).
 
 There are two forwards on a bound network.  `_forward_bound` is the batch
 forward of the TD step: x (B, M, 2), and the cache the backward pass
@@ -39,9 +41,9 @@ the batch forward's bit for bit (a property test checks this), but it
 skips the B axis's reshapes and indexing and builds no cache.
 
 Weights and gradients are one type: a flat float64 vector `theta` with a
-named view per tensor, so SGD is `theta - lr * g.theta`.  Updates return
-new objects and never mutate their inputs, which keeps meta-learning
-bookkeeping honest.
+named view per tensor, so SGD is `theta - lr * g.theta`; the backward pass
+writes its gradient as one such vector.  Updates return new objects and
+never mutate their inputs, which keeps meta-learning bookkeeping honest.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .intersection import IntersectionConfig, phase_membership
-from .scenarios import file_text
+from .scenarios import ParseError, file_text, read_known_keys
 from .seeding import spawn_rng
 
 DEFAULT_EMBED_DIM = 16
@@ -65,20 +67,22 @@ PARAM_FIELDS = ("W_e", "b_e", "W_c", "b_c", "w_r", "b_r")
 
 
 @lru_cache(maxsize=64)
-def _layout(embed_dim: int, compete_dim: int) -> tuple:
-    """(name, shape, slice of theta) per tensor, in PARAM_FIELDS order."""
+def _layout(embed_dim: int, compete_dim: int) -> dict:
+    """name -> (shape, slice of theta) per tensor, in PARAM_FIELDS order."""
     shapes = ((embed_dim, 2), (embed_dim,), (compete_dim, 2 * embed_dim),
               (compete_dim,), (compete_dim,), ())
     ends = accumulate(math.prod(shape) for shape in shapes)
-    return tuple((name, shape, slice(end - math.prod(shape), end))
-                 for name, shape, end in zip(PARAM_FIELDS, shapes, ends))
+    return {name: (shape, slice(end - math.prod(shape), end))
+            for name, shape, end in zip(PARAM_FIELDS, shapes, ends)}
 
 
 class QNetworkParams:
     """Weights or loss gradients of the Q-network: the flat vector `theta`
     (zeros if omitted) and a view of it per tensor, W_e (E, 2), b_e (E,),
-    W_c (C, 2E), b_c (C,), w_r (C,) and b_r ().  The views are bound once:
-    writing through one changes `theta`; rebinding an attribute raises.
+    W_c (C, 2E), b_c (C,), w_r (C,) and b_r ().  A view is made on its
+    first read and kept: writing through one changes `theta`; rebinding an
+    attribute raises.  A gradient that is only clipped and applied never
+    makes its views.
 
     A stack of T networks for the forward pass is a theta of shape (T, n);
     each view then has the leading T axis, W_e (T, E, 2) and so on."""
@@ -90,16 +94,21 @@ class QNetworkParams:
         bind = object.__setattr__
         bind(self, "embed_dim", int(embed_dim))
         bind(self, "compete_dim", int(compete_dim))
-        layout = _layout(self.embed_dim, self.compete_dim)
-        size = layout[-1][2].stop
+        size = _layout(self.embed_dim, self.compete_dim)["b_r"][1].stop
         theta = np.zeros(size) if theta is None else np.ascontiguousarray(theta, np.float64)
         if theta.ndim not in (1, 2) or theta.shape[-1] != size:
             raise ValueError(f"theta has shape {theta.shape}, the dims need ({size},) "
                              f"or (T, {size})")
         bind(self, "theta", theta)
-        lead = theta.shape[:-1]
-        for name, shape, span in layout:
-            bind(self, name, theta[..., span].reshape(lead + shape))
+
+    def __getattr__(self, name):
+        # reached only through an empty slot: a view not read before
+        if name not in PARAM_FIELDS:
+            raise AttributeError(name)
+        shape, span = _layout(self.embed_dim, self.compete_dim)[name]
+        view = self.theta[..., span].reshape(self.theta.shape[:-1] + shape)
+        object.__setattr__(self, name, view)
+        return view
 
     def with_theta(self, theta) -> QNetworkParams:
         return QNetworkParams(self.embed_dim, self.compete_dim, theta)
@@ -143,7 +152,8 @@ def _phase_structs(config: IntersectionConfig):
     """The fixed matrices of the forward and backward passes: the phase
     membership (M, P), each column the mean over the phase's movements;
     the 0/1 selections (2, P, K) of the p and the q phase of each ordered
-    pair p != q, and their transposes (2, K, P)."""
+    pair p != q, their transposes (2, K, P), and the p phase of each pair
+    (K,)."""
     n_phases = config.n_phases
     member = phase_membership(config)
     mem_norm = np.ascontiguousarray((member / member.sum(axis=1, keepdims=True)).T)
@@ -151,7 +161,8 @@ def _phase_structs(config: IntersectionConfig):
     select = np.zeros((2, n_phases, len(pairs)))
     for k, (p, q) in enumerate(pairs):
         select[0, p, k] = select[1, q, k] = 1.0
-    return mem_norm, select, np.ascontiguousarray(select.transpose(0, 2, 1))
+    pair_phase = np.array([p for p, _ in pairs], dtype=np.int64)
+    return mem_norm, select, np.ascontiguousarray(select.transpose(0, 2, 1)), pair_phase
 
 
 class BoundNetwork(NamedTuple):
@@ -167,6 +178,7 @@ class BoundNetwork(NamedTuple):
     mem_norm: np.ndarray       # (M, P)
     select: np.ndarray         # (2, P, K)
     select_t: np.ndarray       # (2, K, P)
+    pair_phase: np.ndarray     # (K,): the p phase of each pair
     embed_dim: int
     compete_dim: int
     obs_shape: tuple           # lead + (M, 2)
@@ -175,22 +187,25 @@ class BoundNetwork(NamedTuple):
 def bind(params: QNetworkParams, config: IntersectionConfig) -> BoundNetwork:
     """Bind a network (or a stack) to a config for any number of forwards.
 
-    The operands are views of `params`, except w_pq, a copy: write to the
-    weights after binding and the bound network no longer follows them."""
-    mem_norm, select, select_t = _phase_structs(config)
-    lead = params.theta.shape[:-1]
-    embed, compete = params.embed_dim, params.compete_dim
-    w_pq = params.W_c.reshape(lead + (compete, 2, embed)).swapaxes(-3, -2).reshape(
+    The operands are views of `params.theta`, except w_pq, a copy: write to
+    the weights after binding and the bound network no longer follows them.
+    They are sliced from theta, not read through the tensor views, which
+    would make and keep six views on `params`."""
+    mem_norm, select, select_t, pair_phase = _phase_structs(config)
+    theta, embed, compete = params.theta, params.embed_dim, params.compete_dim
+    lead = theta.shape[:-1]
+    W_e, b_e, W_c, b_c, w_r, b_r = (theta[..., span]
+                                    for _, span in _layout(embed, compete).values())
+    w_pq = W_c.reshape(lead + (compete, 2, embed)).swapaxes(-3, -2).reshape(
         lead + (2 * compete, embed))
-    return BoundNetwork(params.W_e, params.b_e[..., None], w_pq, params.b_c[..., None],
-                        params.w_r, params.b_r[..., None], mem_norm, select, select_t,
-                        embed, compete, (*lead, config.n_movements, 2))
+    return BoundNetwork(W_e.reshape(lead + (embed, 2)), b_e.reshape(lead + (embed, 1)), w_pq,
+                        b_c.reshape(lead + (compete, 1)), w_r, b_r, mem_norm, select,
+                        select_t, pair_phase, embed, compete, (*lead, config.n_movements, 2))
 
 
-def _forward(params: QNetworkParams, x: np.ndarray, config: IntersectionConfig):
-    """Q-values (B, P) for observations x (B, M, 2), plus the cache the
-    backward pass reads: `bind`, then `_forward_bound`."""
-    return _forward_bound(bind(params, config), x)
+def _bound(network, config: IntersectionConfig) -> BoundNetwork:
+    """`network` if it is a BoundNetwork, else QNetworkParams bound to `config`."""
+    return network if isinstance(network, BoundNetwork) else bind(network, config)
 
 
 def _forward_bound(network: BoundNetwork, x: np.ndarray):
@@ -208,7 +223,7 @@ def _forward_bound(network: BoundNetwork, x: np.ndarray):
     The B axis stays even at B=1: the products keep these shapes, because
     BLAS may round others differently.
     """
-    W_e, b_e, w_pq, b_c, w_r, b_r, mem_norm, select, _, embed, compete, _ = network
+    W_e, b_e, w_pq, b_c, w_r, b_r, mem_norm, select, _, _, embed, compete, _ = network
     lead = x.shape[:-3]                                       # () or (T,)
     n, n_mov = x.shape[-3:-1]
     n_phases, n_pairs = select.shape[1:]
@@ -230,29 +245,26 @@ def _forward_bound(network: BoundNetwork, x: np.ndarray):
     return q_values, (x, e, rho, c)
 
 
-def _backward(network: BoundNetwork, cache, d_q: np.ndarray) -> QNetworkParams:
-    """Reverse-mode d(loss)/d(params) given d(loss)/dQ (B, P)."""
-    _, _, w_pq, _, w_r, _, mem_norm, select, select_t, embed, compete, _ = network
+def _backward(network: BoundNetwork, cache, d_s: np.ndarray) -> QNetworkParams:
+    """Reverse-mode d(loss)/d(params) given d(loss)/ds (B, K), the gradient
+    of the pair scores; the tensors' gradients go into one flat vector."""
+    _, _, w_pq, _, w_r, _, mem_norm, _, select_t, _, embed, compete, _ = network
     x, e, rho, c = cache
     n, n_mov = x.shape[0], x.shape[1]
-    n_phases = select.shape[1]
+    n_phases = select_t.shape[2]
 
-    grads = QNetworkParams(embed, compete)
-    d_s = (d_q @ select[0]).reshape(-1)                       # (B·K,)
-    grads.b_r[...] = d_s.sum()
-    grads.w_r[...] = c @ d_s
+    d_s = d_s.reshape(-1)                                     # (B·K,)
     d_z_c = w_r[:, None] * d_s                                # (C, B·K)
     d_z_c *= c > 0.0
     d_h = (d_z_c.reshape(compete * n, -1) @ select_t).reshape(2 * compete, n * n_phases)
-    grads.W_c.reshape(compete, 2, embed)[...] = (
-        (d_h @ rho.T).reshape(2, compete, embed).transpose(1, 0, 2))
-    grads.b_c[...] = d_h[:compete].sum(axis=1)
+    d_w_c = (d_h @ rho.T).reshape(2, compete, embed).transpose(1, 0, 2)
     d_rho = w_pq.T @ d_h                                      # (E, B·P)
     d_e = (d_rho.reshape(embed * n, n_phases) @ mem_norm.T).reshape(embed, n * n_mov)
     d_e *= e > 0.0
-    grads.W_e[...] = d_e @ x.reshape(n * n_mov, 2)
-    grads.b_e[...] = d_e.sum(axis=1)
-    return grads
+    theta = np.concatenate([                                  # in PARAM_FIELDS order
+        (d_e @ x.reshape(n * n_mov, 2)).reshape(-1), d_e.sum(axis=1),
+        d_w_c.reshape(-1), d_h[:compete].sum(axis=1), c @ d_s, d_s.sum(keepdims=True)])
+    return QNetworkParams(embed, compete, theta)
 
 
 def _decide(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
@@ -262,7 +274,7 @@ def _decide(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
     It runs the products of `_forward_bound` at B=1 on the same shapes, so
     its Q-values are the same bits, but it skips the B axis's reshapes and
     indexing and keeps no cache for a backward pass."""
-    W_e, b_e, w_pq, b_c, w_r, b_r, mem_norm, select, _, _, compete, _ = network
+    W_e, b_e, w_pq, b_c, w_r, b_r, mem_norm, select, _, _, _, compete, _ = network
     e = W_e @ obs.mT                                          # (E, M)
     e += b_e
     np.maximum(e, 0.0, out=e)
@@ -283,8 +295,7 @@ def frap_forward(network, obs: np.ndarray, config: IntersectionConfig) -> np.nda
 
     `network` is QNetworkParams, bound to `config` per call, or a
     `BoundNetwork` that `bind` made for `config` once."""
-    if isinstance(network, QNetworkParams):
-        network = bind(network, config)
+    network = _bound(network, config)
     if obs.shape != network.obs_shape:
         raise ValueError(f"observation has shape {obs.shape}, the config and the "
                          f"networks need {network.obs_shape}")
@@ -294,32 +305,35 @@ def frap_forward(network, obs: np.ndarray, config: IntersectionConfig) -> np.nda
     return q
 
 
-def bellman_grads(params: QNetworkParams, batch: Batch, target_params: QNetworkParams,
-                  gamma: float, config: IntersectionConfig) -> tuple[float, QNetworkParams]:
+def bellman_grads(params, batch: Batch, target_params, gamma: float,
+                  config: IntersectionConfig) -> tuple[float, QNetworkParams]:
     """Squared TD loss over a batch of transitions and its gradients.
 
     Targets r + gamma * max_a' Q_target(s', a') are computed with
     `target_params` and treated as constants; only Q(s, a) is
-    differentiated.  A non-finite loss or gradient raises
-    FloatingPointError, so a diverging run stops at the update that
-    diverged.
+    differentiated.  Either network is QNetworkParams, bound to `config`
+    here, or a `BoundNetwork` that `bind` made for `config`; when the
+    target is the learner itself, both forwards run on one binding.  A
+    non-finite loss or gradient raises FloatingPointError, so a diverging
+    run stops at the update that diverged.
     """
     n = len(batch.a)
     if n == 0:
         raise ValueError("empty transition batch")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must be in [0, 1)")
-    network = bind(params, config)
+    network = _bound(params, config)
+    target = network if target_params is params else _bound(target_params, config)
     q_values, cache = _forward_bound(network, batch.x)
-    q_next, _ = _forward(target_params, batch.x_next, config)
+    q_next, _ = _forward_bound(target, batch.x_next)
     targets = batch.r + gamma * q_next.max(axis=1)
 
-    rows = np.arange(n)
-    diff = q_values[rows, batch.a] - targets
-    loss = float(np.mean(diff ** 2))
-    d_q = np.zeros_like(q_values)
-    d_q[rows, batch.a] = 2.0 * diff / n
-    grads = _backward(network, cache, d_q)
+    diff = q_values[np.arange(n), batch.a] - targets
+    loss = float(np.add.reduce(diff * diff) / n)
+    # dL/dQ(s, a) = 2 diff / n reaches the pair scores of the pairs whose p
+    # phase is a, with weight 1
+    d_s = np.where(network.pair_phase == batch.a[:, None], (2.0 * diff / n)[:, None], 0.0)
+    grads = _backward(network, cache, d_s)
     if not (math.isfinite(loss) and np.isfinite(grads.theta).all()):
         raise FloatingPointError(f"non-finite TD loss or gradient (loss={loss!r})")
     return loss, grads
@@ -381,30 +395,37 @@ def params_to_text(params: QNetworkParams) -> str:
     return file_text(lines)
 
 
-def params_from_lines(lines: list[str]) -> QNetworkParams:
-    """Parse a checkpoint; every tensor must have the shape its header dims
-    give it, or ValueError names the tensor."""
-    header: dict[str, str] = {}
+# the key=value lines of a network checkpoint
+CHECKPOINT_KEYS = ("embed_dim", "compete_dim")
+
+
+def params_from_lines(lines: list[str], source, known=CHECKPOINT_KEYS) -> QNetworkParams:
+    """Parse a checkpoint read from `source`: comments, `key=value` lines
+    with keys from `known`, and a `tensor` header per tensor, each followed
+    by its payload line.  Any other line, an unknown key or an unknown
+    tensor raises ParseError at its line.  Every tensor must have the shape
+    its header dims give it, or ValueError names the tensor."""
+    rest = list(lines)                    # the lines outside the tensors
     tensors: dict[str, tuple] = {}        # name -> (shape, values)
     i = 0
     while i < len(lines):
         line = lines[i].strip()
-        i += 1
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("tensor "):
-            name, *dims = line.split()[1:]
-            if i == len(lines):
-                raise ValueError(f"tensor {name}: the checkpoint ends before its values")
-            try:
-                tensors[name] = (tuple(int(d) for d in dims),
-                                 np.frombuffer(bytes.fromhex(lines[i].strip()), dtype="<f8"))
-            except ValueError as exc:
-                raise ValueError(f"tensor {name}: {exc}") from None
+        if not line.startswith("tensor "):
             i += 1
-        elif "=" in line:
-            key, _, value = line.partition("=")
-            header[key.strip()] = value.strip()
+            continue
+        name, *dims = line.split()[1:]
+        if name not in PARAM_FIELDS:
+            raise ParseError(source, i + 1, f"unknown tensor {name!r}")
+        if i + 1 == len(lines):
+            raise ValueError(f"tensor {name}: the checkpoint ends before its values")
+        try:
+            tensors[name] = (tuple(int(d) for d in dims),
+                             np.frombuffer(bytes.fromhex(lines[i + 1].strip()), dtype="<f8"))
+        except ValueError as exc:
+            raise ValueError(f"tensor {name}: {exc}") from None
+        rest[i] = rest[i + 1] = ""
+        i += 2
+    header = read_known_keys(rest, source, known)
     params = QNetworkParams(int(header.get("embed_dim", DEFAULT_EMBED_DIM)),
                             int(header.get("compete_dim", DEFAULT_COMPETE_DIM)))
     for name in PARAM_FIELDS:
@@ -423,4 +444,4 @@ def save_params(params: QNetworkParams, path) -> None:
 
 
 def load_params(path) -> QNetworkParams:
-    return params_from_lines(Path(path).read_text().splitlines())
+    return params_from_lines(Path(path).read_text().splitlines(), path)

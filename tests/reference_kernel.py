@@ -6,14 +6,24 @@ forward and backward became 2-D products: it concatenates the K = P(P-1)
 ordered phase pairs (rho_p, rho_q) and multiplies them by the whole W_c.
 Property tests compare the array kernel against it.
 
+`forward`, `td_backward`, `td_bellman_grads`, `clip_gradients` and
+`sgd_step` are the array kernel's TD step before it took bound networks:
+it bound the learner and, apart, the target on every call, formed dL/dQ as
+a one-hot (B, P) array, took the pair gradient as `d_q @ select[0]`, and
+wrote each tensor's gradient through a view.  The TD step of
+`signalshift.network` must give the same bits.
+
 `ablate_steps` is the gradient-step ablation before it adapted each scenario
 once and ran its greedy episodes in lockstep: one adaptation and one greedy
 episode per k and scenario.
 """
 
+import math
+
 import numpy as np
 
 import signalshift as ss
+from signalshift.network import _forward_bound, bind
 
 
 def phase_structs(config: ss.IntersectionConfig):
@@ -93,3 +103,65 @@ def ablate_steps(checkpoint, scenarios, ks, config, seed=0):
         rows.append(ss.meta.AblationRow(int(k), float(np.mean(times)) if times else float("nan"),
                                         len(scenarios), seed))
     return rows
+
+
+def forward(params: ss.QNetworkParams, x: np.ndarray, config: ss.IntersectionConfig):
+    """Q-values (B, P) for observations x (B, M, 2), plus the cache the
+    backward pass reads: `bind`, then `_forward_bound`."""
+    return _forward_bound(bind(params, config), x)
+
+
+def td_backward(network, cache, d_q: np.ndarray) -> ss.QNetworkParams:
+    """Reverse-mode d(loss)/d(params) given d(loss)/dQ (B, P)."""
+    x, e, rho, c = cache
+    n, n_mov = x.shape[0], x.shape[1]
+    embed, compete = network.embed_dim, network.compete_dim
+    n_phases = network.select.shape[1]
+
+    grads = ss.QNetworkParams(embed, compete)
+    d_s = (d_q @ network.select[0]).reshape(-1)               # (B·K,)
+    grads.b_r[...] = d_s.sum()
+    grads.w_r[...] = c @ d_s
+    d_z_c = network.w_r[:, None] * d_s                        # (C, B·K)
+    d_z_c *= c > 0.0
+    d_h = (d_z_c.reshape(compete * n, -1) @ network.select_t).reshape(
+        2 * compete, n * n_phases)
+    grads.W_c.reshape(compete, 2, embed)[...] = (
+        (d_h @ rho.T).reshape(2, compete, embed).transpose(1, 0, 2))
+    grads.b_c[...] = d_h[:compete].sum(axis=1)
+    d_rho = network.w_pq.T @ d_h                              # (E, B·P)
+    d_e = (d_rho.reshape(embed * n, n_phases) @ network.mem_norm.T).reshape(
+        embed, n * n_mov)
+    d_e *= e > 0.0
+    grads.W_e[...] = d_e @ x.reshape(n * n_mov, 2)
+    grads.b_e[...] = d_e.sum(axis=1)
+    return grads
+
+
+def td_bellman_grads(params, batch, target_params, gamma, config):
+    """Squared TD loss and its gradients, the learner and the target each
+    bound here."""
+    n = len(batch.a)
+    network = bind(params, config)
+    q_values, cache = _forward_bound(network, batch.x)
+    q_next, _ = forward(target_params, batch.x_next, config)
+    targets = batch.r + gamma * q_next.max(axis=1)
+
+    rows = np.arange(n)
+    diff = q_values[rows, batch.a] - targets
+    loss = float(np.mean(diff ** 2))
+    d_q = np.zeros_like(q_values)
+    d_q[rows, batch.a] = 2.0 * diff / n
+    return loss, td_backward(network, cache, d_q)
+
+
+def clip_gradients(grads: ss.QNetworkParams, max_norm: float) -> ss.QNetworkParams:
+    """Rescale so the global norm is at most max_norm; max_norm<=0 disables."""
+    if max_norm <= 0 or (total := math.sqrt(grads.theta @ grads.theta)) <= max_norm:
+        return grads
+    return grads.with_theta(grads.theta * (max_norm / total))
+
+
+def sgd_step(params: ss.QNetworkParams, grads: ss.QNetworkParams,
+             lr: float) -> ss.QNetworkParams:
+    return params.with_theta(params.theta - lr * grads.theta)

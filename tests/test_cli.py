@@ -213,6 +213,34 @@ def test_eval_truncated_checkpoint_exit_3(tmp_path, capsys):
     assert err.startswith("ERROR[validation]: tensor b_r")
 
 
+def test_eval_checkpoint_with_a_stray_key_exit_3(tmp_path, capsys):
+    lines = ss.network.params_to_text(ss.init_params((16, 16), seed=1)).splitlines()
+    lines.insert(3, "seed=3")
+    ckpt = tmp_path / "ckpt.txt"
+    ckpt.write_text("\n".join(lines) + "\n")
+    scenario = tmp_path / "flow.csv"
+    ss.write_flow_csv(ss.sample_arrivals([10] * 8, 300.0, 3), scenario)
+    code, _, err = run_cli(capsys, "eval", "--scenario", str(scenario), "--checkpoint",
+                           str(ckpt), "--out", str(tmp_path / "eval"))
+    assert code == 3
+    assert err.startswith("ERROR[validation]: ") and "ckpt.txt:4: unknown key 'seed'" in err
+
+
+def test_adapt_meta_checkpoint_without_alpha_exit_3(tmp_path, capsys):
+    ckpt = tmp_path / "meta.txt"
+    ss.save_meta_checkpoint(ss.MetaCheckpoint(ss.init_params((16, 16), seed=1),
+                                              ss.MetaHyper(), "digest"), ckpt)
+    lines = [line for line in ckpt.read_text().splitlines() if not line.startswith("alpha=")]
+    ckpt.write_text("\n".join(lines) + "\n")
+    scenario = tmp_path / "flow.csv"
+    ss.write_flow_csv(ss.sample_arrivals([10] * 8, 300.0, 3), scenario)
+    code, _, err = run_cli(capsys, "adapt", "--checkpoint", str(ckpt), "--scenario",
+                           str(scenario), "--out", str(tmp_path / "adapted"))
+    assert code == 3
+    assert err.startswith("ERROR[validation]: ") and "without ['alpha']" in err
+    assert not (tmp_path / "adapted").exists()
+
+
 # ---------------------------------------------------------------------------
 # parser behaviour
 

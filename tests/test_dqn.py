@@ -155,6 +155,24 @@ def test_training_log_schema(tmp_path):
     assert all(a >= b for a, b in zip(eps, eps[1:]))
 
 
+def test_training_binds_each_parameter_version_once(monkeypatch):
+    # the start, each SGD result and each target sync at most: neither the
+    # TD step nor an exploit decision binds on its own
+    binds = []
+    real_bind = ss.network.bind
+
+    def counting_bind(params, config):
+        binds.append(params)
+        return real_bind(params, config)
+
+    for module in (ss.network, ss.dqn):
+        monkeypatch.setattr(module, "bind", counting_bind)
+    hyper = ss.DqnHyper(episodes=2, target_sync=7, epsilon_start=0.3, seed=5)
+    result = ss.train_dqn(small_config(), [small_flow()], hyper)
+    assert result.updates > hyper.target_sync
+    assert len(binds) <= result.updates + result.updates // hyper.target_sync + 1
+
+
 def test_training_requires_scenarios():
     with pytest.raises(ValueError):
         ss.train_dqn(small_config(), [], ss.DqnHyper(episodes=1))

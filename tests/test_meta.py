@@ -336,6 +336,20 @@ def test_meta_checkpoint_header_rejects_an_unknown_key(tmp_path):
         ss.load_meta_checkpoint(path)
 
 
+@pytest.mark.parametrize("key", ["alpha", "scenario_digest"])
+def test_meta_checkpoint_header_requires_every_field(tmp_path, key):
+    # a missing field once loaded its default without a word
+    path = tmp_path / "m.ckpt"
+    ss.save_meta_checkpoint(tiny_checkpoint(small_config(), alpha=5e-4), path)
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith(f"{key}=")]
+    path.write_text("\n".join(lines) + "\n")
+    header_end = next(i for i, line in enumerate(lines) if line.startswith("tensor "))
+    with pytest.raises(ss.ParseError,
+                       match=rf"m\.ckpt:{header_end}: the header ends without \['{key}'\]"):
+        ss.load_meta_checkpoint(path)
+
+
 def test_checked_in_meta_checkpoint_loads_and_resaves_byte_identical(tmp_path):
     path = Path(__file__).resolve().parents[1] / "bench" / "data" / "meta_seed0.ckpt"
     loaded = ss.load_meta_checkpoint(path)

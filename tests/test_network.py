@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -215,7 +216,7 @@ def test_views_alias_theta():
     assert params.theta[-1] == -5.0
     params.theta[4 * 2] = 7.0          # first entry of b_e
     assert params.b_e[0] == 7.0
-    # bound once, not rebuilt per read (frap_forward reads all six per call)
+    # made on the first read and kept, not rebuilt per read
     assert params.W_c is params.W_c
 
 
@@ -338,4 +339,29 @@ def test_checkpoint_non_hex_payload_names_tensor(tmp_path):
     path = tmp_path / "ckpt.txt"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="tensor w_r: non-hexadecimal"):
+        ss.load_params(path)
+
+
+@pytest.mark.parametrize("stray, message", [
+    ("hello world", "expected key=value, got 'hello world'"),
+    ("embed_dm=8", "unknown key 'embed_dm'"),
+    ("seed=3", "unknown key 'seed'"),
+])
+def test_checkpoint_stray_line_names_its_line(tmp_path, stray, message):
+    # each of these lines was once passed over, and the weights loaded
+    lines = params_to_text(ss.init_params((8, 8), seed=26)).splitlines()
+    assert lines[5].startswith("tensor b_e ")
+    lines.insert(5, stray)                      # line 6, between two tensors
+    path = tmp_path / "ckpt.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ss.ParseError, match=rf"ckpt\.txt:6: {re.escape(message)}"):
+        ss.load_params(path)
+
+
+def test_checkpoint_unknown_tensor_names_its_line(tmp_path):
+    lines = params_to_text(ss.init_params((8, 8), seed=27)).splitlines()
+    lines[5:5] = ["tensor b_x 8", (np.zeros(8)).astype("<f8").tobytes().hex()]
+    path = tmp_path / "ckpt.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ss.ParseError, match=r"ckpt\.txt:6: unknown tensor 'b_x'"):
         ss.load_params(path)

@@ -11,10 +11,12 @@ import pytest
 
 import signalshift as ss
 from signalshift.intersection import episode_result, rollout
-from signalshift.network import _decide, _forward, _forward_bound, bind, params_to_text
+from signalshift.network import _decide, _forward_bound, bind, clip_gradients, params_to_text
 
+import reference_kernel
 import reference_sim
 from reference_kernel import bellman_grads as reference_bellman_grads
+from reference_kernel import forward
 from reference_kernel import forward_batch as reference_forward
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -107,12 +109,40 @@ CASES = dict(config=phase_configs(), embed_dim=st.integers(1, 16),
 @given(**CASES)
 def test_array_kernel_matches_the_per_pair_reference(config, embed_dim, compete_dim, n, seed):
     params, target, batch = random_case(config, embed_dim, compete_dim, n, seed)
-    assert_close(_forward(params, batch.x, config)[0],
+    assert_close(forward(params, batch.x, config)[0],
                  reference_forward(params, batch.x, config)[0])
     loss, grads = ss.bellman_grads(params, batch, target, 0.8, config)
     want_loss, want = reference_bellman_grads(params, batch, target, 0.8, config)
     assert_close(loss, want_loss)
     assert_close(grads.theta, want.theta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_target=st.booleans(), bind_learner=st.booleans(), bind_target=st.booleans(),
+       max_norm=st.sampled_from([0.0, 1e-3, 1.0, 1e9]), **CASES)
+def test_td_step_equals_the_per_call_binding_td_step_bit_for_bit(
+        config, embed_dim, compete_dim, n, seed, same_target, bind_learner, bind_target,
+        max_norm):
+    # the TD step on QNetworkParams or bound networks, the target the
+    # learner itself or another network, against the TD step that bound
+    # both per call and took the pair gradient through a one-hot dL/dQ
+    params, target, batch = random_case(config, embed_dim, compete_dim, n, seed)
+    if same_target:
+        target = params
+    learner = bind(params, config) if bind_learner else params
+    if same_target and bind_target == bind_learner:
+        target_arg = learner
+    else:
+        target_arg = bind(target, config) if bind_target else target
+    loss, grads = ss.bellman_grads(learner, batch, target_arg, 0.8, config)
+    want_loss, want = reference_kernel.td_bellman_grads(params, batch, target, 0.8, config)
+    assert np.float64(loss).view(np.uint64) == np.float64(want_loss).view(np.uint64)
+    assert np.array_equal(grads.theta, want.theta)
+    lr = 1e-3
+    got = ss.sgd_step(params, clip_gradients(grads, max_norm), lr)
+    want = reference_kernel.sgd_step(params, reference_kernel.clip_gradients(want, max_norm),
+                                     lr)
+    assert np.array_equal(got.theta.view(np.uint64), want.theta.view(np.uint64))
 
 
 @settings(max_examples=100, deadline=None)
@@ -123,8 +153,8 @@ def test_relabeling_phases_permutes_q_and_keeps_the_td_step(config, embed_dim, c
     perm = np.random.default_rng(perm_seed).permutation(config.n_phases)
     relabeled = replace(config, phases=tuple(config.phases[p] for p in perm))
     # new phase i is old phase perm[i]
-    q = _forward(params, batch.x, config)[0]
-    assert_close(_forward(params, batch.x, relabeled)[0], q[:, perm])
+    q = forward(params, batch.x, config)[0]
+    assert_close(forward(params, batch.x, relabeled)[0], q[:, perm])
     loss, grads = ss.bellman_grads(params, batch, target, 0.8, config)
     relabeled_batch = batch._replace(a=np.argsort(perm)[batch.a])
     loss_p, grads_p = ss.bellman_grads(params, relabeled_batch, target, 0.8, relabeled)
@@ -142,10 +172,10 @@ def test_stacked_forward_equals_each_network_bit_for_bit(config, embed_dim, comp
     stack = ss.QNetworkParams(embed_dim, compete_dim,
                               np.stack([params.theta for params, _, _ in cases]))
     x = np.stack([batch.x for _, _, batch in cases])                  # (T, 1, M, 2)
-    q = _forward(stack, x, config)[0]
+    q = forward(stack, x, config)[0]
     assert q.shape == (n_sets, 1, config.n_phases)
     for t, (params, _, batch) in enumerate(cases):
-        assert np.array_equal(q[t], _forward(params, batch.x, config)[0])
+        assert np.array_equal(q[t], forward(params, batch.x, config)[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,7 +187,7 @@ def test_bound_forward_equals_forward_bit_for_bit(config, embed_dim, compete_dim
     # T-stack, each forward twice, so a forward that wrote to its bound
     # operands would show in the second
     cases = [random_case(config, embed_dim, compete_dim, 1, seed + t) for t in range(n_sets)]
-    want = [_forward(params, batch.x, config)[0][0] for params, _, batch in cases]
+    want = [forward(params, batch.x, config)[0][0] for params, _, batch in cases]
     for (params, _, batch), q in zip(cases, want):
         network = bind(params, config)
         for _ in range(2):
