@@ -23,11 +23,12 @@ from .network import (
     DEFAULT_EMBED_DIM,
     Batch,
     QNetworkParams,
+    _bound,
     bellman_grads,
     bind,
     check_bounded,
     clip_gradients,
-    frap_forward,
+    greedy_phase,
     init_params,
     sgd_step,
 )
@@ -110,35 +111,46 @@ class DqnHyper:
 
 
 class LazyQ(NamedTuple):
-    """The Q-values `frap_forward(network, obs, config)` before they are
-    computed, for `epsilon_greedy` to compute only when it exploits."""
+    """A decision's network and observation before the forward runs, for
+    `epsilon_greedy` to run it, through `greedy_phase`, only when it
+    exploits."""
 
     network: object                    # QNetworkParams or a BoundNetwork
     obs: np.ndarray
     config: IntersectionConfig
 
 
-def epsilon_greedy(q, epsilon: float, rng: np.random.Generator | None) -> int:
-    """Argmax of the Q-values `q` with probability 1-epsilon (ties to the
-    lowest index), otherwise a uniformly random phase.
-
-    `q` may be a `LazyQ`, whose forward then runs on exploit decisions only.
-    The forward draws nothing from `rng`, so the draws and the phase picked
-    are those of passing its Q-values."""
-    lazy = isinstance(q, LazyQ)
-    values = None if lazy else np.asarray(q)
-    size = q.config.n_phases if lazy else values.size
-    if size == 0:
-        raise ValueError("empty Q-values")
+def _explore(epsilon: float, rng: np.random.Generator | None, n_phases: int) -> int | None:
+    """The exploration draw of `epsilon_greedy`: with probability epsilon a
+    uniformly random phase, else None (exploit).  It draws from `rng` only
+    when epsilon > 0: one coin, then the phase if exploring."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     if epsilon > 0.0:
         if rng is None:
             raise ValueError("epsilon > 0 requires an RNG")
         if rng.random() < epsilon:
-            return int(rng.integers(size))
+            return int(rng.integers(n_phases))
+    return None
+
+
+def epsilon_greedy(q, epsilon: float, rng: np.random.Generator | None) -> int:
+    """Argmax of the Q-values `q` with probability 1-epsilon (ties to the
+    lowest index), otherwise a uniformly random phase.
+
+    `q` may be a `LazyQ`, whose forward then runs on exploit decisions only,
+    through `greedy_phase`.  The forward draws nothing from `rng`, so the
+    draws and the phase picked are those of passing its Q-values."""
+    lazy = isinstance(q, LazyQ)
+    values = None if lazy else np.asarray(q)
+    size = q.config.n_phases if lazy else values.size
+    if size == 0:
+        raise ValueError("empty Q-values")
+    explored = _explore(epsilon, rng, size)
+    if explored is not None:
+        return explored
     if lazy:
-        values = frap_forward(*q)
+        return greedy_phase(_bound(q.network, q.config), q.obs)
     return int(values.argmax())
 
 
@@ -233,8 +245,9 @@ def write_training_log(log: list[LogRow], path) -> None:
 # Policies
 
 class GreedyPolicy:
-    """Deterministic argmax policy over the network's Q-values; the network
-    is bound to the config once, for every decision."""
+    """Deterministic argmax policy over the network's Q-values, through
+    `greedy_phase`; the network is bound to the config once, for every
+    decision."""
 
     def __init__(self, params: QNetworkParams, config: IntersectionConfig):
         self.params = params
@@ -242,7 +255,7 @@ class GreedyPolicy:
         self._network = bind(params, config)
 
     def __call__(self, obs: np.ndarray) -> int:
-        return int(frap_forward(self._network, obs, self.config).argmax())
+        return greedy_phase(self._network, obs)
 
 
 class FixedTimePolicy:

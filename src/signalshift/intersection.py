@@ -6,6 +6,11 @@ movement is green.  Switching phases costs an all-red lost time.  The
 decision granularity (one action per decision interval) is what an RL
 controller interacts with; inside an interval the simulator ticks at a
 finer resolution.
+
+The config derives what every decision reads once, when it is made: the
+ticks per decision, the phase count, the phase membership and one
+observation template per phase (zero queues, the phase's green flags),
+which `observe` copies and fills with the queue counts.
 """
 
 from __future__ import annotations
@@ -61,15 +66,18 @@ class IntersectionConfig:
         # derived once here, not per decision; not fields, so equality,
         # hashing and `replace` see the nine fields alone
         object.__setattr__(self, "ticks_per_interval", int(round(ratio)))
+        object.__setattr__(self, "n_phases", len(phases))
         member = np.zeros((len(phases), self.n_movements))
         for p, movements in enumerate(phases):
             member[p, list(movements)] = 1.0
-        member.flags.writeable = False
+        # observation template per phase (P, M, 2): zero queues, the phase's
+        # green flags; `observe` copies a row and writes the queues
+        template = np.zeros((len(phases), self.n_movements, 2))
+        template[:, :, 1] = member
+        for derived in (member, template):
+            derived.flags.writeable = False
         object.__setattr__(self, "_membership", member)
-
-    @property
-    def n_phases(self) -> int:
-        return len(self.phases)
+        object.__setattr__(self, "_templates", template)
 
 
 @dataclass
@@ -146,12 +154,12 @@ def observe(state: SimState, config: IntersectionConfig) -> np.ndarray:
     """What the controller sees at a decision boundary: a fresh float64
     (M, 2) array holding each movement's queue count and whether the
     current phase gives it green.  This row is the Q-network's input and
-    the replay's storage format, and observe is its only writer."""
+    the replay's storage format, and observe is its only writer: a copy of
+    the current phase's read-only template with the queues written in."""
     if len(state.queued) != config.n_movements:
         raise ValueError("state/config movement count mismatch")
-    obs = np.empty((config.n_movements, 2))
+    obs = config._templates[state.current_phase].copy()
     obs[:, 0] = state.queued
-    obs[:, 1] = config._membership[state.current_phase]
     return obs
 
 
@@ -202,7 +210,9 @@ def step(state: SimState, action: int, config: IntersectionConfig,
             reach = flow[cursor][0] + approach if cursor < n_flow else math.inf
 
         if in_yellow > 0:
-            in_yellow = max(0.0, in_yellow - tick)
+            in_yellow -= tick
+            if in_yellow < 0.0:
+                in_yellow = 0.0
         else:
             exit_time = t0 + tick
             for m in green:
@@ -223,8 +233,7 @@ def step(state: SimState, action: int, config: IntersectionConfig,
             _check_conservation(state)
 
     state.clock, state.cursor, state.in_yellow = clock, cursor, in_yellow
-    reward = float(-state.queued_count())
-    return state, reward
+    return state, float(-sum(queued))
 
 
 def rollout(config: IntersectionConfig, flows, act, on_step=None, on_end=None,
@@ -239,8 +248,9 @@ def rollout(config: IntersectionConfig, flows, act, on_step=None, on_end=None,
     obs_next))`, where i is the episode's index; the tuple is the form
     `ReplayMemory.push` takes.  An episode simulates the demand horizon,
     then up to `drain` extra seconds, and leaves the lockstep early once
-    its network is empty; `on_end(i, state)`, if given, then receives its
-    final state, which the loop does not keep.
+    its network is empty (a reward of 0, no vehicle queued, and none left
+    to reach the stop line); `on_end(i, state)`, if given, then receives
+    its final state, which the loop does not keep.
     """
     horizon, end = config.horizon, config.horizon + config.drain
     states = [initial_state(config, flow) for flow in flows]
@@ -254,7 +264,10 @@ def rollout(config: IntersectionConfig, flows, act, on_step=None, on_end=None,
             x_next = observe(state, config)
             if on_step is not None:
                 on_step(i, (x, action, reward, x_next))
-            if state.clock < horizon or (state.clock < end and not state.is_empty()):
+            # the network is empty once no vehicle is queued (reward 0) and
+            # none is left to reach the stop line
+            if state.clock < horizon or (state.clock < end and (
+                    reward or state.cursor < len(state.flow))):
                 still.append(i)
                 obs_next.append(x_next)
             else:

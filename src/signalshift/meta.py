@@ -25,6 +25,7 @@ from .network import (
     DEFAULT_COMPETE_DIM,
     DEFAULT_EMBED_DIM,
     QNetworkParams,
+    _decide,
     bind,
     check_bounded,
     frap_forward,
@@ -41,7 +42,7 @@ from .scenarios import (
     read_known_keys,
     write_file,
 )
-from .dqn import LazyQ, ReplayMemory, epsilon_greedy, td_grads
+from .dqn import LazyQ, ReplayMemory, _explore, epsilon_greedy, td_grads
 # kept bound here: bench/selftest.py checks that the tracer restores
 # `meta.bellman_grads`; TD steps go through `td_grads`
 from .network import bellman_grads  # noqa: F401
@@ -220,19 +221,56 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
     return MetaTrainResult(checkpoint, log, time.perf_counter() - t_start)
 
 
+def _live_stack(thetas: np.ndarray, dims: tuple[int, int], config: IntersectionConfig):
+    """`stack(live)`: the networks of the live episodes of a lockstep
+    rollout, row i of `thetas` being episode i's, bound as one stack for a
+    forward at B=1.  The stack is bound again only when the live set
+    changes."""
+    bound, bound_live = None, None
+
+    def stack(live):
+        nonlocal bound, bound_live
+        if live != bound_live:
+            bound = bind(QNetworkParams(*dims, thetas[live]), config)
+            bound_live = live
+        return bound
+    return stack
+
+
 def _collect_experience(theta: QNetworkParams, scenarios: list[FlowSpec],
                         config: IntersectionConfig, hyper: MetaHyper,
                         rngs) -> list[ReplayMemory]:
     """`hyper.adapt_data_budget` episodes per scenario acting
     epsilon-greedily from theta, the scenarios stepped in lockstep.
     Scenario i's epsilon draws come from rngs[i], and so do the batches its
-    replay memory (the one returned at i) later samples."""
-    memories = [ReplayMemory(hyper.capacity, seed=rng) for rng in rngs]
-    network = bind(theta, config)
+    replay memory (the one returned at i) later samples.
 
-    def act(live, obs):
-        return [epsilon_greedy(LazyQ(network, x, config), hyper.rollout_epsilon, rngs[i])
-                for i, x in zip(live, obs)]
+    With several scenarios, each decision first draws every live episode's
+    exploration from its own generator, then runs one forward of theta
+    stacked over the live set, whose rows are the Q-values each episode
+    alone would get; only the exploiting episodes' rows are read and
+    checked.  One scenario acts through `epsilon_greedy` on one network."""
+    memories = [ReplayMemory(hyper.capacity, seed=rng) for rng in rngs]
+    epsilon = hyper.rollout_epsilon
+    if len(scenarios) == 1:
+        network = bind(theta, config)
+
+        def act(live, obs):
+            return [epsilon_greedy(LazyQ(network, obs[0], config), epsilon, rngs[0])]
+    else:
+        stack = _live_stack(np.broadcast_to(theta.theta, (len(scenarios), theta.theta.size)),
+                            (theta.embed_dim, theta.compete_dim), config)
+
+        def act(live, obs):
+            phases = [_explore(epsilon, rngs[i], config.n_phases) for i in live]
+            exploit = [j for j, phase in enumerate(phases) if phase is None]
+            if exploit:
+                q = _decide(stack(live), np.array(obs))[exploit]
+                if not np.isfinite(q).all():
+                    raise FloatingPointError("non-finite Q-values")
+                for j, phase in zip(exploit, q.argmax(axis=1).tolist()):
+                    phases[j] = phase
+            return phases
 
     for _ in range(hyper.adapt_data_budget):
         rollout(config, scenarios, act,
@@ -307,17 +345,10 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
             iterates[k].append(check_bounded(adapted).theta)
             done = k
     thetas = np.stack([theta for k in steps for theta in iterates[k]])
-    stack, stack_live = None, None
+    stack = _live_stack(thetas, (theta0.embed_dim, theta0.compete_dim), config)
 
     def act(live, obs):
-        # the live episodes' networks as one stack, bound while the live
-        # set holds: one forward at B=1
-        nonlocal stack, stack_live
-        if live != stack_live:
-            stack = bind(QNetworkParams(theta0.embed_dim, theta0.compete_dim, thetas[live]),
-                         config)
-            stack_live = live
-        return frap_forward(stack, np.array(obs), config).argmax(axis=1)
+        return frap_forward(stack(live), np.array(obs), config).argmax(axis=1)
 
     times: list[float | None] = [None] * len(thetas)
 

@@ -40,6 +40,14 @@ batch forward's products at B=1 on the same shapes, so its Q-values equal
 the batch forward's bit for bit (a property test checks this), but it
 skips the B axis's reshapes and indexing and builds no cache.
 
+A single network's decision goes through one checked greedy rule,
+`greedy_phase`: shape check, decision forward, finiteness, and the first
+phase of largest Q-value, read off the P values as a Python list.  Lockstep
+episodes that share one network, as adaptation's experience collection
+over several scenarios does, run it as a stack of copies at B=1, one row
+per live episode: by the bit-equality above each row is the Q-values that
+episode would get alone.
+
 Weights and gradients are one type: a flat float64 vector `theta` with a
 named view per tensor, so SGD is `theta - lr * g.theta`; the backward pass
 writes its gradient as one such vector.  Updates return new objects and
@@ -303,6 +311,24 @@ def frap_forward(network, obs: np.ndarray, config: IntersectionConfig) -> np.nda
     if not np.isfinite(q).all():
         raise FloatingPointError("non-finite Q-values")
     return q
+
+
+def greedy_phase(network: BoundNetwork, obs: np.ndarray) -> int:
+    """The greedy decision of one bound network for one (M, 2) observation:
+    the first phase of largest Q-value, the lowest-index rule `argmax`
+    applies to finite values.  Q-values that are not finite raise
+    FloatingPointError, an observation of the wrong shape ValueError.
+
+    Phases whose Q-values are equal in exact arithmetic sum their pair
+    scores in different orders, so which of them wins still rests on
+    rounding."""
+    if obs.shape != network.obs_shape:
+        raise ValueError(f"observation has shape {obs.shape}, the config and the "
+                         f"network need {network.obs_shape}")
+    q = _decide(network, obs).tolist()
+    if not all(map(math.isfinite, q)):
+        raise FloatingPointError("non-finite Q-values")
+    return q.index(max(q))
 
 
 def bellman_grads(params, batch: Batch, target_params, gamma: float,

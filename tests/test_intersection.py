@@ -1,10 +1,12 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import signalshift as ss
+from signalshift.intersection import rollout
 
+import reference_sim
 from conftest import queued_state
 
 
@@ -64,6 +66,52 @@ def test_observe_is_pure():
     first[0] = 99  # mutating a copy must not leak into the state
     assert state.queued[0] == len(state.exits[0]) == 0
     assert np.array_equal(ss.observe(state, cfg), second)
+
+
+def test_observe_returns_a_fresh_writable_row_and_keeps_the_template():
+    cfg = ss.IntersectionConfig()
+    state = queued_state(cfg, {0: 3, 5: 2})
+    template = cfg._templates.copy()
+    obs = ss.observe(state, cfg)
+    assert obs.shape == (8, 2) and obs.dtype == np.float64
+    assert obs.flags.writeable and obs.flags.c_contiguous and obs.flags.owndata
+    obs[...] = -7.0
+    assert np.array_equal(cfg._templates, template)
+    assert np.array_equal(ss.observe(state, cfg)[:, 1], cfg._membership[state.current_phase])
+    assert list(ss.observe(state, cfg)[:, 0]) == [3, 0, 0, 0, 0, 2, 0, 0]
+
+
+def test_observation_template_and_membership_are_read_only():
+    cfg = ss.IntersectionConfig()
+    assert cfg._templates.shape == (4, 8, 2)
+    assert np.array_equal(cfg._templates[:, :, 0], np.zeros((4, 8)))
+    assert np.array_equal(cfg._templates[:, :, 1], cfg._membership)
+    for derived in (cfg._templates, cfg._membership):
+        assert not derived.flags.writeable
+        with pytest.raises(ValueError):
+            derived[0, 0] = 1.0
+
+
+def test_replace_rebuilds_the_derived_phase_data():
+    cfg = ss.IntersectionConfig()
+    three = replace(cfg, phases=((0, 1, 4), (2, 3, 5), (6, 7)))
+    assert three.n_phases == 3 and cfg.n_phases == 4
+    assert three._templates.shape == (3, 8, 2)
+    assert list(three._templates[2, :, 1]) == [0, 0, 0, 0, 0, 0, 1, 1]
+    state = ss.initial_state(three, empty_flow())
+    state.current_phase = 2
+    assert list(ss.observe(state, three)[:, 1]) == [0, 0, 0, 0, 0, 0, 1, 1]
+
+
+def test_derived_attributes_are_not_fields():
+    # equality, hashing and `replace` see the nine fields alone
+    cfg = ss.IntersectionConfig()
+    names = [f.name for f in fields(cfg)]
+    assert len(names) == 9
+    assert not {"n_phases", "ticks_per_interval", "_membership", "_templates"} & set(names)
+    same = replace(cfg)
+    assert same == cfg and hash(same) == hash(cfg)
+    assert same._templates is not cfg._templates
 
 
 def test_observe_movement_mismatch():
@@ -228,6 +276,66 @@ def test_drain_stops_early_when_empty():
     # vehicle clears at t=22; simulation should stop at the first drain
     # check, not burn the whole 600s
     assert len(result.reward_trace) == 10  # exactly the horizon's decisions
+
+
+def reference_decisions(config, flow, actions):
+    """(reward, still running) per decision of the reference simulator: an
+    episode runs through the horizon, then while the network holds a
+    vehicle, queued or still approaching, until the drain ends."""
+    state = ss.initial_state(config, flow)
+    end = config.horizon + config.drain
+    decisions = []
+    for action in actions:
+        state, reward = reference_sim.step(state, action, config)
+        running = state.clock < config.horizon or (state.clock < end and not state.is_empty())
+        decisions.append((reward, running, state.cursor < len(flow.arrivals)))
+        if not running:
+            return decisions
+    raise AssertionError("the reference episode outlasted the actions")
+
+
+def rollout_rewards(config, flow, actions):
+    rewards, ends = [], []
+    rollout(config, [flow], lambda live, obs: [actions[len(rewards)]],
+            lambda i, transition: rewards.append(transition[2]),
+            lambda i, state: ends.append(len(rewards)))
+    assert ends == [len(rewards)]
+    return rewards
+
+
+@pytest.mark.parametrize("phase, decisions, queued_at_70, queued_at_end", [
+    # phase 0 serves the first vehicle at 22 s and the second at 77 s:
+    # nothing queued at 70 s while the second approaches, and the episode
+    # ends at 80 s, with the flow used up and nothing queued
+    (0, 8, 0, 0),
+    # phase 1 never serves movement 0: both vehicles wait until the drain ends
+    (1, 18, 1, 2),
+])
+def test_rollout_ends_at_the_drain_boundary_as_the_reference(phase, decisions, queued_at_70,
+                                                            queued_at_end):
+    # the second vehicle enters at 55 s and reaches the stop line at 75 s
+    cfg = ss.IntersectionConfig(horizon=60.0, drain=120.0)
+    flow = ss.FlowSpec([(0.0, 0), (55.0, 0)], horizon=60.0)
+    actions = [phase] * 100
+    want = reference_decisions(cfg, flow, actions)
+    assert rollout_rewards(cfg, flow, actions) == [reward for reward, _, _ in want]
+    assert len(want) == decisions
+    # the decision ending at 70 s, past the horizon, with a vehicle approaching
+    assert want[6] == (-queued_at_70, True, True)
+    assert want[-1] == (-queued_at_end, False, False)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rollout_decisions_equal_the_reference_on_flows_ending_near_the_horizon(seed):
+    rng = np.random.default_rng(seed)
+    cfg = ss.IntersectionConfig(horizon=60.0, drain=60.0)
+    n = int(rng.integers(0, 12))
+    arrivals = sorted(zip(rng.uniform(30.0, 60.0, n).tolist(),
+                          rng.integers(0, 8, n).tolist()))
+    flow = ss.FlowSpec(arrivals, horizon=60.0)
+    actions = rng.integers(0, cfg.n_phases, 100).tolist()
+    want = reference_decisions(cfg, flow, actions)
+    assert rollout_rewards(cfg, flow, actions) == [reward for reward, _, _ in want]
 
 
 def test_vehicle_trace_file(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import signalshift as ss
 from signalshift.meta import (
     MetaLogRow,
+    _collect_experience,
     adapt_params,
     scenario_digest,
     write_ablation_csv,
@@ -293,6 +295,37 @@ def test_ablate_rows_equal_one_adaptation_per_k_and_scenario():
     rows = ss.ablate_steps(ckpt, flows, ks, cfg, seed=2)
     assert repr(rows) == repr(reference_ablate_steps(ckpt, flows, ks, cfg, seed=2))
     assert [r.k for r in rows] == ks
+
+
+def memory_rows(memory):
+    n = len(memory)
+    return (n, memory._cursor, memory._x[:n].tobytes(), memory._x_next[:n].tobytes(),
+            memory._a[:n].tobytes(), memory._r[:n].tobytes())
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("capacity", [10_000, 50])
+def test_stacked_collection_equals_collecting_one_scenario_at_a_time(epsilon, capacity):
+    cfg = small_config()
+    theta = tiny_checkpoint(cfg).theta0
+    hyper = ss.MetaHyper(rollout_epsilon=epsilon, adapt_data_budget=2, capacity=capacity)
+    # a heavy flow, an empty one and two light ones: the empty flow's
+    # episode ends at the horizon and the others later, at ε = 1 at three
+    # different decisions, so the live set shrinks during the episodes
+    flows = [ss.sample_arrivals([40, 60, 30, 50, 40, 60, 30, 50], 300.0, 2),
+             ss.FlowSpec([], horizon=300.0),
+             ss.sample_arrivals([2] * 8, 300.0, 1),
+             ss.sample_arrivals([8, 30, 4, 6, 8, 30, 4, 6], 300.0, 0)]
+    rngs = [spawn_rng(7, i) for i in range(len(flows))]
+    fresh = copy.deepcopy(rngs)
+    memories = _collect_experience(theta, flows, cfg, hyper, rngs)
+    for flow, memory, rng, alone_rng in zip(flows, memories, rngs, fresh):
+        [alone] = _collect_experience(theta, [flow], cfg, hyper, [alone_rng])
+        assert memory_rows(memory) == memory_rows(alone)
+        assert rng.bit_generator.state == alone_rng.bit_generator.state
+    if capacity > 50:
+        # no memory is full: the episodes left the lockstep at different decisions
+        assert len({len(memory) for memory in memories}) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,15 @@ import pytest
 
 import signalshift as ss
 from signalshift.intersection import episode_result, rollout
-from signalshift.network import _decide, _forward_bound, bind, clip_gradients, params_to_text
+from signalshift.dqn import LazyQ
+from signalshift.network import (
+    _decide,
+    _forward_bound,
+    bind,
+    clip_gradients,
+    greedy_phase,
+    params_to_text,
+)
 
 import reference_kernel
 import reference_sim
@@ -221,6 +229,61 @@ def test_decision_forward_equals_the_batch_forward_at_b1_bit_for_bit(
     q = _decide(network, x)
     assert q.shape == lead + (config.n_phases,)
     assert np.array_equal(q.view(np.uint64), want[..., 0, :].view(np.uint64))
+
+
+def random_observation(rng, config):
+    m = config.n_movements
+    return np.stack([rng.integers(0, 40, m), rng.integers(0, 2, m)], axis=-1).astype(np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@example(config=ss.IntersectionConfig(), embed_dim=16, compete_dim=16, scale=0.0, tie=False,
+         seed=0)
+@given(config=phase_configs(), embed_dim=st.integers(1, 16), compete_dim=st.integers(1, 16),
+       scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0]), tie=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_greedy_phase_is_the_argmax_of_the_checked_forward(config, embed_dim, compete_dim,
+                                                           scale, tie, seed):
+    rng = np.random.default_rng(seed)
+    size = ss.QNetworkParams(embed_dim, compete_dim).theta.size
+    params = ss.QNetworkParams(embed_dim, compete_dim, scale * rng.standard_normal(size))
+    if tie:
+        # no competition unit fires and b_r is 0: every pair scores exactly
+        # 0, so every Q-value is 0.  (Equal nonzero pair scores are no exact
+        # tie: the phases sum them in different orders.)
+        params.W_c[...] = 0.0
+        params.b_c[...] = -np.abs(params.b_c)
+        params.b_r[...] = 0.0
+    obs = random_observation(rng, config)
+    phase = greedy_phase(bind(params, config), obs)
+    assert phase == int(ss.frap_forward(params, obs, config).argmax())
+    if tie or scale == 0.0:
+        assert phase == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=phase_configs(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_greedy_decisions_check_the_q_values_and_the_observation(config, bad, seed):
+    # one phase has no rival: its Q-value is an empty sum, 0 whatever b_r is
+    assume(config.n_phases >= 2)
+    rng = np.random.default_rng(seed)
+    params = ss.init_params((4, 3), seed=seed)
+    obs = random_observation(rng, config)
+    m = config.n_movements
+    for wrong in (obs[:, :1], np.zeros((m + 1, 2)), obs[None]):
+        with pytest.raises(ValueError):
+            ss.GreedyPolicy(params, config)(wrong)
+        with pytest.raises(ValueError):
+            ss.epsilon_greedy(LazyQ(params, wrong, config), 0.0, None)
+    params.b_r[...] = bad
+    # the forward's own inf * 0 would warn, and warnings are errors here
+    with np.errstate(invalid="ignore"):
+        for network in (params, bind(params, config)):
+            with pytest.raises(FloatingPointError):
+                ss.epsilon_greedy(LazyQ(network, obs, config), 0.0, None)
+        with pytest.raises(FloatingPointError):
+            ss.GreedyPolicy(params, config)(obs)
 
 
 # ---------------------------------------------------------------------------
