@@ -70,7 +70,6 @@ from .meta import (
     MetaTrainResult,
     ablate_steps,
     adapt_to_scenario,
-    apply_gradient_steps,
     global_update,
     individual_adapt,
     load_meta_checkpoint,

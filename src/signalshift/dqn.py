@@ -1,8 +1,10 @@
 """Value-based training loop and non-learning baseline policies.
 
-The trainer interleaves epsilon-greedy rollouts with one TD update per
-decision once the replay memory is warm, syncing a frozen target copy of
-the network every `target_sync` updates.
+`TDLearner` is the one online TD update rule: per decision it acts
+epsilon-greedily, stores the transition and, once its replay memory holds
+a batch, takes a clipped TD step.  DQN training syncs its target every
+`target_sync` updates; MetaLight's base learners and adaptation are their
+own target.
 """
 
 from __future__ import annotations
@@ -10,11 +12,10 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .intersection import IntersectionConfig, phase_membership, rollout
+from .intersection import IntersectionConfig, check_finite_fields, phase_membership, rollout
 # kept bound here: bench/selftest.py checks that the tracer restores
 # `dqn.step`, a function imported from another module
 from .intersection import step  # noqa: F401
@@ -22,8 +23,8 @@ from .network import (
     DEFAULT_COMPETE_DIM,
     DEFAULT_EMBED_DIM,
     Batch,
+    BoundNetwork,
     QNetworkParams,
-    _bound,
     bellman_grads,
     bind,
     check_bounded,
@@ -96,6 +97,7 @@ class DqnHyper:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite_fields(self)
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
         for name in ("epsilon_start", "epsilon_end", "epsilon_fraction"):
@@ -108,16 +110,6 @@ class DqnHyper:
             raise ValueError("episodes must be non-negative")
         if self.lr < 0:
             raise ValueError("lr must be non-negative")
-
-
-class LazyQ(NamedTuple):
-    """A decision's network and observation before the forward runs, for
-    `epsilon_greedy` to run it, through `greedy_phase`, only when it
-    exploits."""
-
-    network: object                    # QNetworkParams or a BoundNetwork
-    obs: np.ndarray
-    config: IntersectionConfig
 
 
 def _explore(epsilon: float, rng: np.random.Generator | None, n_phases: int) -> int | None:
@@ -134,35 +126,63 @@ def _explore(epsilon: float, rng: np.random.Generator | None, n_phases: int) -> 
     return None
 
 
-def epsilon_greedy(q, epsilon: float, rng: np.random.Generator | None) -> int:
-    """Argmax of the Q-values `q` with probability 1-epsilon (ties to the
-    lowest index), otherwise a uniformly random phase.
-
-    `q` may be a `LazyQ`, whose forward then runs on exploit decisions only,
-    through `greedy_phase`.  The forward draws nothing from `rng`, so the
-    draws and the phase picked are those of passing its Q-values."""
-    lazy = isinstance(q, LazyQ)
-    values = None if lazy else np.asarray(q)
-    size = q.config.n_phases if lazy else values.size
-    if size == 0:
-        raise ValueError("empty Q-values")
-    explored = _explore(epsilon, rng, size)
-    if explored is not None:
-        return explored
-    if lazy:
-        return greedy_phase(_bound(q.network, q.config), q.obs)
-    return int(values.argmax())
+def epsilon_greedy(network: BoundNetwork, obs: np.ndarray, epsilon: float,
+                   rng: np.random.Generator | None) -> int:
+    """A uniformly random phase with probability epsilon, otherwise the
+    greedy phase of `network` for the (M, 2) observation `obs` (ties to the
+    lowest index).  The forward runs on exploit decisions only and draws
+    nothing from `rng`."""
+    explored = _explore(epsilon, rng, network.select.shape[1])
+    return greedy_phase(network, obs) if explored is None else explored
 
 
 def td_grads(params, target, memory: ReplayMemory, hyper,
              config: IntersectionConfig) -> tuple[float, QNetworkParams]:
     """Squared TD loss and its gradients, clipped to `hyper.grad_clip`, on a
-    fresh replay batch: the one update rule of DQN training, meta-training
-    and adaptation (`hyper` is a DqnHyper or a MetaHyper).  The networks
-    are QNetworkParams or bound networks, as `bellman_grads` takes them."""
+    fresh replay batch: the gradient of `TDLearner.td_step`, and of a meta
+    task at its adapted network (`hyper` is a DqnHyper or a MetaHyper).
+    The networks are QNetworkParams or bound networks, as `bellman_grads`
+    takes them."""
     batch = memory.sample(hyper.batch_size)
     loss, grads = bellman_grads(params, batch, target, hyper.gamma, config)
     return loss, clip_gradients(grads, hyper.grad_clip)
+
+
+class TDLearner:
+    """The online TD update rule: an iterate, its binding, a bootstrap target
+    synced to it every `target_sync` updates (at 1 the learner is its own
+    target), a replay memory and the update count.  Each parameter version
+    is bound once, after its SGD step, for the next decisions and TD step.
+    A memory made here samples from `rng`, the generator of the epsilon
+    draws: a decision's coin, then its random phase, then its TD batch."""
+
+    def __init__(self, params: QNetworkParams, config: IntersectionConfig, hyper, lr: float,
+                 rng: np.random.Generator | None, epsilon: float = 0.0, target_sync: int = 1,
+                 memory: ReplayMemory | None = None):
+        self.params, self.config, self.hyper, self.lr, self.rng = params, config, hyper, lr, rng
+        self.network = self.target = bind(params, config)
+        self.epsilon, self.target_sync, self.updates = epsilon, target_sync, 0
+        self.memory = ReplayMemory(hyper.capacity, seed=rng) if memory is None else memory
+
+    def act(self, live, obs) -> list[int]:
+        """`rollout`'s act for one episode: epsilon-greedy on the iterate."""
+        return [epsilon_greedy(self.network, obs[0], self.epsilon, self.rng)]
+
+    def learn(self, i, transition) -> float | None:
+        """`rollout`'s on_step: store the transition, then take a TD step once
+        the memory holds a batch; returns its loss, else None."""
+        self.memory.push(transition)
+        return self.td_step() if len(self.memory) >= self.hyper.batch_size else None
+
+    def td_step(self) -> float:
+        """One clipped TD step of size `lr`; returns its loss."""
+        loss, grads = td_grads(self.network, self.target, self.memory, self.hyper, self.config)
+        self.params = sgd_step(self.params, grads, self.lr)
+        self.network = bind(self.params, self.config)
+        self.updates += 1
+        if self.updates % self.target_sync == 0:
+            self.target = self.network
+        return loss
 
 
 LogRow = namedtuple("LogRow", "update episode loss mean_reward epsilon")
@@ -182,20 +202,17 @@ def train_dqn(config: IntersectionConfig, scenarios, hyper: DqnHyper,
 
     Each decision interval: observe, act epsilon-greedy, step, store the
     transition, and (once the memory holds a batch) take one TD gradient
-    step.  Episodes run through the demand horizon plus the drain period.
-    Fully determined by (config, scenarios, hyper, dims).
+    step, the target synced every `hyper.target_sync` updates.  Episodes
+    run through the demand horizon plus the drain period.  Fully determined
+    by (config, scenarios, hyper, dims).
     """
     flows = list(scenarios)
     if not flows:
         raise ValueError("need at least one training scenario")
     t_start = time.perf_counter()
     params = init_params(dims or (DEFAULT_EMBED_DIM, DEFAULT_COMPETE_DIM), hyper.seed)
-    # each parameter version is bound once, after its SGD step: the binding
-    # serves the next decisions, the next TD step, and the target's steps
-    # while it is the target
-    network = target = bind(params, config)
-    rng = spawn_rng(hyper.seed, NS_DQN)
-    memory = ReplayMemory(hyper.capacity, seed=rng)
+    learner = TDLearner(params, config, hyper, hyper.lr, spawn_rng(hyper.seed, NS_DQN),
+                        target_sync=hyper.target_sync)
 
     decisions_per_episode = max(1, int(config.horizon // config.decision_interval))
     decay_steps = max(1, int(round(hyper.epsilon_fraction * hyper.episodes
@@ -203,36 +220,28 @@ def train_dqn(config: IntersectionConfig, scenarios, hyper: DqnHyper,
 
     log: list[LogRow] = []
     step_counter = 0
-    updates = 0
-    epsilon = hyper.epsilon_start
 
     def act(live, obs):
-        nonlocal epsilon
         frac = min(1.0, step_counter / decay_steps)
-        epsilon = hyper.epsilon_start + (hyper.epsilon_end - hyper.epsilon_start) * frac
-        return [epsilon_greedy(LazyQ(network, obs[0], config), epsilon, rng)]
+        learner.epsilon = (hyper.epsilon_start
+                           + (hyper.epsilon_end - hyper.epsilon_start) * frac)
+        return learner.act(live, obs)
 
     def learn(i, transition):
-        nonlocal params, network, target, step_counter, updates, reward_sum, reward_n
-        memory.push(transition)
+        nonlocal step_counter, reward_sum, reward_n
         reward_sum += transition[2]
         reward_n += 1
         step_counter += 1
-        if len(memory) >= hyper.batch_size:
-            loss, grads = td_grads(network, target, memory, hyper, config)
-            params = sgd_step(params, grads, hyper.lr)
-            network = bind(params, config)
-            updates += 1
-            if updates % hyper.target_sync == 0:
-                target = network
-            log.append(LogRow(updates, episode, loss, reward_sum / reward_n, epsilon))
+        if (loss := learner.learn(i, transition)) is not None:
+            log.append(LogRow(learner.updates, episode, loss, reward_sum / reward_n,
+                              learner.epsilon))
 
     for episode in range(hyper.episodes):
-        reward_sum = 0.0
-        reward_n = 0
+        reward_sum, reward_n = 0.0, 0
         rollout(config, [flows[episode % len(flows)]], act, learn)
 
-    return TrainResult(check_bounded(params), log, time.perf_counter() - t_start, updates)
+    return TrainResult(check_bounded(learner.params), log, time.perf_counter() - t_start,
+                       learner.updates)
 
 
 def write_training_log(log: list[LogRow], path) -> None:

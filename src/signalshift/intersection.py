@@ -16,7 +16,7 @@ which `observe` copies and fills with the queue counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -24,6 +24,16 @@ import numpy as np
 from .scenarios import FlowSpec, write_file
 
 DEFAULT_PHASES = ((0, 4), (1, 5), (2, 6), (3, 7))
+
+
+def check_finite_fields(settings) -> None:
+    """Raise ValueError naming the first field of the dataclass `settings`
+    whose value is a NaN or infinite float.  It runs before the range
+    checks, which NaN would pass: every comparison with it is false."""
+    for field in fields(settings):
+        value = getattr(settings, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +51,7 @@ class IntersectionConfig:
     drain: float = 600.0               # extra seconds to let queues clear
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.n_movements <= 0:
             raise ValueError("n_movements must be positive")
         phases = tuple(tuple(sorted(set(p))) for p in self.phases)

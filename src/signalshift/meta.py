@@ -2,12 +2,13 @@
 
 Meta-training alternates two levels.  Individually, a base learner starts
 from the shared initialization theta0 and takes per-decision TD gradient
-steps inside one episode of a sampled scenario.  Globally, theta0 moves
+steps inside one episode of a sampled scenario: it is `dqn.TDLearner` with
+step size alpha and itself as its bootstrap target.  Globally, theta0 moves
 against the sum of the adapted learners' gradients on fresh batches, using
 the first-order approximation (the gradient at the adapted parameters is
 applied directly to theta0).  Adaptation to a new scenario collects a
-small experience budget from theta0 and applies a handful of the same
-TD steps.
+small experience budget from theta0 and takes a handful of the same
+learner's TD steps on it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .intersection import IntersectionConfig, episode_result, rollout
+from .intersection import IntersectionConfig, check_finite_fields, episode_result, rollout
 from .network import (
     DEFAULT_COMPETE_DIM,
     DEFAULT_EMBED_DIM,
@@ -42,7 +43,7 @@ from .scenarios import (
     read_known_keys,
     write_file,
 )
-from .dqn import LazyQ, ReplayMemory, _explore, epsilon_greedy, td_grads
+from .dqn import ReplayMemory, TDLearner, _explore, epsilon_greedy, td_grads
 # kept bound here: bench/selftest.py checks that the tracer restores
 # `meta.bellman_grads`; TD steps go through `td_grads`
 from .network import bellman_grads  # noqa: F401
@@ -65,6 +66,7 @@ class MetaHyper:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite_fields(self)
         for name in ("alpha", "beta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -115,40 +117,21 @@ def scenario_digest(scenarios) -> str:
     return h.hexdigest()
 
 
-def apply_gradient_steps(theta: QNetworkParams, grad_fn, lr: float,
-                         steps: int) -> tuple[QNetworkParams, list[float]]:
-    """Iterate theta <- theta - lr * grad for `steps` steps.
-
-    `grad_fn(theta) -> (loss, gradient)` is evaluated afresh each step.
-    Returns the final parameters and the per-step losses; the input object
-    is never mutated.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    losses = []
-    for _ in range(steps):
-        loss, grads = grad_fn(theta)
-        losses.append(loss)
-        theta = sgd_step(theta, grads, lr)
-    return theta, losses
-
-
 def individual_adapt(theta: QNetworkParams, memory: ReplayMemory, steps: int,
                      config: IntersectionConfig, hyper: MetaHyper) -> QNetworkParams:
     """`steps` clipped TD gradient steps of size `hyper.alpha` from theta,
-    fresh batch each step.
-
-    The bootstrap target uses the current iterate itself (held constant
-    within a step), so each iterate is bound once, in its TD step.  The
-    original theta is untouched.
+    fresh batch each step, by a `TDLearner` that is its own bootstrap
+    target.  The original theta is untouched.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     if len(memory) < hyper.batch_size:
         raise ValueError(
             f"memory holds {len(memory)} transitions, need >= {hyper.batch_size}")
-    adapted, _ = apply_gradient_steps(
-        theta, lambda params: td_grads(params, params, memory, hyper, config),
-        hyper.alpha, steps)
-    return adapted
+    learner = TDLearner(theta, config, hyper, hyper.alpha, None, memory=memory)
+    for _ in range(steps):
+        learner.td_step()
+    return learner.params
 
 
 def global_update(theta0: QNetworkParams, adapted_grads: list[QNetworkParams],
@@ -179,34 +162,23 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
     log: list[MetaLogRow] = []
 
     for iteration in range(hyper.meta_iterations):
-        theta0_network = bind(theta0, config)
         task_idx = rng.choice(len(flows), size=hyper.task_batch, replace=False)
         task_grads: list[QNetworkParams] = []
         rollout_losses: list[float] = []
         meta_losses: list[float] = []
         for ti in task_idx:
-            memory = ReplayMemory(hyper.capacity, seed=rng)
-            # each iterate is bound once, after its SGD step, for the next
-            # decisions and the next TD step, whose target it also is
-            adapted, network = theta0, theta0_network
-
-            def act(live, obs):
-                return [epsilon_greedy(LazyQ(network, obs[0], config),
-                                       hyper.rollout_epsilon, rng)]
+            learner = TDLearner(theta0, config, hyper, hyper.alpha, rng,
+                                epsilon=hyper.rollout_epsilon)
 
             def adapt_step(i, transition):
                 # the base learner takes one TD step per decision
-                nonlocal adapted, network
-                memory.push(transition)
-                if len(memory) >= hyper.batch_size:
-                    loss, grads = td_grads(network, network, memory, hyper, config)
-                    adapted = sgd_step(adapted, grads, hyper.alpha)
-                    network = bind(adapted, config)
+                if (loss := learner.learn(i, transition)) is not None:
                     rollout_losses.append(loss)
 
-            rollout(config, [flows[int(ti)]], act, adapt_step)
-            if len(memory) >= hyper.batch_size:
-                loss, grads = td_grads(network, network, memory, hyper, config)
+            rollout(config, [flows[int(ti)]], learner.act, adapt_step)
+            if len(learner.memory) >= hyper.batch_size:
+                loss, grads = td_grads(learner.network, learner.network, learner.memory,
+                                       hyper, config)
                 task_grads.append(grads)
                 meta_losses.append(loss)
         if task_grads:
@@ -256,7 +228,7 @@ def _collect_experience(theta: QNetworkParams, scenarios: list[FlowSpec],
         network = bind(theta, config)
 
         def act(live, obs):
-            return [epsilon_greedy(LazyQ(network, obs[0], config), epsilon, rngs[0])]
+            return [epsilon_greedy(network, obs[0], epsilon, rngs[0])]
     else:
         stack = _live_stack(np.broadcast_to(theta.theta, (len(scenarios), theta.theta.size)),
                             (theta.embed_dim, theta.compete_dim), config)

@@ -67,8 +67,8 @@ def kl_distance(p_train, p_test, epsilon: float = DEFAULT_KL_EPSILON) -> float:
     smoothed to `epsilon` (then renormalized) before taking logs.  With
     epsilon=0 a support mismatch yields +inf.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     p = _as_prob_vector(p_train)
     q = _as_prob_vector(p_test)
     if len(p) != len(q):

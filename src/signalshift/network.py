@@ -28,9 +28,10 @@ config's phase matrices.  The products then run on them, with the same
 shapes whether bound once or per call, so the Q-values are the same bits.
 Each parameter version is bound once: a greedy policy, adaptation's
 experience collection and each live stack of the ablation for all their
-decisions; a training loop binds each new iterate once, after its SGD
-step, and that binding serves the next decision and the next TD step (and
-the target, while the target is the learner itself).
+decisions; the TD learner (`dqn.TDLearner`, the one update rule of DQN
+training, meta-training and adaptation) binds each new iterate once,
+after its SGD step, and that binding serves the next decision and the
+next TD step (and the target, while the target is the learner itself).
 
 There are two forwards on a bound network.  `_forward_bound` is the batch
 forward of the TD step: x (B, M, 2), and the cache the backward pass

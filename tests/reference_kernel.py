@@ -16,6 +16,13 @@ wrote each tensor's gradient through a view.  The TD step of
 `ablate_steps` is the gradient-step ablation before it adapted each scenario
 once and ran its greedy episodes in lockstep: one adaptation and one greedy
 episode per k and scenario.
+
+`train_dqn`, `train_metalight` and `individual_adapt` are the three
+training loops as each kept its own TD bookkeeping (the iterate, the
+target and its sync, the update count), run here on the TD step above and
+on epsilon-greedy over raw Q-values.  Their draws from the one generator
+come in the program's order: the epsilon coin, then the random phase if
+exploring, then each replay batch.
 """
 
 import math
@@ -23,7 +30,11 @@ import math
 import numpy as np
 
 import signalshift as ss
+from signalshift.dqn import LogRow
+from signalshift.intersection import rollout
+from signalshift.meta import MetaLogRow
 from signalshift.network import _forward_bound, bind
+from signalshift.seeding import NS_DQN, NS_META, spawn_rng
 
 
 def phase_structs(config: ss.IntersectionConfig):
@@ -165,3 +176,129 @@ def clip_gradients(grads: ss.QNetworkParams, max_norm: float) -> ss.QNetworkPara
 def sgd_step(params: ss.QNetworkParams, grads: ss.QNetworkParams,
              lr: float) -> ss.QNetworkParams:
     return params.with_theta(params.theta - lr * grads.theta)
+
+
+# ---------------------------------------------------------------------------
+# The training loops, each with its own TD bookkeeping
+
+def epsilon_greedy(q: np.ndarray, epsilon: float, rng) -> int:
+    """A random phase with probability epsilon, else the first argmax of the
+    Q-values `q`; one coin when epsilon > 0, then the phase if exploring."""
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return int(rng.integers(q.size))
+    return int(q.argmax())
+
+
+def decision_q(params, obs, config) -> np.ndarray:
+    """Q (P,) of one observation (M, 2), through the batch forward at B=1."""
+    return forward(params, obs[None], config)[0][0]
+
+
+def td_grads(params, target, memory, hyper, config):
+    """The clipped TD step on a fresh replay batch."""
+    batch = memory.sample(hyper.batch_size)
+    loss, grads = td_bellman_grads(params, batch, target, hyper.gamma, config)
+    return loss, clip_gradients(grads, hyper.grad_clip)
+
+
+def train_dqn(config, scenarios, hyper, dims=(16, 16)):
+    """(params, log, updates) of `dqn.train_dqn`: the target is a copy of
+    the learner taken every `hyper.target_sync` updates."""
+    flows = list(scenarios)
+    params = target = ss.init_params(dims, hyper.seed)
+    rng = spawn_rng(hyper.seed, NS_DQN)
+    memory = ss.ReplayMemory(hyper.capacity, seed=rng)
+    decisions_per_episode = max(1, int(config.horizon // config.decision_interval))
+    decay_steps = max(1, int(round(hyper.epsilon_fraction * hyper.episodes
+                                   * decisions_per_episode)))
+    log = []
+    step_counter = updates = 0
+    epsilon = hyper.epsilon_start
+
+    def act(live, obs):
+        nonlocal epsilon
+        frac = min(1.0, step_counter / decay_steps)
+        epsilon = hyper.epsilon_start + (hyper.epsilon_end - hyper.epsilon_start) * frac
+        return [epsilon_greedy(decision_q(params, obs[0], config), epsilon, rng)]
+
+    def learn(i, transition):
+        nonlocal params, target, step_counter, updates, reward_sum, reward_n
+        memory.push(transition)
+        reward_sum += transition[2]
+        reward_n += 1
+        step_counter += 1
+        if len(memory) >= hyper.batch_size:
+            loss, grads = td_grads(params, target, memory, hyper, config)
+            params = sgd_step(params, grads, hyper.lr)
+            updates += 1
+            if updates % hyper.target_sync == 0:
+                target = params
+            log.append(LogRow(updates, episode, loss, reward_sum / reward_n, epsilon))
+
+    for episode in range(hyper.episodes):
+        reward_sum, reward_n = 0.0, 0
+        rollout(config, [flows[episode % len(flows)]], act, learn)
+    return params, log, updates
+
+
+def train_metalight(config, train_scenarios, hyper, dims=(16, 16)):
+    """(theta0, log) of `meta.train_metalight`: each task's base learner
+    bootstraps from itself; theta0 moves against the tasks' gradients at
+    their adapted parameters."""
+    flows = list(train_scenarios)
+    theta0 = ss.init_params(dims, hyper.seed)
+    rng = spawn_rng(hyper.seed, NS_META)
+    log = []
+    for iteration in range(hyper.meta_iterations):
+        task_idx = rng.choice(len(flows), size=hyper.task_batch, replace=False)
+        task_grads, rollout_losses, meta_losses = [], [], []
+        for ti in task_idx:
+            memory = ss.ReplayMemory(hyper.capacity, seed=rng)
+            adapted = theta0
+
+            def act(live, obs):
+                return [epsilon_greedy(decision_q(adapted, obs[0], config),
+                                       hyper.rollout_epsilon, rng)]
+
+            def adapt_step(i, transition):
+                nonlocal adapted
+                memory.push(transition)
+                if len(memory) >= hyper.batch_size:
+                    loss, grads = td_grads(adapted, adapted, memory, hyper, config)
+                    adapted = sgd_step(adapted, grads, hyper.alpha)
+                    rollout_losses.append(loss)
+
+            rollout(config, [flows[int(ti)]], act, adapt_step)
+            if len(memory) >= hyper.batch_size:
+                loss, grads = td_grads(adapted, adapted, memory, hyper, config)
+                task_grads.append(grads)
+                meta_losses.append(loss)
+        if task_grads:
+            total = sum((g.theta for g in task_grads[1:]), task_grads[0].theta)
+            theta0 = sgd_step(theta0, task_grads[0].with_theta(total), hyper.beta)
+        log.append(MetaLogRow(
+            iteration,
+            float(np.mean(rollout_losses)) if rollout_losses else float("nan"),
+            float(np.mean(meta_losses)) if meta_losses else float("nan"),
+        ))
+    return theta0, log
+
+
+def apply_gradient_steps(theta, grad_fn, lr, steps):
+    """Iterate theta <- theta - lr * grad for `steps` steps, `grad_fn(theta)
+    -> (loss, gradient)` evaluated afresh each step."""
+    losses = []
+    for _ in range(steps):
+        loss, grads = grad_fn(theta)
+        losses.append(loss)
+        theta = sgd_step(theta, grads, lr)
+    return theta, losses
+
+
+def individual_adapt(theta, memory, steps, config, hyper):
+    """`meta.individual_adapt`: `steps` TD steps of size `hyper.alpha`, each
+    bootstrapping from the current iterate."""
+    adapted, _ = apply_gradient_steps(
+        theta, lambda params: td_grads(params, params, memory, hyper, config),
+        hyper.alpha, steps)
+    return adapted

@@ -213,6 +213,18 @@ def test_eval_truncated_checkpoint_exit_3(tmp_path, capsys):
     assert err.startswith("ERROR[validation]: tensor b_r")
 
 
+def test_eval_config_with_a_nan_lost_time_exit_3(tmp_path, capsys):
+    scenario = tmp_path / "flow.csv"
+    ss.write_flow_csv(ss.sample_arrivals([10] * 8, 300.0, 3), scenario)
+    config = small_config(tmp_path, lost_time="nan")
+    code, _, err = run_cli(capsys, "eval", "--scenario", str(scenario), "--policy",
+                           "fixed_time", "--config", str(config),
+                           "--out", str(tmp_path / "eval"))
+    assert code == 3
+    assert err.startswith("ERROR[validation]: lost_time must be finite")
+    assert not (tmp_path / "eval").exists()
+
+
 def test_eval_checkpoint_with_a_stray_key_exit_3(tmp_path, capsys):
     lines = ss.network.params_to_text(ss.init_params((16, 16), seed=1)).splitlines()
     lines.insert(3, "seed=3")

@@ -1,6 +1,8 @@
 """Every config key of the README parses and lands in each of its fields."""
 
+import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -82,4 +84,31 @@ def test_line_without_equals_names_its_line(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("# tuned\ngamma=0.9\nlr 0.01\n")
     with pytest.raises(ValueError, match=r"config\.txt:3: expected key=value, got 'lr 0.01'"):
+        ss.load_settings(path)
+
+
+# every float field of the three settings dataclasses, NaN and infinite
+FLOAT_FIELDS = [(cls, f.name) for cls in (ss.IntersectionConfig, ss.DqnHyper, ss.MetaHyper)
+                for f in fields(cls) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls,name", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+def test_non_finite_float_field_is_rejected(cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cls(**{name: value})
+
+
+def test_non_finite_cases_include_the_fields_that_went_unchecked():
+    names = {(cls.__name__, name) for cls, name in FLOAT_FIELDS}
+    assert {("IntersectionConfig", "lost_time"), ("IntersectionConfig", "horizon"),
+            ("DqnHyper", "lr"), ("DqnHyper", "grad_clip"), ("MetaHyper", "alpha"),
+            ("MetaHyper", "beta"), ("MetaHyper", "grad_clip")} <= names
+
+
+def test_config_file_with_a_nan_value_is_rejected(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("lost_time=nan\n")
+    with pytest.raises(ValueError, match="lost_time must be finite"):
         ss.load_settings(path)

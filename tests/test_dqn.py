@@ -7,6 +7,7 @@ from signalshift.network import params_to_text
 from signalshift.seeding import spawn_rng
 
 from conftest import batch_of, make_toy_flow, obs_row, params_equal
+from reference_kernel import train_dqn as reference_train_dqn
 
 
 def small_config():
@@ -20,31 +21,58 @@ def small_flow(seed=3):
 # ---------------------------------------------------------------------------
 # epsilon_greedy
 
+def queue_reading_network(config):
+    """A bound network whose Q-value of phase p is (P-1) times the mean
+    queue over p's movements: the embedding reads the queue count, the
+    competition layer passes on the scored phase's side alone."""
+    params = ss.init_params((1, 1), seed=0)
+    params.theta[:] = 0.0
+    params.W_e[:] = [[1.0, 0.0]]
+    params.W_c[:] = [[1.0, 0.0]]
+    params.w_r[:] = 1.0
+    return ss.network.bind(params, config)
+
+
 def test_epsilon_greedy_argmax():
-    q = np.array([1.0, 3.0, 2.0, 0.0])
-    assert ss.epsilon_greedy(q, 0.0, None) == 1
+    cfg = ss.IntersectionConfig()
+    queues = np.zeros(8)
+    queues[list(cfg.phases[2])] = [3.0, 5.0]
+    queues[list(cfg.phases[1])] = [1.0, 6.0]
+    obs = obs_row(queues, np.zeros(8))
+    assert ss.epsilon_greedy(queue_reading_network(cfg), obs, 0.0, None) == 2
 
 
 def test_epsilon_greedy_tie_breaks_low():
-    q = np.array([2.0, 2.0, 2.0, 2.0])
-    assert ss.epsilon_greedy(q, 0.0, None) == 0
+    cfg = ss.IntersectionConfig()
+    params = ss.init_params((4, 4), seed=0)
+    params.theta[:] = 0.0
+    obs = obs_row(np.arange(8.0), np.zeros(8))
+    assert ss.epsilon_greedy(ss.network.bind(params, cfg), obs, 0.0, None) == 0
 
 
 def test_epsilon_greedy_uniform_at_one():
+    cfg = ss.IntersectionConfig()
     rng = spawn_rng(1)
-    q = np.array([9.0, 0.0, 0.0, 0.0])
-    draws = np.array([ss.epsilon_greedy(q, 1.0, rng) for _ in range(10_000)])
+    queues = np.zeros(8)
+    queues[list(cfg.phases[0])] = 9.0
+    obs = obs_row(queues, np.zeros(8))
+    network = queue_reading_network(cfg)
+    assert ss.epsilon_greedy(network, obs, 0.0, None) == 0
+    draws = np.array([ss.epsilon_greedy(network, obs, 1.0, rng) for _ in range(10_000)])
     freq = np.bincount(draws, minlength=4) / len(draws)
     assert np.all(np.abs(freq - 0.25) < 0.02)
 
 
 def test_epsilon_greedy_validation():
+    cfg = ss.IntersectionConfig()
+    network = queue_reading_network(cfg)
+    obs = obs_row(np.zeros(8), np.zeros(8))
     with pytest.raises(ValueError):
-        ss.epsilon_greedy(np.array([]), 0.0, None)
+        ss.epsilon_greedy(network, obs, 1.5, spawn_rng(0))
     with pytest.raises(ValueError):
-        ss.epsilon_greedy(np.array([1.0]), 1.5, spawn_rng(0))
+        ss.epsilon_greedy(network, obs, -0.1, spawn_rng(0))
     with pytest.raises(ValueError):
-        ss.epsilon_greedy(np.array([1.0]), 0.5, None)
+        ss.epsilon_greedy(network, obs, 0.5, None)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +199,24 @@ def test_training_binds_each_parameter_version_once(monkeypatch):
     result = ss.train_dqn(small_config(), [small_flow()], hyper)
     assert result.updates > hyper.target_sync
     assert len(binds) <= result.updates + result.updates // hyper.target_sync + 1
+
+
+def test_training_equals_the_reference_loop_through_target_syncs():
+    # the golden runs stop before the first sync at the default 200; here
+    # the target is synced every 7 updates, several times over, while
+    # epsilon decays and then holds at its end value
+    cfg = small_config()
+    flows = [small_flow(3), small_flow(4)]
+    hyper = ss.DqnHyper(episodes=4, target_sync=7, batch_size=16, epsilon_fraction=0.5,
+                        lr=1e-2, seed=3)
+    result = ss.train_dqn(cfg, flows, hyper, dims=(6, 5))
+    params, log, updates = reference_train_dqn(cfg, flows, hyper, dims=(6, 5))
+    assert result.updates == updates > 10 * hyper.target_sync
+    assert params_equal(result.params, params)
+    assert repr(result.log) == repr(log)
+    eps = [row.epsilon for row in log]
+    assert eps[0] < hyper.epsilon_start
+    assert eps[-1] == pytest.approx(hyper.epsilon_end) and eps.count(eps[-1]) > 20
 
 
 def test_training_requires_scenarios():

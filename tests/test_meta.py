@@ -17,6 +17,8 @@ from signalshift.seeding import spawn_rng
 
 from conftest import make_toy_flow, param_distance, params_equal, zero_grads
 from reference_kernel import ablate_steps as reference_ablate_steps
+from reference_kernel import individual_adapt as reference_individual_adapt
+from reference_kernel import train_metalight as reference_train_metalight
 
 
 def small_config():
@@ -32,11 +34,12 @@ def filled_memory(cfg, params, seed=0, episodes=2):
     """Experience gathered by acting epsilon-greedily from `params`."""
     rng = spawn_rng(seed, 1234)
     memory = ss.ReplayMemory(5000, seed=rng)
+    network = ss.network.bind(params, cfg)
     for i, flow in enumerate(small_scenarios(episodes)):
         state = ss.initial_state(cfg, flow)
         obs = ss.observe(state, cfg)
         while state.clock < cfg.horizon:
-            a = ss.epsilon_greedy(ss.frap_forward(params, obs, cfg), 0.3, rng)
+            a = ss.epsilon_greedy(network, obs, 0.3, rng)
             state, r = ss.step(state, a, cfg)
             obs2 = ss.observe(state, cfg)
             memory.push((obs, a, r, obs2))
@@ -44,42 +47,26 @@ def filled_memory(cfg, params, seed=0, episodes=2):
     return memory
 
 
-def b_r_probe_grad(target: float):
-    """Gradient function realizing the scalar loss (b_r - target)^2."""
-    def grad_fn(params):
-        grads = zero_grads(params)
-        grads.b_r[...] = 2.0 * (float(params.b_r) - target)
-        return (float(params.b_r) - target) ** 2, grads
-    return grad_fn
-
-
 # ---------------------------------------------------------------------------
-# gradient-step engine and probes
-
-def test_scalar_probe_one_step():
-    # L(x) = (x-2)^2 from x=0 with lr 0.25 lands on x=1
-    params = ss.init_params((2, 2), seed=0)
-    adapted, losses = ss.apply_gradient_steps(params, b_r_probe_grad(2.0), 0.25, 1)
-    assert float(adapted.b_r) == 1.0
-    assert losses == [4.0]
-    assert float(params.b_r) == 0.0  # input untouched
-
-
-def test_scalar_probe_converges():
-    params = ss.init_params((2, 2), seed=0)
-    adapted, _ = ss.apply_gradient_steps(params, b_r_probe_grad(2.0), 0.25, 20)
-    assert float(adapted.b_r) == pytest.approx(2.0, abs=1e-5)
-
+# global update
 
 def test_first_order_reduction_matches_two_plain_steps():
     # one meta-iteration at task_batch 1 and k=1 is exactly: an alpha step
     # on the adaptation batch, then a beta step (taken from theta0) with the
-    # gradient evaluated at the adapted parameters
+    # gradient evaluated at the adapted parameters; here on the scalar loss
+    # (b_r - 2)^2, whose gradient is 2 (b_r - 2) in b_r and 0 elsewhere
     alpha, beta = 0.25, 0.1
     theta0 = ss.init_params((2, 2), seed=0)
-    adapted, _ = ss.apply_gradient_steps(theta0, b_r_probe_grad(2.0), alpha, 1)
+
+    def grad_at(params):
+        grads = zero_grads(params)
+        grads.b_r[...] = 2.0 * (float(params.b_r) - 2.0)
+        return grads
+
+    adapted = ss.sgd_step(theta0, grad_at(theta0), alpha)
     assert float(adapted.b_r) == 1.0
-    _, task_grad = b_r_probe_grad(2.0)(adapted)
+    assert float(theta0.b_r) == 0.0  # input untouched
+    task_grad = grad_at(adapted)
     theta1 = ss.global_update(theta0, [task_grad], beta)
     # hand arithmetic: grad at adapted = 2*(1-2) = -2, so theta0 moves to 0.2
     assert float(theta1.b_r) == pytest.approx(0.2, abs=1e-12)
@@ -118,6 +105,13 @@ def test_individual_adapt_requires_warm_memory():
                             ss.MetaHyper(alpha=1e-3))
 
 
+def test_individual_adapt_needs_a_step():
+    cfg = small_config()
+    params = ss.init_params((8, 8), seed=2)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        ss.individual_adapt(params, filled_memory(cfg, params), 0, cfg, ss.MetaHyper())
+
+
 def test_individual_adapt_fixed_point():
     # constant network whose Q equals its own bootstrap target everywhere
     from test_network import constant_net, hand_case_batch
@@ -129,6 +123,16 @@ def test_individual_adapt_fixed_point():
     adapted = ss.individual_adapt(params, memory, 3, cfg,
                                    ss.MetaHyper(alpha=1e-3, gamma=0.9))
     assert params_equal(adapted, params)
+
+
+def test_individual_adapt_equals_the_reference_steps():
+    cfg = small_config()
+    params = ss.init_params((8, 8), seed=4)
+    hyper = ss.MetaHyper(alpha=1e-2)
+    got = ss.individual_adapt(params, filled_memory(cfg, params), 4, cfg, hyper)
+    want = reference_individual_adapt(params, filled_memory(cfg, params), 4, cfg, hyper)
+    assert params_equal(got, want)
+    assert not params_equal(got, params)
 
 
 def test_individual_adapt_does_not_mutate_input():
@@ -158,6 +162,16 @@ def test_metalight_determinism():
     assert params_to_text(a.checkpoint.theta0) == params_to_text(b.checkpoint.theta0)
     assert a.log == b.log
     assert a.checkpoint.scenario_digest == b.checkpoint.scenario_digest
+
+
+def test_metalight_equals_the_reference_loop():
+    cfg = small_config()
+    hyper = ss.MetaHyper(task_batch=2, meta_iterations=3, alpha=1e-2, beta=1e-2, seed=6)
+    result = ss.train_metalight(cfg, small_scenarios(), hyper, dims=(6, 5))
+    theta0, log = reference_train_metalight(cfg, small_scenarios(), hyper, dims=(6, 5))
+    assert params_equal(result.checkpoint.theta0, theta0)
+    assert repr(result.log) == repr(log)
+    assert not params_equal(theta0, ss.init_params((6, 5), seed=6))
 
 
 def test_metalight_needs_enough_scenarios():

@@ -109,3 +109,9 @@ def test_training_average_vs_shifted_scenario_kl_scale():
     test = ss.make_test_scenarios(bases, seed=7).scenarios[0]
     kl = ss.kl_distance(avg, ss.movement_distribution(test.movement_counts()))
     assert 0.005 < kl < 1.5
+
+
+@pytest.mark.parametrize("epsilon", [-1e-6, math.nan, math.inf])
+def test_kl_rejects_a_negative_or_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+        ss.kl_distance([0.5, 0.5], [0.25, 0.75], epsilon=epsilon)
