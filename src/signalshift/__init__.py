@@ -46,6 +46,7 @@ from .network import (
     Batch,
     QNetworkParams,
     bellman_grads,
+    bind,
     frap_forward,
     init_params,
     load_params,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .dqn import DqnHyper
-from .intersection import IntersectionConfig
+from .intersection import IntersectionConfig, check_finite_fields
 from .meta import MetaHyper
 from .metrics import DEFAULT_KL_EPSILON
 from .network import DEFAULT_COMPETE_DIM, DEFAULT_EMBED_DIM
@@ -82,6 +82,11 @@ class Settings:
     meta: MetaHyper
     dims: tuple[int, int] = (DEFAULT_EMBED_DIM, DEFAULT_COMPETE_DIM)
     kl_epsilon: float = DEFAULT_KL_EPSILON
+
+    def __post_init__(self):
+        check_finite_fields(self)
+        if self.kl_epsilon < 0:
+            raise ValueError("kl_epsilon must be non-negative")
 
 
 def read_overrides(path) -> dict:

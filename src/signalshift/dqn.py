@@ -136,15 +136,13 @@ def epsilon_greedy(network: BoundNetwork, obs: np.ndarray, epsilon: float,
     return greedy_phase(network, obs) if explored is None else explored
 
 
-def td_grads(params, target, memory: ReplayMemory, hyper,
-             config: IntersectionConfig) -> tuple[float, QNetworkParams]:
+def td_grads(network: BoundNetwork, target: BoundNetwork, memory: ReplayMemory,
+             hyper) -> tuple[float, QNetworkParams]:
     """Squared TD loss and its gradients, clipped to `hyper.grad_clip`, on a
     fresh replay batch: the gradient of `TDLearner.td_step`, and of a meta
-    task at its adapted network (`hyper` is a DqnHyper or a MetaHyper).
-    The networks are QNetworkParams or bound networks, as `bellman_grads`
-    takes them."""
+    task at its adapted network (`hyper` is a DqnHyper or a MetaHyper)."""
     batch = memory.sample(hyper.batch_size)
-    loss, grads = bellman_grads(params, batch, target, hyper.gamma, config)
+    loss, grads = bellman_grads(network, batch, target, hyper.gamma)
     return loss, clip_gradients(grads, hyper.grad_clip)
 
 
@@ -176,7 +174,7 @@ class TDLearner:
 
     def td_step(self) -> float:
         """One clipped TD step of size `lr`; returns its loss."""
-        loss, grads = td_grads(self.network, self.target, self.memory, self.hyper, self.config)
+        loss, grads = td_grads(self.network, self.target, self.memory, self.hyper)
         self.params = sgd_step(self.params, grads, self.lr)
         self.network = bind(self.params, self.config)
         self.updates += 1

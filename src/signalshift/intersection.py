@@ -108,12 +108,6 @@ class SimState:
     exits: list[list[float]]           # per movement: exit times of served slots
     credits: list[float]               # fractional service per movement
 
-    def queued_count(self) -> int:
-        return sum(self.queued)
-
-    def is_empty(self) -> bool:
-        return self.cursor == len(self.flow) and self.queued_count() == 0
-
 
 @dataclass
 class EpisodeResult:

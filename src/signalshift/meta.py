@@ -26,10 +26,9 @@ from .network import (
     DEFAULT_COMPETE_DIM,
     DEFAULT_EMBED_DIM,
     QNetworkParams,
-    _decide,
     bind,
     check_bounded,
-    frap_forward,
+    greedy_phases,
     init_params,
     params_from_lines,
     params_to_text,
@@ -177,8 +176,7 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
 
             rollout(config, [flows[int(ti)]], learner.act, adapt_step)
             if len(learner.memory) >= hyper.batch_size:
-                loss, grads = td_grads(learner.network, learner.network, learner.memory,
-                                       hyper, config)
+                loss, grads = td_grads(learner.network, learner.network, learner.memory, hyper)
                 task_grads.append(grads)
                 meta_losses.append(loss)
         if task_grads:
@@ -218,10 +216,10 @@ def _collect_experience(theta: QNetworkParams, scenarios: list[FlowSpec],
     replay memory (the one returned at i) later samples.
 
     With several scenarios, each decision first draws every live episode's
-    exploration from its own generator, then runs one forward of theta
-    stacked over the live set, whose rows are the Q-values each episode
-    alone would get; only the exploiting episodes' rows are read and
-    checked.  One scenario acts through `epsilon_greedy` on one network."""
+    exploration from its own generator, then `greedy_phases` decides the
+    exploiting episodes' rows of theta stacked over the live set, each row
+    the Q-values that episode alone would get.  One scenario acts through
+    `epsilon_greedy` on one network."""
     memories = [ReplayMemory(hyper.capacity, seed=rng) for rng in rngs]
     epsilon = hyper.rollout_epsilon
     if len(scenarios) == 1:
@@ -237,10 +235,8 @@ def _collect_experience(theta: QNetworkParams, scenarios: list[FlowSpec],
             phases = [_explore(epsilon, rngs[i], config.n_phases) for i in live]
             exploit = [j for j, phase in enumerate(phases) if phase is None]
             if exploit:
-                q = _decide(stack(live), np.array(obs))[exploit]
-                if not np.isfinite(q).all():
-                    raise FloatingPointError("non-finite Q-values")
-                for j, phase in zip(exploit, q.argmax(axis=1).tolist()):
+                greedy = greedy_phases(stack(live), np.array(obs), exploit)
+                for j, phase in zip(exploit, greedy):
                     phases[j] = phase
             return phases
 
@@ -320,7 +316,7 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
     stack = _live_stack(thetas, (theta0.embed_dim, theta0.compete_dim), config)
 
     def act(live, obs):
-        return frap_forward(stack(live), np.array(obs), config).argmax(axis=1)
+        return greedy_phases(stack(live), np.array(obs))
 
     times: list[float | None] = [None] * len(thetas)
 

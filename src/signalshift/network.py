@@ -19,35 +19,34 @@ theta (T, n) with observations x (T, B, M, 2), runs as the same 2-D
 products, one per network, through stacked `matmul` and `vecmat`.  Its
 Q-values equal the T separate forwards bit for bit (a property test checks
 this under one BLAS thread), which lets T greedy episodes act together at
-B=1 (see `frap_forward`).  Stack networks along T, never observations
+B=1 (see `greedy_phases`).  Stack networks along T, never observations
 along B: rows batched under one network round differently from B=1 rows.
 
 A forward has two parts.  `bind` makes what depends on the weights and the
 config only: the p/q relayout w_pq of W_c, the bias columns and the
 config's phase matrices.  The products then run on them, with the same
 shapes whether bound once or per call, so the Q-values are the same bits.
-Each parameter version is bound once: a greedy policy, adaptation's
-experience collection and each live stack of the ablation for all their
-decisions; the TD learner (`dqn.TDLearner`, the one update rule of DQN
-training, meta-training and adaptation) binds each new iterate once,
-after its SGD step, and that binding serves the next decision and the
-next TD step (and the target, while the target is the learner itself).
+Every entry point takes bound networks, and each parameter version is
+bound once: a greedy policy, adaptation's experience collection and each
+live stack of the ablation for all their decisions; the TD learner
+(`dqn.TDLearner`, the one update rule of DQN training, meta-training and
+adaptation) binds each new iterate once, after its SGD step, for the next
+decision and TD step (and the target, while it is the learner itself).
 
 There are two forwards on a bound network.  `_forward_bound` is the batch
 forward of the TD step: x (B, M, 2), and the cache the backward pass
-reads.  `_decide`, behind `frap_forward`, is the decision forward: one
-observation (M, 2), or one per network of a stack (T, M, 2).  It runs the
-batch forward's products at B=1 on the same shapes, so its Q-values equal
-the batch forward's bit for bit (a property test checks this), but it
-skips the B axis's reshapes and indexing and builds no cache.
+reads.  `_decide` is the decision forward: one observation (M, 2), or one
+per network of a stack (T, M, 2).  It runs the batch forward's products
+at B=1 on the same shapes, so its Q-values equal the batch forward's bit
+for bit (a property test checks this), but it skips the B axis's reshapes
+and indexing and builds no cache.
 
-A single network's decision goes through one checked greedy rule,
-`greedy_phase`: shape check, decision forward, finiteness, and the first
-phase of largest Q-value, read off the P values as a Python list.  Lockstep
-episodes that share one network, as adaptation's experience collection
-over several scenarios does, run it as a stack of copies at B=1, one row
-per live episode: by the bit-equality above each row is the Q-values that
-episode would get alone.
+Decisions go through two checked greedy rules: shape check, decision
+forward, finiteness, and the lowest index of the largest Q-value.
+`greedy_phase` decides for one network off a Python list of the P values;
+its stacked twin `greedy_phases` decides one row per network of a stack,
+as lockstep episodes act at B=1: by the bit-equality above each row is
+the Q-values that episode would get alone.
 
 Weights and gradients are one type: a flat float64 vector `theta` with a
 named view per tensor, so SGD is `theta - lr * g.theta`; the backward pass
@@ -212,11 +211,6 @@ def bind(params: QNetworkParams, config: IntersectionConfig) -> BoundNetwork:
                         select_t, pair_phase, embed, compete, (*lead, config.n_movements, 2))
 
 
-def _bound(network, config: IntersectionConfig) -> BoundNetwork:
-    """`network` if it is a BoundNetwork, else QNetworkParams bound to `config`."""
-    return network if isinstance(network, BoundNetwork) else bind(network, config)
-
-
 def _forward_bound(network: BoundNetwork, x: np.ndarray):
     """The forward products on a bound network.
 
@@ -298,20 +292,24 @@ def _decide(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
     return (s[..., None, :] @ select[0].T)[..., 0, :]        # (1, K) @ (K, P)
 
 
-def frap_forward(network, obs: np.ndarray, config: IntersectionConfig) -> np.ndarray:
-    """Q-value per phase (P,) for a single (M, 2) observation from `observe`;
-    for a stack of T networks, Q (T, P) for obs (T, M, 2), one row each.
-
-    `network` is QNetworkParams, bound to `config` per call, or a
-    `BoundNetwork` that `bind` made for `config` once."""
-    network = _bound(network, config)
+def _checked_q(network: BoundNetwork, obs: np.ndarray, rows=None) -> np.ndarray:
+    """`_decide` behind the shape check; the Q-values, or the listed `rows`
+    of a stack's, must be finite."""
     if obs.shape != network.obs_shape:
         raise ValueError(f"observation has shape {obs.shape}, the config and the "
                          f"networks need {network.obs_shape}")
     q = _decide(network, obs)
+    if rows is not None:
+        q = q[rows]
     if not np.isfinite(q).all():
         raise FloatingPointError("non-finite Q-values")
     return q
+
+
+def frap_forward(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
+    """Q-value per phase (P,) for a single (M, 2) observation from `observe`;
+    for a stack of T networks, Q (T, P) for obs (T, M, 2), one row each."""
+    return _checked_q(network, obs)
 
 
 def greedy_phase(network: BoundNetwork, obs: np.ndarray) -> int:
@@ -332,25 +330,28 @@ def greedy_phase(network: BoundNetwork, obs: np.ndarray) -> int:
     return q.index(max(q))
 
 
-def bellman_grads(params, batch: Batch, target_params, gamma: float,
-                  config: IntersectionConfig) -> tuple[float, QNetworkParams]:
+def greedy_phases(stack: BoundNetwork, obs: np.ndarray, rows=None) -> list[int]:
+    """`greedy_phase` for a stack of T networks and observations (T, M, 2),
+    one each: the greedy phase of every row, or of the rows listed in
+    `rows`, in that order.  Only those rows' Q-values are checked."""
+    return _checked_q(stack, obs, rows).argmax(axis=1).tolist()
+
+
+def bellman_grads(network: BoundNetwork, batch: Batch, target: BoundNetwork,
+                  gamma: float) -> tuple[float, QNetworkParams]:
     """Squared TD loss over a batch of transitions and its gradients.
 
-    Targets r + gamma * max_a' Q_target(s', a') are computed with
-    `target_params` and treated as constants; only Q(s, a) is
-    differentiated.  Either network is QNetworkParams, bound to `config`
-    here, or a `BoundNetwork` that `bind` made for `config`; when the
-    target is the learner itself, both forwards run on one binding.  A
-    non-finite loss or gradient raises FloatingPointError, so a diverging
-    run stops at the update that diverged.
+    Targets r + gamma * max_a' Q_target(s', a') are computed with the bound
+    `target` and treated as constants; only Q(s, a) is differentiated.  A
+    learner that is its own target passes its binding twice.  A non-finite
+    loss or gradient raises FloatingPointError, so a diverging run stops at
+    the update that diverged.
     """
     n = len(batch.a)
     if n == 0:
         raise ValueError("empty transition batch")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must be in [0, 1)")
-    network = _bound(params, config)
-    target = network if target_params is params else _bound(target_params, config)
     q_values, cache = _forward_bound(network, batch.x)
     q_next, _ = _forward_bound(target, batch.x_next)
     targets = batch.r + gamma * q_next.max(axis=1)

@@ -9,6 +9,8 @@ as arrived - served (arrived is derived from the state's `queued` on entry,
 and `queued` is written back from it every tick); `episode_result`
 builds the per-vehicle list and averages its travel times in that list's
 (arrival, movement) order.  Property tests run both forms side by side.
+`queued_count` and `is_empty` read a `SimState` for the tests; the
+program's episode loop decides the end from the reward and the cursor.
 """
 
 from typing import NamedTuple
@@ -24,6 +26,15 @@ class ReferenceResult(NamedTuple):
     residual_count: int
     per_vehicle: list[tuple[float, float, int, bool]]
     reward_trace: list[float]
+
+
+def queued_count(state: SimState) -> int:
+    return sum(state.queued)
+
+
+def is_empty(state: SimState) -> bool:
+    """No vehicle queued and none left to reach the stop line."""
+    return state.cursor == len(state.flow) and queued_count(state) == 0
 
 
 def step(state: SimState, action: int, config: IntersectionConfig,
@@ -67,7 +78,7 @@ def step(state: SimState, action: int, config: IntersectionConfig,
         if validate:
             _check_conservation(state)
 
-    reward = float(-state.queued_count())
+    reward = float(-queued_count(state))
     return state, reward
 
 

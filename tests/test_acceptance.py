@@ -95,8 +95,8 @@ def test_criterion_03_gradient_correctness():
         batch = batch_of([(rand_obs(), int(rng.integers(4)),
                            -float(rng.integers(0, 30)), rand_obs())
                           for _ in range(6)])
-        target = ss.init_params((16, 16), seed=7)
-        _, grads = ss.bellman_grads(params, batch, target, 0.8, config)
+        target = ss.bind(ss.init_params((16, 16), seed=7), config)
+        _, grads = ss.bellman_grads(ss.bind(params, config), batch, target, 0.8)
 
         h = 1e-6
         checked = 0
@@ -106,9 +106,9 @@ def test_criterion_03_gradient_correctness():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up, _ = ss.bellman_grads(params, batch, target, 0.8, config)
+                up, _ = ss.bellman_grads(ss.bind(params, config), batch, target, 0.8)
                 flat[i] = orig - h
-                down, _ = ss.bellman_grads(params, batch, target, 0.8, config)
+                down, _ = ss.bellman_grads(ss.bind(params, config), batch, target, 0.8)
                 flat[i] = orig
                 fd = (up - down) / (2 * h)
                 rel = abs(fd - analytic[i]) / max(abs(fd), abs(analytic[i]), 1e-8)
@@ -127,11 +127,11 @@ def test_criterion_04_phase_permutation_equivariance():
             flags = np.array([1 if m in config.phases[phase] else 0
                               for m in range(8)])
             obs = obs_row(rng.integers(0, 25, 8), flags)
-            q = ss.frap_forward(params, obs, config)
+            q = ss.frap_forward(ss.bind(params, config), obs)
             for perm in itertools.permutations(range(config.n_phases)):
                 permuted = replace(config,
                                    phases=tuple(config.phases[p] for p in perm))
-                q_perm = ss.frap_forward(params, obs, permuted)
+                q_perm = ss.frap_forward(ss.bind(params, permuted), obs)
                 assert np.max(np.abs(q_perm - q[list(perm)])) <= 1e-9
 
 

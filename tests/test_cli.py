@@ -225,6 +225,18 @@ def test_eval_config_with_a_nan_lost_time_exit_3(tmp_path, capsys):
     assert not (tmp_path / "eval").exists()
 
 
+def test_train_config_with_a_nan_kl_epsilon_exit_3(cli_workspace, tmp_path, capsys):
+    # the setting is rejected where the settings load, before a training
+    # that does not read it
+    workspace, _ = cli_workspace
+    config = small_config(tmp_path, kl_epsilon="nan")
+    code, _, err = run_cli(capsys, "train-dqn", "--scenarios", str(workspace / "sets" / "train"),
+                           "--config", str(config), "--out", str(tmp_path / "nan-kl"))
+    assert code == 3
+    assert err.startswith("ERROR[validation]: kl_epsilon must be finite")
+    assert not (tmp_path / "nan-kl").exists()
+
+
 def test_eval_checkpoint_with_a_stray_key_exit_3(tmp_path, capsys):
     lines = ss.network.params_to_text(ss.init_params((16, 16), seed=1)).splitlines()
     lines.insert(3, "seed=3")

@@ -112,3 +112,49 @@ def test_config_file_with_a_nan_value_is_rejected(tmp_path):
     path.write_text("lost_time=nan\n")
     with pytest.raises(ValueError, match="lost_time must be finite"):
         ss.load_settings(path)
+
+
+@pytest.mark.parametrize("value,message", [("nan", "kl_epsilon must be finite"),
+                                           ("inf", "kl_epsilon must be finite"),
+                                           ("-1e-6", "kl_epsilon must be non-negative")])
+def test_config_file_with_a_bad_kl_epsilon_is_rejected(tmp_path, value, message):
+    path = tmp_path / "config.txt"
+    path.write_text(f"kl_epsilon={value}\n")
+    with pytest.raises(ValueError, match=message):
+        ss.load_settings(path)
+
+
+def test_kl_epsilon_of_zero_loads(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("kl_epsilon=0\n")
+    assert ss.load_settings(path).kl_epsilon == 0.0
+
+
+# one value per range-checked field, each just outside its range
+RANGE_CASES = [
+    (ss.DqnHyper, "gamma", 1.0), (ss.DqnHyper, "gamma", -0.1),
+    (ss.DqnHyper, "epsilon_start", 1.1), (ss.DqnHyper, "epsilon_end", -0.1),
+    (ss.DqnHyper, "epsilon_fraction", 1.1), (ss.DqnHyper, "batch_size", 0),
+    (ss.DqnHyper, "target_sync", 0), (ss.DqnHyper, "capacity", 0),
+    (ss.DqnHyper, "episodes", -1), (ss.DqnHyper, "lr", -1e-3),
+    (ss.MetaHyper, "alpha", -1e-3), (ss.MetaHyper, "beta", -1e-3),
+    (ss.MetaHyper, "task_batch", 0), (ss.MetaHyper, "adapt_steps", 0),
+    (ss.MetaHyper, "adapt_data_budget", 0), (ss.MetaHyper, "batch_size", 0),
+    (ss.MetaHyper, "capacity", 0), (ss.MetaHyper, "meta_iterations", -1),
+    (ss.MetaHyper, "rollout_epsilon", 1.1), (ss.MetaHyper, "rollout_epsilon", -0.1),
+    (ss.MetaHyper, "gamma", 1.0), (ss.MetaHyper, "gamma", -0.1),
+]
+
+
+@pytest.mark.parametrize("cls,name,value", RANGE_CASES,
+                         ids=[f"{cls.__name__}.{name}={value}" for cls, name, value in RANGE_CASES])
+def test_out_of_range_hyperparameter_is_rejected(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        cls(**{name: value})
+
+
+def test_range_cases_cover_every_checked_field():
+    # every field but the unchecked grad_clip (<= 0 disables the clip) and seed
+    for cls in (ss.DqnHyper, ss.MetaHyper):
+        checked = {name for case, name, _ in RANGE_CASES if case is cls}
+        assert checked == {f.name for f in fields(cls)} - {"grad_clip", "seed"}

@@ -30,7 +30,7 @@ def queue_reading_network(config):
     params.W_e[:] = [[1.0, 0.0]]
     params.W_c[:] = [[1.0, 0.0]]
     params.w_r[:] = 1.0
-    return ss.network.bind(params, config)
+    return ss.bind(params, config)
 
 
 def test_epsilon_greedy_argmax():
@@ -47,7 +47,7 @@ def test_epsilon_greedy_tie_breaks_low():
     params = ss.init_params((4, 4), seed=0)
     params.theta[:] = 0.0
     obs = obs_row(np.arange(8.0), np.zeros(8))
-    assert ss.epsilon_greedy(ss.network.bind(params, cfg), obs, 0.0, None) == 0
+    assert ss.epsilon_greedy(ss.bind(params, cfg), obs, 0.0, None) == 0
 
 
 def test_epsilon_greedy_uniform_at_one():
@@ -142,6 +142,12 @@ def test_replay_samples_what_a_list_buffer_samples_after_overwrites():
         for name in ss.Batch._fields:
             assert np.array_equal(getattr(got, name), getattr(want, name)), (i, name)
     assert len(mem) == capacity
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_replay_capacity_must_be_positive(capacity):
+    with pytest.raises(ValueError, match="capacity must be positive"):
+        ss.ReplayMemory(capacity)
 
 
 def test_replay_empty_sample_error():

@@ -287,7 +287,8 @@ def reference_decisions(config, flow, actions):
     decisions = []
     for action in actions:
         state, reward = reference_sim.step(state, action, config)
-        running = state.clock < config.horizon or (state.clock < end and not state.is_empty())
+        running = state.clock < config.horizon or (
+            state.clock < end and not reference_sim.is_empty(state))
         decisions.append((reward, running, state.cursor < len(flow.arrivals)))
         if not running:
             return decisions

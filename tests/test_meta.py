@@ -34,7 +34,7 @@ def filled_memory(cfg, params, seed=0, episodes=2):
     """Experience gathered by acting epsilon-greedily from `params`."""
     rng = spawn_rng(seed, 1234)
     memory = ss.ReplayMemory(5000, seed=rng)
-    network = ss.network.bind(params, cfg)
+    network = ss.bind(params, cfg)
     for i, flow in enumerate(small_scenarios(episodes)):
         state = ss.initial_state(cfg, flow)
         obs = ss.observe(state, cfg)
@@ -340,6 +340,21 @@ def test_stacked_collection_equals_collecting_one_scenario_at_a_time(epsilon, ca
     if capacity > 50:
         # no memory is full: the episodes left the lockstep at different decisions
         assert len({len(memory) for memory in memories}) > 1
+
+
+def test_stacked_collection_from_a_nan_theta_raises_at_its_first_decision(monkeypatch):
+    # at epsilon 0 every decision exploits; the first one raises before
+    # any transition is stored
+    cfg = small_config()
+    theta = ss.init_params((4, 3), seed=1)
+    theta.b_r[...] = np.nan
+    pushed = []
+    monkeypatch.setattr(ss.ReplayMemory, "push", lambda memory, transition: pushed.append(1))
+    hyper = ss.MetaHyper(rollout_epsilon=0.0)
+    rngs = [spawn_rng(7, i) for i in range(2)]
+    with pytest.raises(FloatingPointError, match="non-finite Q-values"):
+        _collect_experience(theta, small_scenarios(2), cfg, hyper, rngs)
+    assert pushed == []
 
 
 # ---------------------------------------------------------------------------

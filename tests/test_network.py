@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import signalshift as ss
-from signalshift.network import PARAM_FIELDS, clip_gradients, grad_norm, params_to_text
+from signalshift.network import (PARAM_FIELDS, clip_gradients, grad_norm, greedy_phase,
+                                 greedy_phases, params_to_text)
 
 from conftest import batch_of, obs_row, params_equal, zero_grads
 
@@ -63,7 +64,7 @@ def test_forward_shape_and_symmetry():
     cfg = ss.IntersectionConfig()
     params = ss.init_params((8, 8), seed=2)
     obs = obs_row(np.full(8, 5), np.zeros(8))
-    q = ss.frap_forward(params, obs, cfg)
+    q = ss.frap_forward(ss.bind(params, cfg), obs)
     assert q.shape == (4,)
     # identical inputs on every movement make all phases indistinguishable
     assert np.allclose(q, q[0], atol=1e-12)
@@ -75,10 +76,10 @@ def test_forward_phase_reorder_equivariance():
     rng = np.random.default_rng(4)
     for _ in range(5):
         obs = random_obs(cfg, rng)
-        q = ss.frap_forward(params, obs, cfg)
+        q = ss.frap_forward(ss.bind(params, cfg), obs)
         for perm in itertools.permutations(range(4)):
             cfg_p = replace(cfg, phases=tuple(cfg.phases[p] for p in perm))
-            q_p = ss.frap_forward(params, obs, cfg_p)
+            q_p = ss.frap_forward(ss.bind(params, cfg_p), obs)
             assert np.max(np.abs(q_p - q[list(perm)])) < 1e-9
 
 
@@ -89,13 +90,13 @@ def test_forward_movement_relabel_invariance():
     params = ss.init_params((16, 16), seed=6)
     rng = np.random.default_rng(7)
     obs = random_obs(cfg, rng)
-    q = ss.frap_forward(params, obs, cfg)
+    q = ss.frap_forward(ss.bind(params, cfg), obs)
     perm = rng.permutation(8)
     inv = np.argsort(perm)
     cfg_p = replace(cfg, phases=tuple(tuple(int(perm[m]) for m in ph)
                                       for ph in cfg.phases))
     obs_p = obs[inv]
-    q_p = ss.frap_forward(params, obs_p, cfg_p)
+    q_p = ss.frap_forward(ss.bind(params, cfg_p), obs_p)
     assert np.max(np.abs(q_p - q)) < 1e-12
 
 
@@ -104,7 +105,26 @@ def test_forward_dimension_mismatch():
     params = ss.init_params((4, 4), seed=0)
     obs = obs_row(np.zeros(4), np.zeros(4))
     with pytest.raises(ValueError):
-        ss.frap_forward(params, obs, cfg)
+        ss.frap_forward(ss.bind(params, cfg), obs)
+
+
+def test_stacked_decisions_check_the_rows_they_read():
+    # row 0's readout bias is NaN, so only row 1's Q-values are finite
+    cfg = ss.IntersectionConfig()
+    params = ss.init_params((4, 3), seed=1)
+    stack = ss.QNetworkParams(4, 3, np.stack([params.theta, params.theta]))
+    stack.b_r[0] = np.nan
+    network = ss.bind(stack, cfg)
+    rng = np.random.default_rng(2)
+    obs = np.stack([random_obs(cfg, rng), random_obs(cfg, rng)])
+    for rows in ([0], [1, 0], None):
+        with pytest.raises(FloatingPointError, match="non-finite Q-values"):
+            greedy_phases(network, obs, rows)
+    with pytest.raises(FloatingPointError, match="non-finite Q-values"):
+        ss.frap_forward(network, obs)
+    assert greedy_phases(network, obs, [1]) == [greedy_phase(ss.bind(params, cfg), obs[1])]
+    with pytest.raises(ValueError, match="observation has shape"):
+        greedy_phases(network, obs[:1], [0])
 
 
 def test_forward_backward_bit_stable():
@@ -113,8 +133,9 @@ def test_forward_backward_bit_stable():
     rng = np.random.default_rng(10)
     batch = batch_of([(random_obs(cfg, rng), 1, -3.0, random_obs(cfg, rng))
                       for _ in range(4)])
-    loss1, g1 = ss.bellman_grads(params, batch, params, 0.8, cfg)
-    loss2, g2 = ss.bellman_grads(params, batch, params, 0.8, cfg)
+    network = ss.bind(params, cfg)
+    loss1, g1 = ss.bellman_grads(network, batch, network, 0.8)
+    loss2, g2 = ss.bellman_grads(network, batch, network, 0.8)
     assert loss1 == loss2
     for name in PARAM_FIELDS:
         assert np.array_equal(getattr(g1, name), getattr(g2, name))
@@ -132,28 +153,27 @@ def test_bellman_hand_case():
     # Q(s,a)=1.0 everywhere, r=0.5, gamma=0.9, max target Q=1.0:
     # TD = 1.0 - 0.5 - 0.9 = -0.4, squared loss 0.16
     cfg = ss.IntersectionConfig()
-    params = constant_net(1.0 / 3.0)
-    loss, _ = ss.bellman_grads(params, batch_of(hand_case_batch(cfg, 0.5)), params, 0.9, cfg)
+    network = ss.bind(constant_net(1.0 / 3.0), cfg)
+    loss, _ = ss.bellman_grads(network, batch_of(hand_case_batch(cfg, 0.5)), network, 0.9)
     assert loss == pytest.approx(0.16, abs=1e-12)
 
 
 def test_bellman_fixed_point_has_zero_gradients():
     # reward chosen so Q already equals its own bootstrap target
     cfg = ss.IntersectionConfig()
-    params = constant_net(1.0 / 3.0)
-    loss, grads = ss.bellman_grads(params, batch_of(hand_case_batch(cfg, 0.1)), params,
-                                    0.9, cfg)
+    network = ss.bind(constant_net(1.0 / 3.0), cfg)
+    loss, grads = ss.bellman_grads(network, batch_of(hand_case_batch(cfg, 0.1)), network, 0.9)
     assert loss == pytest.approx(0.0, abs=1e-15)
     assert grad_norm(grads) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bellman_validations():
     cfg = ss.IntersectionConfig()
-    params = ss.init_params((4, 4), seed=0)
+    network = ss.bind(ss.init_params((4, 4), seed=0), cfg)
     with pytest.raises(ValueError):
-        ss.bellman_grads(params, batch_of([]), params, 0.8, cfg)
+        ss.bellman_grads(network, batch_of([]), network, 0.8)
     with pytest.raises(ValueError):
-        ss.bellman_grads(params, batch_of(hand_case_batch(cfg, 0.0)), params, 1.0, cfg)
+        ss.bellman_grads(network, batch_of(hand_case_batch(cfg, 0.0)), network, 1.0)
 
 
 def test_bellman_non_finite_loss_raises():
@@ -161,19 +181,20 @@ def test_bellman_non_finite_loss_raises():
     cfg = ss.IntersectionConfig()
     params = constant_net(1.0 / 3.0)
     params.b_r[...] = 1e300
+    network = ss.bind(params, cfg)
     with pytest.raises(FloatingPointError), np.errstate(all="ignore"):
-        ss.bellman_grads(params, batch_of(hand_case_batch(cfg, 0.5)), params, 0.9, cfg)
+        ss.bellman_grads(network, batch_of(hand_case_batch(cfg, 0.5)), network, 0.9)
 
 
 def test_bellman_loss_non_negative():
     cfg = ss.IntersectionConfig()
     rng = np.random.default_rng(11)
-    params = ss.init_params((8, 8), seed=12)
+    network = ss.bind(ss.init_params((8, 8), seed=12), cfg)
     for _ in range(20):
         batch = batch_of([(random_obs(cfg, rng), int(rng.integers(4)),
                            -float(rng.integers(0, 40)), random_obs(cfg, rng))
                           for _ in range(5)])
-        loss, _ = ss.bellman_grads(params, batch, params, 0.8, cfg)
+        loss, _ = ss.bellman_grads(network, batch, network, 0.8)
         assert loss >= 0.0
 
 
@@ -187,8 +208,8 @@ def test_gradients_match_finite_differences_small():
     batch = batch_of([(random_obs(cfg, rng), int(rng.integers(4)),
                        -float(rng.integers(0, 20)), random_obs(cfg, rng))
                       for _ in range(4)])
-    target = ss.init_params((3, 3), seed=16)
-    _, grads = ss.bellman_grads(params, batch, target, 0.8, cfg)
+    target = ss.bind(ss.init_params((3, 3), seed=16), cfg)
+    _, grads = ss.bellman_grads(ss.bind(params, cfg), batch, target, 0.8)
     h = 1e-6
     for name in PARAM_FIELDS:
         flat = getattr(params, name).reshape(-1)
@@ -196,9 +217,9 @@ def test_gradients_match_finite_differences_small():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up, _ = ss.bellman_grads(params, batch, target, 0.8, cfg)
+            up, _ = ss.bellman_grads(ss.bind(params, cfg), batch, target, 0.8)
             flat[i] = orig - h
-            dn, _ = ss.bellman_grads(params, batch, target, 0.8, cfg)
+            dn, _ = ss.bellman_grads(ss.bind(params, cfg), batch, target, 0.8)
             flat[i] = orig
             fd = (up - dn) / (2 * h)
             assert abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8) < 1e-4
@@ -355,6 +376,16 @@ def test_checkpoint_stray_line_names_its_line(tmp_path, stray, message):
     path = tmp_path / "ckpt.txt"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ss.ParseError, match=rf"ckpt\.txt:6: {re.escape(message)}"):
+        ss.load_params(path)
+
+
+@pytest.mark.parametrize("name", PARAM_FIELDS)
+def test_checkpoint_missing_a_tensor_names_it(tmp_path, name):
+    lines = params_to_text(ss.init_params((4, 3), seed=1)).splitlines()
+    header = next(i for i, line in enumerate(lines) if line.split()[:2] == ["tensor", name])
+    path = tmp_path / "params.txt"
+    path.write_text("\n".join(lines[:header] + lines[header + 2:]) + "\n")
+    with pytest.raises(ValueError, match=f"checkpoint missing tensor {name}$"):
         ss.load_params(path)
 
 

@@ -17,6 +17,7 @@ from signalshift.network import (
     bind,
     clip_gradients,
     greedy_phase,
+    greedy_phases,
     params_to_text,
 )
 
@@ -118,30 +119,26 @@ def test_array_kernel_matches_the_per_pair_reference(config, embed_dim, compete_
     params, target, batch = random_case(config, embed_dim, compete_dim, n, seed)
     assert_close(forward(params, batch.x, config)[0],
                  reference_forward(params, batch.x, config)[0])
-    loss, grads = ss.bellman_grads(params, batch, target, 0.8, config)
+    loss, grads = ss.bellman_grads(bind(params, config), batch, bind(target, config), 0.8)
     want_loss, want = reference_bellman_grads(params, batch, target, 0.8, config)
     assert_close(loss, want_loss)
     assert_close(grads.theta, want.theta)
 
 
 @settings(max_examples=150, deadline=None)
-@given(same_target=st.booleans(), bind_learner=st.booleans(), bind_target=st.booleans(),
+@given(target_case=st.sampled_from(["shared binding", "own binding", "other network"]),
        max_norm=st.sampled_from([0.0, 1e-3, 1.0, 1e9]), **CASES)
 def test_td_step_equals_the_per_call_binding_td_step_bit_for_bit(
-        config, embed_dim, compete_dim, n, seed, same_target, bind_learner, bind_target,
-        max_norm):
-    # the TD step on QNetworkParams or bound networks, the target the
-    # learner itself or another network, against the TD step that bound
-    # both per call and took the pair gradient through a one-hot dL/dQ
+        config, embed_dim, compete_dim, n, seed, target_case, max_norm):
+    # the TD step with the learner's own binding as its target, the same
+    # weights bound apart, or another network, against the TD step that
+    # bound both per call and took the pair gradient through a one-hot dL/dQ
     params, target, batch = random_case(config, embed_dim, compete_dim, n, seed)
-    if same_target:
+    if target_case != "other network":
         target = params
-    learner = bind(params, config) if bind_learner else params
-    if same_target and bind_target == bind_learner:
-        target_arg = learner
-    else:
-        target_arg = bind(target, config) if bind_target else target
-    loss, grads = ss.bellman_grads(learner, batch, target_arg, 0.8, config)
+    learner = bind(params, config)
+    target_arg = learner if target_case == "shared binding" else bind(target, config)
+    loss, grads = ss.bellman_grads(learner, batch, target_arg, 0.8)
     want_loss, want = reference_kernel.td_bellman_grads(params, batch, target, 0.8, config)
     assert np.float64(loss).view(np.uint64) == np.float64(want_loss).view(np.uint64)
     assert np.array_equal(grads.theta, want.theta)
@@ -162,19 +159,23 @@ def test_relabeling_phases_permutes_q_and_keeps_the_td_step(config, embed_dim, c
     # new phase i is old phase perm[i]
     q = forward(params, batch.x, config)[0]
     assert_close(forward(params, batch.x, relabeled)[0], q[:, perm])
-    loss, grads = ss.bellman_grads(params, batch, target, 0.8, config)
+    loss, grads = ss.bellman_grads(bind(params, config), batch, bind(target, config), 0.8)
     relabeled_batch = batch._replace(a=np.argsort(perm)[batch.a])
-    loss_p, grads_p = ss.bellman_grads(params, relabeled_batch, target, 0.8, relabeled)
+    loss_p, grads_p = ss.bellman_grads(bind(params, relabeled), relabeled_batch,
+                                       bind(target, relabeled), 0.8)
     assert_close(loss_p, loss)
     assert_close(grads_p.theta, grads.theta)
 
 
 @settings(max_examples=150, deadline=None)
 @given(config=phase_configs(), embed_dim=st.integers(1, 16), compete_dim=st.integers(1, 16),
-       n_sets=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+       n_sets=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
+       subset=st.none() | st.lists(st.integers(0, 29), max_size=30))
 def test_stacked_forward_equals_each_network_bit_for_bit(config, embed_dim, compete_dim,
-                                                         n_sets, seed):
-    # T networks at B=1, the shape lockstep episodes act with
+                                                         n_sets, seed, subset):
+    # T networks at B=1, the shape lockstep episodes act with; their greedy
+    # phases, of every row or of a list of rows in any order, are each
+    # row's own network's
     cases = [random_case(config, embed_dim, compete_dim, 1, seed + t) for t in range(n_sets)]
     stack = ss.QNetworkParams(embed_dim, compete_dim,
                               np.stack([params.theta for params, _, _ in cases]))
@@ -183,6 +184,10 @@ def test_stacked_forward_equals_each_network_bit_for_bit(config, embed_dim, comp
     assert q.shape == (n_sets, 1, config.n_phases)
     for t, (params, _, batch) in enumerate(cases):
         assert np.array_equal(q[t], forward(params, batch.x, config)[0])
+    rows = None if subset is None else [row % n_sets for row in subset]
+    want = [greedy_phase(bind(cases[t][0], config), cases[t][2].x[0])
+            for t in (range(n_sets) if rows is None else rows)]
+    assert greedy_phases(bind(stack, config), x[:, 0], rows) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -198,14 +203,14 @@ def test_bound_forward_equals_forward_bit_for_bit(config, embed_dim, compete_dim
     for (params, _, batch), q in zip(cases, want):
         network = bind(params, config)
         for _ in range(2):
-            assert np.array_equal(ss.frap_forward(network, batch.x[0], config), q)
+            assert np.array_equal(ss.frap_forward(network, batch.x[0]), q)
         assert ss.GreedyPolicy(params, config)(batch.x[0]) == \
-            int(ss.frap_forward(params, batch.x[0], config).argmax())
+            int(ss.frap_forward(network, batch.x[0]).argmax())
     stack = bind(ss.QNetworkParams(embed_dim, compete_dim,
                                    np.stack([params.theta for params, _, _ in cases])), config)
     x = np.stack([batch.x[0] for _, _, batch in cases])               # (T, M, 2)
     for _ in range(2):
-        assert np.array_equal(ss.frap_forward(stack, x, config), np.stack(want))
+        assert np.array_equal(ss.frap_forward(stack, x), np.stack(want))
 
 
 @settings(max_examples=200, deadline=None)
@@ -254,8 +259,9 @@ def test_greedy_phase_is_the_argmax_of_the_checked_forward(config, embed_dim, co
         params.b_c[...] = -np.abs(params.b_c)
         params.b_r[...] = 0.0
     obs = random_observation(rng, config)
-    phase = greedy_phase(bind(params, config), obs)
-    assert phase == int(ss.frap_forward(params, obs, config).argmax())
+    network = bind(params, config)
+    phase = greedy_phase(network, obs)
+    assert phase == int(ss.frap_forward(network, obs).argmax())
     if tie or scale == 0.0:
         assert phase == 0
 
@@ -411,7 +417,8 @@ def test_step_and_episode_result_equal_the_reference(config, grid, seed):
     state, ref = ss.initial_state(config, flow), ss.initial_state(config, flow)
     rewards, ref_rewards = [], []
     end = config.horizon + config.drain
-    while state.clock < config.horizon or (state.clock < end and not state.is_empty()):
+    while state.clock < config.horizon or (
+            state.clock < end and not reference_sim.is_empty(state)):
         action = int(rng.integers(0, config.n_phases))
         state, reward = ss.step(state, action, config, validate=True)
         ref, ref_reward = reference_sim.step(ref, action, config, validate=True)
@@ -435,7 +442,8 @@ def test_queue_counters_equal_the_queues_recounted_after_every_step(config, seed
     flow = ss.sample_arrivals(rng.integers(0, 40, config.n_movements), config.horizon, rng)
     state = ss.initial_state(config, flow)
     end = config.horizon + config.drain
-    while state.clock < config.horizon or (state.clock < end and not state.is_empty()):
+    while state.clock < config.horizon or (
+            state.clock < end and not reference_sim.is_empty(state)):
         state, reward = ss.step(state, int(rng.integers(config.n_phases)), config)
         # a movement's queue: its vehicles the cursor has passed, less the served
         passed = [m for _, m in state.flow[:state.cursor]]
