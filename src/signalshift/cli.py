@@ -2,7 +2,8 @@
 library operation.
 
 Exit codes: 0 success, 2 missing input file, 3 validation failure,
-4 internal error.  Failures print one machine-parseable line to stderr:
+4 internal error; a `report` stage failure takes the code of its cause.
+Failures print one machine-parseable line to stderr:
 `ERROR[<category>]: <message>`.
 """
 
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from .config import load_settings
 from .dqn import GreedyPolicy, train_dqn, write_training_log
-from .harness import baseline_policy, load_manifest, run_experiment
+from .harness import ExperimentError, baseline_policy, load_manifest, run_experiment
 from .intersection import run_episode, write_vehicle_trace
 from .meta import (
     ablate_steps,
@@ -266,13 +267,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"ERROR[missing-file]: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"ERROR[validation]: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - final safety net for exit code 4
+        # a report's stage failure keeps the category of its cause
+        cause = exc.__cause__ if isinstance(exc, ExperimentError) else exc
+        if isinstance(cause, FileNotFoundError):
+            print(f"ERROR[missing-file]: {exc}", file=sys.stderr)
+            return 2
+        if isinstance(cause, ValueError):
+            print(f"ERROR[validation]: {exc}", file=sys.stderr)
+            return 3
         print(f"ERROR[internal]: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

@@ -34,7 +34,7 @@ from .network import (
     sgd_step,
 )
 from .scenarios import write_file
-from .seeding import NS_DQN, spawn_rng
+from .seeding import NS_DQN, NS_RANDOM_POLICY, as_rng, spawn_rng
 
 
 class ReplayMemory:
@@ -55,7 +55,7 @@ class ReplayMemory:
         self._r = np.empty(capacity, dtype=np.float64)
         self._size = 0
         self._cursor = 0
-        self._rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(int(seed))
+        self._rng = as_rng(seed)
 
     def __len__(self) -> int:
         return self._size
@@ -266,36 +266,24 @@ class GreedyPolicy:
 
 
 class FixedTimePolicy:
-    """Cycles phases in order, each held for its green split, blind to traffic.
+    """Cycles the phases in order, one per decision, blind to traffic:
+    decision d of an episode serves phase d mod P.
 
     Call `reset()` (run_episode does) before reusing an instance for a new
-    episode; the phase is derived from the count of decisions taken so far.
+    episode; it restarts the count of decisions taken.
     """
 
-    def __init__(self, config: IntersectionConfig, green_split=None):
-        splits = green_split if green_split is not None else config.decision_interval
-        if np.isscalar(splits):
-            splits = [float(splits)] * config.n_phases
-        splits = [float(s) for s in splits]
-        if len(splits) != config.n_phases or any(s <= 0 for s in splits):
-            raise ValueError("need one positive split per phase")
+    def __init__(self, config: IntersectionConfig):
         self.config = config
-        self.splits = splits
-        self.cycle = sum(splits)
         self._decisions = 0
 
     def reset(self, seed: int = 0) -> None:
         self._decisions = 0
 
     def __call__(self, obs) -> int:
-        t = (self._decisions * self.config.decision_interval) % self.cycle
+        phase = self._decisions % self.config.n_phases
         self._decisions += 1
-        acc = 0.0
-        for phase, split in enumerate(self.splits):
-            acc += split
-            if t < acc - 1e-9:
-                return phase
-        return 0  # t within 1e-9 of the cycle end: the cycle wraps
+        return phase
 
 
 class MaxPressurePolicy:
@@ -327,10 +315,10 @@ class RandomPolicy:
     def __init__(self, config: IntersectionConfig, seed: int = 0):
         self.n_phases = config.n_phases
         self.seed = seed
-        self._rng = spawn_rng(seed, 99, 0)
+        self.reset()
 
     def reset(self, seed: int = 0) -> None:
-        self._rng = spawn_rng(self.seed, 99, seed)
+        self._rng = spawn_rng(self.seed, NS_RANDOM_POLICY, seed)
 
     def __call__(self, obs) -> int:
         return int(self._rng.integers(self.n_phases))

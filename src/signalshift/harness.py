@@ -42,7 +42,7 @@ from .metrics import (
 )
 from .network import QNetworkParams
 from .scenarios import FlowSpec, file_text, load_scenario_dir, read_key_values, write_file
-from .seeding import spawn_rng
+from .seeding import NS_RL_ADAPT, spawn_rng
 
 ALGORITHMS = ("metalight", "rl_adapt", "rl_no_adapt",
               "fixed_time", "max_pressure", "random")
@@ -150,10 +150,6 @@ def percent_delta(value: float, best: float) -> int:
     return round(100.0 * (value - best) / best)
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else repr(x)
-
-
 def baseline_policy(tag: str, config: IntersectionConfig, seed: int):
     """The non-learning policy named by an algorithm tag."""
     if tag == "fixed_time":
@@ -178,6 +174,9 @@ def run_experiment(manifest: ExperimentManifest) -> list[EvalRecord]:
         settings = load_settings(manifest.config_path)
         train_set = load_scenario_dir(manifest.train_dir, kind="training")
         test_set = load_scenario_dir(manifest.test_dir, kind="test")
+        empty = [flow.label for flow in (*train_set, *test_set) if not len(flow)]
+        if empty:
+            raise ValueError(f"scenarios without vehicles: {', '.join(empty)}")
         train_dist = average_training_distribution(train_set)
         config = settings.intersection
 
@@ -223,7 +222,7 @@ def run_experiment(manifest: ExperimentManifest) -> list[EvalRecord]:
                         tuned = adapt_params(
                             dqn_params, scenario, config, settings.meta,
                             settings.meta.adapt_steps,
-                            spawn_rng(seed, 51, zlib.crc32(scenario.label.encode())))
+                            spawn_rng(seed, NS_RL_ADAPT, zlib.crc32(scenario.label.encode())))
                         subject = tuned.params
                     elif algorithm == "rl_no_adapt":
                         subject = dqn_params
@@ -252,39 +251,35 @@ def run_experiment(manifest: ExperimentManifest) -> list[EvalRecord]:
 
 def _write_reports(records, manifest, out: Path,
                    meta_train_times, dqn_train_times, adapt_times) -> None:
+    # setup rejects vehicle-less scenarios, so every record has a travel time
     lines = ["algorithm,scenario,seed,avg_travel_time_s,completed,residual,kl_to_train"]
     lines.extend(
-        f"{r.algorithm},{r.scenario},{r.seed},{_fmt(r.avg_travel_time)},"
-        f"{r.completed},{r.residual},{_fmt(r.kl_to_train)}"
+        f"{r.algorithm},{r.scenario},{r.seed},{r.avg_travel_time!r},"
+        f"{r.completed},{r.residual},{r.kl_to_train!r}"
         for r in records)
     write_file(out / "report_long.csv", lines)
 
     scenario_labels = sorted({r.scenario for r in records})
     cells: dict[tuple[str, str], list[float]] = {}
     for r in records:
-        if r.avg_travel_time is not None:
-            cells.setdefault((r.algorithm, r.scenario), []).append(r.avg_travel_time)
+        cells.setdefault((r.algorithm, r.scenario), []).append(r.avg_travel_time)
 
     lines = ["algorithm,scenario,mean_s,min_s,max_s,n_seeds"]
     for algorithm in manifest.algorithms:
         for scenario in scenario_labels:
-            values = cells.get((algorithm, scenario), [])
-            if values:
-                lines.append(f"{algorithm},{scenario},{float(np.mean(values))!r},"
-                             f"{min(values)!r},{max(values)!r},{len(values)}")
+            values = cells[(algorithm, scenario)]
+            lines.append(f"{algorithm},{scenario},{float(np.mean(values))!r},"
+                         f"{min(values)!r},{max(values)!r},{len(values)}")
     write_file(out / "report_summary.csv", lines)
 
     means = {key: float(np.mean(v)) for key, v in cells.items()}
-    best = {s: min(means[(a, s)] for a in manifest.algorithms if (a, s) in means)
-            for s in scenario_labels}
+    best = {s: min(means[(a, s)] for a in manifest.algorithms) for s in scenario_labels}
     lines = ["algorithm," + ",".join(scenario_labels)]
     for algorithm in manifest.algorithms:
         row = [algorithm]
         for scenario in scenario_labels:
-            mean = means.get((algorithm, scenario))
-            if mean is None:
-                row.append("")
-            elif mean <= best[scenario]:
+            mean = means[(algorithm, scenario)]
+            if mean <= best[scenario]:
                 row.append(f"{mean:.1f}*")
             else:
                 row.append(f"{mean:.1f} (+{percent_delta(mean, best[scenario])}%)")
@@ -300,6 +295,4 @@ def _write_reports(records, manifest, out: Path,
         lines.append(f"dqn_training_from_scratch,{float(np.mean(dqn_train_times))!r}")
     write_file(out / "timing.csv", lines)
 
-    curve_records = [r for r in records if r.kl_to_train is not None
-                     and r.avg_travel_time is not None]
-    (out / "curve.csv").write_text(emit_curve(curve_records))
+    (out / "curve.csv").write_text(emit_curve(records))

@@ -46,7 +46,7 @@ from .dqn import ReplayMemory, TDLearner, _explore, epsilon_greedy, td_grads
 # kept bound here: bench/selftest.py checks that the tracer restores
 # `meta.bellman_grads`; TD steps go through `td_grads`
 from .network import bellman_grads  # noqa: F401
-from .seeding import NS_META, spawn_rng
+from .seeding import META_ADAPT, NS_META, spawn_rng
 
 
 @dataclass
@@ -275,7 +275,7 @@ def adapt_to_scenario(checkpoint: MetaCheckpoint, scenario: FlowSpec,
 
 def _adapt_rng(hyper: MetaHyper, seed: int):
     """The generator of one adaptation: the same for every scenario and k."""
-    return spawn_rng(hyper.seed, NS_META, 50, seed)
+    return spawn_rng(hyper.seed, NS_META, META_ADAPT, seed)
 
 
 AblationRow = namedtuple("AblationRow", "k avg_travel_time_s scenario_count seed")

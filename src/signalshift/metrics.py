@@ -31,9 +31,6 @@ class MovementDistribution:
         if abs(float(self.p.sum()) - 1.0) > 1e-9:
             raise ValueError(f"distribution sums to {self.p.sum()!r}, not 1")
 
-    def __len__(self) -> int:
-        return len(self.p)
-
 
 def movement_distribution(volumes: Sequence[float]) -> MovementDistribution:
     """Share vector n_i / sum_j n_j of per-movement volumes."""

@@ -41,12 +41,12 @@ at B=1 on the same shapes, so its Q-values equal the batch forward's bit
 for bit (a property test checks this), but it skips the B axis's reshapes
 and indexing and builds no cache.
 
-Decisions go through two checked greedy rules: shape check, decision
-forward, finiteness, and the lowest index of the largest Q-value.
-`greedy_phase` decides for one network off a Python list of the P values;
-its stacked twin `greedy_phases` decides one row per network of a stack,
-as lockstep episodes act at B=1: by the bit-equality above each row is
-the Q-values that episode would get alone.
+Every decision goes through one greedy rule, `_greedy`: on a Python list
+of the P Q-values, finiteness, then the lowest index of the largest.
+`greedy_phase` applies it to one network's decision forward; its stacked
+twin `greedy_phases` applies it to one row per network of a stack, as
+lockstep episodes act at B=1: by the bit-equality above each row is the
+Q-values that episode would get alone.
 
 Weights and gradients are one type: a flat float64 vector `theta` with a
 named view per tensor, so SGD is `theta - lr * g.theta`; the backward pass
@@ -292,49 +292,49 @@ def _decide(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
     return (s[..., None, :] @ select[0].T)[..., 0, :]        # (1, K) @ (K, P)
 
 
-def _checked_q(network: BoundNetwork, obs: np.ndarray, rows=None) -> np.ndarray:
-    """`_decide` behind the shape check; the Q-values, or the listed `rows`
-    of a stack's, must be finite."""
+def _check_shape(network: BoundNetwork, obs: np.ndarray) -> None:
     if obs.shape != network.obs_shape:
         raise ValueError(f"observation has shape {obs.shape}, the config and the "
-                         f"networks need {network.obs_shape}")
-    q = _decide(network, obs)
-    if rows is not None:
-        q = q[rows]
-    if not np.isfinite(q).all():
+                         f"network need {network.obs_shape}")
+
+
+def _greedy(q: list[float]) -> int:
+    """The one greedy rule: the lowest index of the largest of the Q-values
+    `q`, a Python list.  Values that are not finite raise FloatingPointError.
+
+    Phases whose Q-values are equal in exact arithmetic sum their pair
+    scores in different orders, so which of them wins still rests on
+    rounding."""
+    if not all(map(math.isfinite, q)):
         raise FloatingPointError("non-finite Q-values")
-    return q
+    return q.index(max(q))
 
 
 def frap_forward(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
     """Q-value per phase (P,) for a single (M, 2) observation from `observe`;
     for a stack of T networks, Q (T, P) for obs (T, M, 2), one row each."""
-    return _checked_q(network, obs)
+    _check_shape(network, obs)
+    q = _decide(network, obs)
+    if not np.isfinite(q).all():
+        raise FloatingPointError("non-finite Q-values")
+    return q
 
 
 def greedy_phase(network: BoundNetwork, obs: np.ndarray) -> int:
-    """The greedy decision of one bound network for one (M, 2) observation:
-    the first phase of largest Q-value, the lowest-index rule `argmax`
-    applies to finite values.  Q-values that are not finite raise
-    FloatingPointError, an observation of the wrong shape ValueError.
-
-    Phases whose Q-values are equal in exact arithmetic sum their pair
-    scores in different orders, so which of them wins still rests on
-    rounding."""
-    if obs.shape != network.obs_shape:
-        raise ValueError(f"observation has shape {obs.shape}, the config and the "
-                         f"network need {network.obs_shape}")
-    q = _decide(network, obs).tolist()
-    if not all(map(math.isfinite, q)):
-        raise FloatingPointError("non-finite Q-values")
-    return q.index(max(q))
+    """The greedy decision (`_greedy`) of one bound network for one (M, 2)
+    observation.  Q-values that are not finite raise FloatingPointError, an
+    observation of the wrong shape ValueError."""
+    _check_shape(network, obs)
+    return _greedy(_decide(network, obs).tolist())
 
 
 def greedy_phases(stack: BoundNetwork, obs: np.ndarray, rows=None) -> list[int]:
     """`greedy_phase` for a stack of T networks and observations (T, M, 2),
     one each: the greedy phase of every row, or of the rows listed in
     `rows`, in that order.  Only those rows' Q-values are checked."""
-    return _checked_q(stack, obs, rows).argmax(axis=1).tolist()
+    _check_shape(stack, obs)
+    q = _decide(stack, obs).tolist()
+    return [_greedy(q[i]) for i in (range(len(q)) if rows is None else rows)]
 
 
 def bellman_grads(network: BoundNetwork, batch: Batch, target: BoundNetwork,

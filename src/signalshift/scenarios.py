@@ -36,6 +36,7 @@ from .seeding import (
     NS_TRAIN_SET,
     STAGE_ARRIVALS,
     STAGE_PERTURB,
+    as_rng,
     spawn_rng,
 )
 
@@ -182,12 +183,6 @@ class ScenarioSet:
         return iter(self.scenarios)
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return spawn_rng(int(seed))
-
-
 def perturb_base(base: BaseDistribution, uniform_scale: float,
                  per_move_half_range: float, seed) -> np.ndarray:
     """Perturbed integer volumes: base * (1+scale) * (1+r), r ~ U(-h, +h).
@@ -199,7 +194,7 @@ def perturb_base(base: BaseDistribution, uniform_scale: float,
         raise ValueError("uniform_scale must be in [-0.5, 0.5]")
     if not 0.0 <= per_move_half_range <= 0.5:
         raise ValueError("per_move_half_range must be in [0, 0.5]")
-    rng = _as_rng(seed)
+    rng = as_rng(seed)
     r = rng.uniform(-per_move_half_range, per_move_half_range, size=base.n_movements)
     scaled = base.volumes * (1.0 + uniform_scale) * (1.0 + r)
     return np.floor(scaled + 0.5).astype(np.int64)
@@ -211,7 +206,7 @@ def sample_arrivals(volumes, horizon: float, seed, *,
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     volumes = np.asarray(volumes, dtype=np.int64)
-    rng = _as_rng(seed)
+    rng = as_rng(seed)
     arrivals: list[tuple[float, int]] = []
     for m, v in enumerate(volumes):
         times = rng.uniform(0.0, horizon, size=int(v))

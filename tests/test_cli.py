@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -113,6 +118,16 @@ def test_ingest_prints_volumes(tmp_path, capsys):
     assert (tmp_path / "out" / "ingested_bases.csv").exists()
 
 
+def test_ingest_label_names_the_base(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("# schema=1\n2024-05-07T08:00:00,3,7\n")
+    code, _, _ = run_cli(capsys, "ingest", "--counts", str(counts), "--start", "08:00",
+                         "--end", "08:05", "--label", "X", "--out", str(tmp_path / "out"))
+    assert code == 0
+    [base] = ss.read_bases_csv(tmp_path / "out" / "ingested_bases.csv")
+    assert base.label == "X" and base.volumes.tolist() == [0, 0, 7, 0, 0, 0, 0, 0]
+
+
 def test_ingest_empty_window_exit_3(tmp_path, capsys):
     counts = tmp_path / "counts.csv"
     counts.write_text("# schema=1\n2024-05-07T08:00:00,3,7\n")
@@ -199,6 +214,59 @@ def test_report_runs_manifest(cli_workspace, capsys):
     code, _, _ = run_cli(capsys, "report", "--manifest", str(manifest))
     assert code == 0
     assert (tmp_path / "report" / "report_pivot.csv").exists()
+
+
+def run_report(capsys, tmp_path, workspace, test_dir, config, algorithms="fixed_time"):
+    """`report` on the workspace's training set and `test_dir`; returns the
+    exit code, stderr and the output directory."""
+    out = tmp_path / "report"
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"train_dir={workspace / 'sets' / 'train'}\ntest_dir={test_dir}\n"
+                        f"out={out}\nconfig={config}\nalgorithms={algorithms}\nseeds=0\n")
+    code, _, err = run_cli(capsys, "report", "--manifest", str(manifest))
+    return code, err, out
+
+
+def test_report_config_with_a_nan_kl_epsilon_exit_3(cli_workspace, tmp_path, capsys):
+    workspace, _ = cli_workspace
+    code, err, out = run_report(capsys, tmp_path, workspace, workspace / "sets" / "test",
+                                small_config(tmp_path, kl_epsilon="nan"))
+    assert code == 3
+    assert err.startswith("ERROR[validation]: [setup] kl_epsilon must be finite")
+    assert "stage=setup" in (out / "status.txt").read_text()
+
+
+def test_report_vehicle_less_test_flow_exit_3(cli_workspace, tmp_path, capsys):
+    workspace, config = cli_workspace
+    test_dir = tmp_path / "test"
+    test_dir.mkdir()
+    ss.write_flow_csv(ss.sample_arrivals([10] * 8, 300.0, 3, label="busy"), test_dir / "a.csv")
+    ss.write_flow_csv(ss.FlowSpec([], horizon=300.0, label="idle"), test_dir / "b.csv")
+    code, err, out = run_report(capsys, tmp_path, workspace, test_dir, config)
+    assert code == 3
+    assert err.startswith("ERROR[validation]: [setup] scenarios without vehicles: idle")
+    assert "stage=setup" in (out / "status.txt").read_text()
+
+
+def test_report_test_dir_without_flows_exit_2(cli_workspace, tmp_path, capsys):
+    workspace, config = cli_workspace
+    test_dir = tmp_path / "test"
+    test_dir.mkdir()
+    code, err, out = run_report(capsys, tmp_path, workspace, test_dir, config)
+    assert code == 2
+    assert err.startswith("ERROR[missing-file]: [setup] no flow CSVs found")
+    assert "stage=setup" in (out / "status.txt").read_text()
+
+
+def test_report_diverging_training_exit_4(cli_workspace, tmp_path, capsys):
+    workspace, _ = cli_workspace
+    config = small_config(tmp_path, lr=1e6, grad_clip=0)
+    with np.errstate(all="ignore"):
+        code, err, out = run_report(capsys, tmp_path, workspace, workspace / "sets" / "test",
+                                    config, algorithms="rl_no_adapt")
+    assert code == 4
+    assert err.startswith("ERROR[internal]: ExperimentError: [train-dqn]")
+    assert "stage=train-dqn" in (out / "status.txt").read_text()
 
 
 def test_eval_truncated_checkpoint_exit_3(tmp_path, capsys):
@@ -288,6 +356,19 @@ def test_eval_unknown_sidecar_key_exit_3(tmp_path, capsys):
                            "fixed_time", "--out", str(tmp_path / "eval"))
     assert code == 3
     assert err.startswith("ERROR[validation]: ") and "flow.meta:5: unknown key 'horizn'" in err
+
+
+def test_module_entry_point_exits_with_the_code(tmp_path):
+    # `python -m signalshift.cli` hands main's exit code to the shell
+    src = str(Path(ss.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    missing = str(tmp_path / "missing.csv")
+    done = subprocess.run([sys.executable, "-m", "signalshift.cli", "kl", "--a", missing,
+                           "--b", missing], capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("ERROR[missing-file]: ") and "missing.csv" in done.stderr
 
 
 def test_help_exits_zero(capsys):

@@ -294,14 +294,6 @@ def test_fixed_time_ignores_observations():
     assert seq1 == seq2
 
 
-def test_fixed_time_custom_splits():
-    cfg = ss.IntersectionConfig()
-    policy = ss.FixedTimePolicy(cfg, [20.0, 10.0, 10.0, 10.0])
-    assert [policy(None) for _ in range(5)] == [0, 0, 1, 2, 3]
-    with pytest.raises(ValueError):
-        ss.FixedTimePolicy(cfg, [10.0, 10.0])
-
-
 def test_fixed_time_slower_than_always_green():
     cfg = ss.IntersectionConfig()
     flow = ss.FlowSpec([(0.0, 0)], horizon=3600.0)

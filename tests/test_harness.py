@@ -261,6 +261,27 @@ def test_experiment_stage_error_flags_output(tmp_path):
     assert "status=failed" in status and "stage=evaluate" in status
 
 
+@pytest.mark.parametrize("kind", ["train", "test"])
+def test_vehicle_less_scenarios_fail_at_setup(tmp_path, kind):
+    # the check runs before any training: both flows are named, and no
+    # report file is written
+    train_dir, test_dir = write_sets(tmp_path)
+    target = train_dir if kind == "train" else test_dir
+    for label in ("zz_empty_a", "zz_empty_b"):
+        ss.write_flow_csv(ss.FlowSpec([], horizon=300.0, label=label),
+                          target / f"{label}.csv")
+    out = tmp_path / "out"
+    manifest = ss.ExperimentManifest(train_dir, test_dir, out,
+                                     algorithms=["rl_no_adapt", "fixed_time"], seeds=[0],
+                                     config_path=small_config_file(tmp_path))
+    with pytest.raises(ss.ExperimentError, match="zz_empty_a, zz_empty_b") as err:
+        ss.run_experiment(manifest)
+    assert err.value.stage == "setup"
+    assert isinstance(err.value.__cause__, ValueError)
+    assert sorted(p.name for p in out.iterdir()) == ["status.txt"]
+    assert "stage=setup" in (out / "status.txt").read_text()
+
+
 RUNAWAY_ADAPT = dict(meta_iterations=0, alpha=1e6, adapt_steps=10, grad_clip=0)
 
 

@@ -339,3 +339,64 @@ def test_flow_sidecar_provenance_keys_come_as_a_set(tmp_path):
     missing = r"without \['uniform_scale'\]"
     with pytest.raises(ss.ParseError, match=rf"x\.meta:{line_no}: provenance keys .* {missing}"):
         ss.read_flow_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# input guards: each case fails if its guard is deleted
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: ss.BaseDistribution(np.ones((2, 4)), "b"), "1-d vector"),
+    (lambda: ss.BaseDistribution(np.array([5, -1, 3]), "b"), "non-negative"),
+    (lambda: ss.FlowSpec([], horizon=0.0), "horizon must be positive"),
+    (lambda: ss.ScenarioSet([], kind="validation"), "unknown scenario-set kind"),
+    (lambda: ss.sample_arrivals([1, 2], -1.0, 0), "horizon must be positive"),
+    (lambda: ss.make_test_scenarios([], 0), "at least one base"),
+], ids=["base-2d", "base-negative", "flow-horizon", "set-kind", "arrivals-horizon",
+        "test-set-no-bases"])
+def test_construction_rejects(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("start,end,row,match", [
+    ("8 o'clock", "09:00", None, r"window_start: cannot parse \"8 o'clock\""),
+    ("08:00", "2024-05-07T09:00", None, "both be datetimes or both clock times"),
+    ("08:00", "09:00", "2024-05-07T08:05:00,3", r"counts\.csv:3: expected 3 fields, got 2"),
+    ("08:00", "09:00", "2024-05-07T08:05:00,9,1", r"counts\.csv:3: movement 9 outside 1\.\.8"),
+    ("08:00", "09:00", "2024-05-07T08:05:00,0,1", r"counts\.csv:3: movement 0 outside"),
+    ("08:00", "09:00", "2024-05-07T08:05:00,3,-2", r"counts\.csv:3: negative count"),
+], ids=["edge-unparsable", "edge-types-mixed", "row-fields", "row-movement-high",
+        "row-movement-low", "row-negative"])
+def test_ingest_rejects(tmp_path, start, end, row, match):
+    path = tmp_path / "counts.csv"
+    path.write_text("# schema=1\n2024-05-07T08:00:00,3,7\n" + (row or "") + "\n")
+    with pytest.raises(ValueError, match=match) as err:
+        ss.ingest_counts_csv(path, start, end)
+    assert isinstance(err.value, ss.ParseError) == (row is not None)
+
+
+@pytest.mark.parametrize("row,match", [
+    ("12.5,1,1", "expected 2 fields, got 3"),
+    ("soon,1", "could not convert string to float"),
+    ("12.5,9", r"movement 9 outside 1\.\.8"),
+    ("12.5,0", "movement 0 outside"),
+], ids=["fields", "time-unparsable", "movement-high", "movement-low"])
+def test_read_flow_csv_rejects(tmp_path, row, match):
+    path = tmp_path / "flow.csv"
+    path.write_text(f"# schema=1\narrival_s,movement\n10.0,1\n{row}\n")
+    with pytest.raises(ss.ParseError, match=rf"flow\.csv:4: {match}"):
+        ss.read_flow_csv(path)
+
+
+@pytest.mark.parametrize("rows,match", [
+    ("b2", r"bases\.csv:4: expected label plus volumes"),
+    ("b2,3,x", r"bases\.csv:4: invalid literal for int\(\)"),
+    (None, r"no base distributions found in .*bases\.csv"),
+], ids=["label-only", "volume-unparsable", "no-bases"])
+def test_read_bases_csv_rejects(tmp_path, rows, match):
+    path = tmp_path / "bases.csv"
+    body = "b1,3,4\n" + rows + "\n" if rows else ""
+    path.write_text("# schema=1\nlabel,mov_1,mov_2\n" + body)
+    with pytest.raises(ValueError, match=match) as err:
+        ss.read_bases_csv(path)
+    assert isinstance(err.value, ss.ParseError) == (rows is not None)
