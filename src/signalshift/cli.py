@@ -35,6 +35,7 @@ from .scenarios import (
     make_training_set,
     read_bases_csv,
     read_flow_csv,
+    require_vehicles,
     write_bases_csv,
     write_file,
     write_scenario_set,
@@ -147,6 +148,7 @@ def cmd_eval(args) -> int:
     settings = load_settings(args.config, args.seed)
     config = settings.intersection
     scenario = read_flow_csv(_require(args.scenario))
+    require_vehicles([scenario])
     if args.checkpoint:
         policy = GreedyPolicy(load_params(_require(args.checkpoint)), config)
         tag = "checkpoint"

@@ -41,7 +41,14 @@ from .metrics import (
     movement_distribution,
 )
 from .network import QNetworkParams
-from .scenarios import FlowSpec, file_text, load_scenario_dir, read_key_values, write_file
+from .scenarios import (
+    FlowSpec,
+    file_text,
+    load_scenario_dir,
+    read_key_values,
+    require_vehicles,
+    write_file,
+)
 from .seeding import NS_RL_ADAPT, spawn_rng
 
 ALGORITHMS = ("metalight", "rl_adapt", "rl_no_adapt",
@@ -174,9 +181,7 @@ def run_experiment(manifest: ExperimentManifest) -> list[EvalRecord]:
         settings = load_settings(manifest.config_path)
         train_set = load_scenario_dir(manifest.train_dir, kind="training")
         test_set = load_scenario_dir(manifest.test_dir, kind="test")
-        empty = [flow.label for flow in (*train_set, *test_set) if not len(flow)]
-        if empty:
-            raise ValueError(f"scenarios without vehicles: {', '.join(empty)}")
+        require_vehicles([*train_set, *test_set])
         train_dist = average_training_distribution(train_set)
         config = settings.intersection
 

@@ -11,13 +11,17 @@ The config derives what every decision reads once, when it is made: the
 ticks per decision, the phase count, the phase membership and one
 observation template per phase (zero queues, the phase's green flags),
 which `observe` copies and fills with the queue counts.
+
+An episode reads its scenario's arrays (`FlowSpec.arrivals`): set-up
+turns them into the two plain lists the tick loop indexes, each vehicle's
+stop-line time and movement, and scoring works on the arrays and on the
+per-movement exit times the loop appends.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 
@@ -93,46 +97,81 @@ class IntersectionConfig:
 
 @dataclass
 class SimState:
-    """Mutable simulator state, exclusively owned by one episode.  Service
-    is FIFO, so slot i of `arrivals[m]` leaves at `exits[m][i]`; the
-    `queued[m]` slots after the served ones wait at the stop line, and the
-    slots after those have not reached it yet."""
+    """Mutable simulator state, exclusively owned by one episode.
+
+    Vehicle i of the scenario (flow order) reaches the stop line at
+    `stop_line[i]` on movement `movements[i]`; the lists are made from the
+    scenario's arrays when the episode starts, and `stop_line` ends in an
+    `inf` sentinel.  Service is FIFO, so movement m's j-th vehicle (in time
+    order) leaves at `exits[m][j]`; the `queued[m]` vehicles after the
+    served ones wait at the stop line, and the rest have not reached it."""
 
     clock: float
     current_phase: int
     in_yellow: float                   # remaining all-red seconds
-    flow: list[tuple[float, int]]      # (arrival_time, movement), time order
-    cursor: int                        # flow[:cursor] have reached the stop line
-    arrivals: list[list[float]]        # per movement: arrival times, FIFO order
+    scenario: FlowSpec                 # the episode's vehicles
+    stop_line: list[float]             # per vehicle: arrival + approach time, then inf
+    movements: list[int]               # per vehicle: its movement
+    cursor: int                        # vehicles [:cursor] have reached the stop line
     queued: list[int]                  # per movement: vehicles waiting at the stop line
-    exits: list[list[float]]           # per movement: exit times of served slots
+    exits: list[list[float]]           # per movement: exit times of served vehicles
     credits: list[float]               # fractional service per movement
+
+    @property
+    def flow(self) -> np.ndarray:
+        """The scenario's read-only (arrival_time, movement) records, in
+        time order."""
+        return self.scenario.arrivals
+
+    @property
+    def arrivals(self) -> list[np.ndarray]:
+        """Per movement: arrival times in FIFO order (made on each read)."""
+        by_movement = self.scenario.by_movement
+        bounds = np.cumsum(self.scenario.movement_counts())[:-1]
+        return np.split(self.flow["t"][by_movement], bounds)
 
 
 @dataclass
 class EpisodeResult:
-    """A scored episode.  It keeps the episode's per-movement arrival and
-    exit times, and `per_vehicle` builds the per-vehicle list from them
-    when read."""
+    """A scored episode.  It keeps the scenario and each movement's exit
+    times, and `per_vehicle` builds the per-vehicle list from them when
+    read."""
 
     avg_travel_time: float | None
     completed_count: int
     residual_count: int
     reward_trace: list[float]
-    arrivals: list[list[float]]        # per movement: arrival times, FIFO order
-    exits: list[list[float]]           # per movement: exit times of served slots
+    scenario: FlowSpec
+    exits: list[list[float]]           # per movement: exit times of served vehicles
     end_clock: float                   # the censored vehicles' exit time
 
     @property
     def per_vehicle(self) -> list[tuple[float, float, int, bool]]:
         """(arrival, exit, movement, censored) per vehicle, in (arrival,
         movement) order."""
-        per_vehicle = []
-        for m, (slots, served) in enumerate(zip(self.arrivals, self.exits)):
-            per_vehicle.extend((arr, exit_t, m, False) for arr, exit_t in zip(slots, served))
-            per_vehicle.extend((arr, self.end_clock, m, True) for arr in slots[len(served):])
-        per_vehicle.sort(key=lambda v: (v[0], v[2]))
-        return per_vehicle
+        order = self.scenario.by_time_and_movement
+        exit_t, censored = _exit_times(self.scenario, self.exits, self.end_clock)
+        records = self.scenario.arrivals[order]
+        return list(zip(records["t"].tolist(), exit_t[order].tolist(),
+                        records["m"].tolist(), censored[order].tolist()))
+
+
+def _exit_times(scenario: FlowSpec, exits: list[list[float]],
+                end_clock: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each vehicle's exit time and whether it is censored, in flow order:
+    movement m's j-th vehicle left at `exits[m][j]`, and one not served
+    is censored at `end_clock`."""
+    n = len(scenario)
+    slot_exit, slot_censored = np.full(n, end_clock), np.ones(n, dtype=bool)
+    start = 0
+    for count, served in zip(scenario.movement_counts().tolist(), exits):
+        slot_exit[start:start + len(served)] = served
+        slot_censored[start:start + len(served)] = False
+        start += count
+    exit_t, censored = np.empty(n), np.empty(n, dtype=bool)
+    exit_t[scenario.by_movement] = slot_exit
+    censored[scenario.by_movement] = slot_censored
+    return exit_t, censored
 
 
 def initial_state(config: IntersectionConfig, flow: FlowSpec) -> SimState:
@@ -140,12 +179,12 @@ def initial_state(config: IntersectionConfig, flow: FlowSpec) -> SimState:
         raise ValueError(
             f"flow has {flow.n_movements} movements, config has {config.n_movements}")
     n = config.n_movements
-    arrivals: list[list[float]] = [[] for _ in range(n)]
-    for arrival, movement in flow.arrivals:
-        arrivals[movement].append(arrival)
-    return SimState(clock=0.0, current_phase=0, in_yellow=0.0, flow=flow.arrivals,
-                    cursor=0, arrivals=arrivals, queued=[0] * n,
-                    exits=[[] for _ in range(n)], credits=[0.0] * n)
+    # one NumPy add per flow, the same IEEE sum as one add per vehicle
+    stop_line = (flow.arrivals["t"] + config.approach_time).tolist()
+    stop_line.append(math.inf)
+    return SimState(clock=0.0, current_phase=0, in_yellow=0.0, scenario=flow,
+                    stop_line=stop_line, movements=flow.arrivals["m"].tolist(), cursor=0,
+                    queued=[0] * n, exits=[[] for _ in range(n)], credits=[0.0] * n)
 
 
 def phase_membership(config: IntersectionConfig) -> np.ndarray:
@@ -171,8 +210,9 @@ def observe(state: SimState, config: IntersectionConfig) -> np.ndarray:
 def _check_conservation(state: SimState) -> None:
     """Served <= arrived <= vehicles on every movement, where arrived is
     queued + served; arrived total = cursor."""
-    counts = [(len(e), q + len(e), len(a))
-              for a, q, e in zip(state.arrivals, state.queued, state.exits)]
+    vehicles = state.scenario.movement_counts().tolist()
+    counts = [(len(e), q + len(e), v)
+              for q, e, v in zip(state.queued, state.exits, vehicles)]
     arrived = sum(n for _, n, _ in counts)
     if any(not s <= n <= v for s, n, v in counts) or arrived != state.cursor:
         raise RuntimeError(f"conservation violated at t={state.clock}: (served, arrived, "
@@ -200,19 +240,19 @@ def step(state: SimState, action: int, config: IntersectionConfig,
     green = config.phases[state.current_phase]
     # the tick loop runs on every decision: it reads and writes locals, and
     # the state's clock, cursor and in_yellow are written back at the end
-    tick, approach = config.tick, config.approach_time
+    tick = config.tick
     service = config.saturation_rate * tick
-    flow, queued, exits, credits = state.flow, state.queued, state.exits, state.credits
+    stop_line, movements = state.stop_line, state.movements
+    queued, exits, credits = state.queued, state.exits, state.credits
     clock, cursor, in_yellow = state.clock, state.cursor, state.in_yellow
     # when the vehicle at the cursor reaches the stop line (inf: none left)
-    n_flow = len(flow)
-    reach = flow[cursor][0] + approach if cursor < n_flow else math.inf
+    reach = stop_line[cursor]
     for _ in range(config.ticks_per_interval):
         t0 = clock
         while reach <= t0:
-            queued[flow[cursor][1]] += 1
+            queued[movements[cursor]] += 1
             cursor += 1
-            reach = flow[cursor][0] + approach if cursor < n_flow else math.inf
+            reach = stop_line[cursor]
 
         if in_yellow > 0:
             in_yellow -= tick
@@ -272,7 +312,7 @@ def rollout(config: IntersectionConfig, flows, act, on_step=None, on_end=None,
             # the network is empty once no vehicle is queued (reward 0) and
             # none is left to reach the stop line
             if state.clock < horizon or (state.clock < end and (
-                    reward or state.cursor < len(state.flow))):
+                    reward or state.cursor < len(state.movements))):
                 still.append(i)
                 obs_next.append(x_next)
             else:
@@ -287,23 +327,17 @@ def episode_result(state: SimState, rewards: list[float]) -> EpisodeResult:
     final clock for those still in the network, and the counts.
 
     The mean runs over the travel times in `per_vehicle` order, (arrival,
-    movement), which a stable sort of the movement-major slots gives."""
-    sizes = [len(slots) for slots in state.arrivals]
-    total = sum(sizes)
+    movement)."""
+    scenario = state.scenario
+    total = len(scenario)
     completed_count = sum(map(len, state.exits))
     avg = None
     if total:
-        arrival = np.fromiter(chain.from_iterable(state.arrivals), np.float64, total)
-        exit_t = np.full(total, state.clock)
-        start = 0
-        for size, served in zip(sizes, state.exits):
-            exit_t[start:start + len(served)] = served
-            start += size
-        movement = np.repeat(np.arange(len(sizes)), sizes)
-        order = np.lexsort((movement, arrival))
-        avg = float(np.mean((exit_t - arrival)[order]))
+        exit_t, _ = _exit_times(scenario, state.exits, state.clock)
+        travel = exit_t - scenario.arrivals["t"]
+        avg = float(np.mean(travel[scenario.by_time_and_movement]))
     return EpisodeResult(avg, completed_count, total - completed_count, rewards,
-                         state.arrivals, state.exits, state.clock)
+                         scenario, state.exits, state.clock)
 
 
 def run_episode(config: IntersectionConfig, flow: FlowSpec, policy,

@@ -40,6 +40,7 @@ from .scenarios import (
     file_text,
     flow_to_csv_text,
     read_known_keys,
+    require_vehicles,
     write_file,
 )
 from .dqn import ReplayMemory, TDLearner, _explore, epsilon_greedy, td_grads
@@ -291,13 +292,16 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
     k that adaptation draws the same experience and batches from the same
     generator, so k steps are the first k of max(ks) steps.  Each scenario
     is therefore adapted once, keeping the iterate at each k, and the
-    greedy episodes of all (k, scenario) pairs run in lockstep.
+    greedy episodes of all (k, scenario) pairs run in lockstep.  A scenario
+    without vehicles has no travel time: one is refused, by name, before
+    any work.
     """
     flows = list(scenarios)
     if not ks:
         raise ValueError("ks must be non-empty")
     if not flows:
         raise ValueError("need at least one scenario")
+    require_vehicles(flows)
     ks = [int(k) for k in ks]
     for k in ks:
         if k < 1:
@@ -318,7 +322,7 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
     def act(live, obs):
         return greedy_phases(stack(live), np.array(obs))
 
-    times: list[float | None] = [None] * len(thetas)
+    times = [0.0] * len(thetas)
 
     def score(i, state):
         # keep the travel time only: every episode's vehicle trace held
@@ -326,10 +330,8 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
         times[i] = episode_result(state, []).avg_travel_time
 
     rollout(config, flows * len(steps), act, on_end=score)
-    mean_time = {}
-    for j, k in enumerate(steps):
-        row = [t for t in times[j * len(flows):(j + 1) * len(flows)] if t is not None]
-        mean_time[k] = float(np.mean(row)) if row else float("nan")
+    mean_time = {k: float(np.mean(times[j * len(flows):(j + 1) * len(flows)]))
+                 for j, k in enumerate(steps)}
     return [AblationRow(k, mean_time[k], len(flows), seed) for k in ks]
 
 

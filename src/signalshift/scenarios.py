@@ -1,7 +1,9 @@
 """Scenario generation and ingestion.
 
-A scenario is one hour of per-vehicle arrivals at a single intersection.
-Training and test sets are produced from base hourly volumes by a uniform
+A scenario is one hour of per-vehicle arrivals at a single intersection,
+held as one read-only NumPy structured array of 16-byte `(t, m)` records
+(float64 arrival second, int64 movement), in time order.  Training and
+test sets are produced from base hourly volumes by a uniform
 volume scaling, an independent per-movement perturbation, and uniform
 random arrival times.  Real-world base volumes come from 5-minute count
 files.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import datetime as dt
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -135,11 +138,27 @@ class Provenance:
     seed: int
 
 
+# one record per vehicle: its arrival second and 0-based movement, 16 bytes
+ARRIVAL = np.dtype([("t", np.float64), ("m", np.int64)])
+
+
+def arrival_records(times, movements) -> np.ndarray:
+    """A fresh (n,) ARRIVAL array from a column of times and one of movements."""
+    records = np.empty(len(times), ARRIVAL)
+    records["t"], records["m"] = times, movements
+    return records
+
+
 @dataclass
 class FlowSpec:
-    """One scenario: time-sorted (arrival_s, movement) pairs over an hour."""
+    """One scenario: its vehicles over an hour, as `arrivals`, a read-only
+    (n,) ARRIVAL array in time order; `arrivals.tolist()` is the list of
+    (arrival_s, movement) tuples.
 
-    arrivals: list[tuple[float, int]]
+    Built from that array or from any sequence of (t, m) pairs; either is
+    copied.  Two flows are equal when their vehicles and fields are."""
+
+    arrivals: np.ndarray
     horizon: float = 3600.0
     n_movements: int = 8
     label: str = "flow"
@@ -148,23 +167,66 @@ class FlowSpec:
     def __post_init__(self):
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        prev = -1.0
-        for t, m in self.arrivals:
+        if isinstance(self.arrivals, np.ndarray) and self.arrivals.dtype == ARRIVAL:
+            records = self.arrivals.copy()
+        else:
+            pairs = list(self.arrivals)
+            records = arrival_records([t for t, _ in pairs], [m for _, m in pairs])
+        t, m = records["t"], records["m"]
+        bad = ~((0.0 <= t) & (t < self.horizon) & (0 <= m) & (m < self.n_movements))
+        bad[1:] |= t[1:] < t[:-1]
+        if bad.any():
+            # the first offending vehicle, with the first check it fails
+            i = int(bad.argmax())
+            t, m = float(t[i]), int(m[i])
             if not 0.0 <= t < self.horizon:
                 raise ValueError(f"arrival time {t} outside [0, {self.horizon})")
             if not 0 <= m < self.n_movements:
                 raise ValueError(f"movement index {m} out of range")
-            if t < prev:
-                raise ValueError("arrivals must be sorted by time")
-            prev = t
+            raise ValueError("arrivals must be sorted by time")
+        records.flags.writeable = False
+        self.arrivals = records
+
+    def __eq__(self, other):
+        if not isinstance(other, FlowSpec):
+            return NotImplemented
+        return ((self.horizon, self.n_movements, self.label, self.provenance)
+                == (other.horizon, other.n_movements, other.label, other.provenance)
+                and np.array_equal(self.arrivals, other.arrivals))
 
     def __len__(self) -> int:
         return len(self.arrivals)
 
     def movement_counts(self) -> np.ndarray:
         """Vehicles per movement, int64 (M,)."""
-        movements = np.fromiter((m for _, m in self.arrivals), np.intp, len(self.arrivals))
-        return np.bincount(movements, minlength=self.n_movements).astype(np.int64)
+        return np.bincount(self.arrivals["m"], minlength=self.n_movements).astype(
+            np.int64, copy=False)
+
+    @cached_property
+    def by_movement(self) -> np.ndarray:
+        """The vehicles' indices movement by movement, each movement's in
+        time order: their FIFO order at the stop line.  Read-only, made
+        on first use."""
+        order = np.argsort(self.arrivals["m"], kind="stable")
+        order.flags.writeable = False
+        return order
+
+    @cached_property
+    def by_time_and_movement(self) -> np.ndarray:
+        """The vehicles' indices in (time, movement) order, a tie kept in
+        flow order; `arange(n)` unless equal times list movements out of
+        order.  Read-only, made on first use."""
+        order = np.lexsort((self.arrivals["m"], self.arrivals["t"]))
+        order.flags.writeable = False
+        return order
+
+
+def require_vehicles(flows) -> None:
+    """Raise ValueError naming every flow without vehicles: no travel time
+    can be scored on one."""
+    empty = [flow.label for flow in flows if not len(flow)]
+    if empty:
+        raise ValueError(f"scenarios without vehicles: {', '.join(empty)}")
 
 
 @dataclass
@@ -202,17 +264,19 @@ def perturb_base(base: BaseDistribution, uniform_scale: float,
 
 def sample_arrivals(volumes, horizon: float, seed, *,
                     label: str = "flow", provenance: Provenance | None = None) -> FlowSpec:
-    """Exactly volumes[i] arrivals on movement i, times ~ U[0, horizon)."""
+    """Exactly volumes[i] arrivals on movement i, times ~ U[0, horizon):
+    movement 0's times are drawn first, then movement 1's, and so on, and
+    the vehicles are sorted by (time, movement)."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     volumes = np.asarray(volumes, dtype=np.int64)
     rng = as_rng(seed)
-    arrivals: list[tuple[float, int]] = []
-    for m, v in enumerate(volumes):
-        times = rng.uniform(0.0, horizon, size=int(v))
-        arrivals.extend((float(t), m) for t in times)
-    arrivals.sort(key=lambda a: (a[0], a[1]))
-    return FlowSpec(arrivals, horizon=float(horizon), n_movements=len(volumes),
+    times = np.concatenate([np.empty(0), *(rng.uniform(0.0, horizon, size=int(v))
+                                           for v in volumes)])
+    movements = np.repeat(np.arange(len(volumes)), volumes)
+    order = np.lexsort((movements, times))
+    return FlowSpec(arrival_records(times[order], movements[order]),
+                    horizon=float(horizon), n_movements=len(volumes),
                     label=label, provenance=provenance)
 
 
@@ -356,7 +420,9 @@ def ingest_counts_csv(path, window_start, window_end, *,
 
 def flow_to_csv_text(flow: FlowSpec) -> str:
     """Canonical CSV text of a flow (also hashed for provenance digests)."""
-    return file_text(["arrival_s,movement", *(f"{t!r},{m + 1}" for t, m in flow.arrivals)])
+    times, movements = flow.arrivals["t"].tolist(), (flow.arrivals["m"] + 1).tolist()
+    return file_text(["arrival_s,movement",
+                      *(f"{t!r},{m}" for t, m in zip(times, movements))])
 
 
 # the sidecar's keys; the provenance keys are written, and read, as a set
@@ -392,7 +458,8 @@ def read_flow_csv(path) -> FlowSpec:
 
     horizon = float(meta.get("horizon", 3600.0))
     n_movements = int(meta.get("n_movements", 8))
-    arrivals: list[tuple[float, int]] = []
+    times: list[float] = []
+    movements: list[int] = []
     with path.open() as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -407,7 +474,8 @@ def read_flow_csv(path) -> FlowSpec:
                 raise ParseError(path, line_no, str(exc)) from exc
             if not 1 <= m <= n_movements:
                 raise ParseError(path, line_no, f"movement {m} outside 1..{n_movements}")
-            arrivals.append((t, m - 1))
+            times.append(t)
+            movements.append(m - 1)
 
     provenance = None
     if present := [key for key in PROVENANCE_KEYS if key in meta]:
@@ -417,8 +485,9 @@ def read_flow_csv(path) -> FlowSpec:
                              f"provenance keys {present} without {missing}")
         provenance = Provenance(meta["base_label"], float(meta["uniform_scale"]),
                                 float(meta["half_range"]), int(meta["seed"]))
-    return FlowSpec(arrivals, horizon=horizon, n_movements=n_movements,
-                    label=meta.get("label", path.stem), provenance=provenance)
+    return FlowSpec(arrival_records(times, movements), horizon=horizon,
+                    n_movements=n_movements, label=meta.get("label", path.stem),
+                    provenance=provenance)
 
 
 def write_scenario_set(scenario_set: ScenarioSet, out_dir) -> list[Path]:

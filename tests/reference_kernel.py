@@ -109,10 +109,8 @@ def ablate_steps(checkpoint, scenarios, ks, config, seed=0):
             adapted = ss.adapt_to_scenario(checkpoint, flow, config, k_override=k, seed=seed)
             result = ss.run_episode(config, flow, ss.GreedyPolicy(adapted.params, config),
                                     seed=seed)
-            if result.avg_travel_time is not None:
-                times.append(result.avg_travel_time)
-        rows.append(ss.meta.AblationRow(int(k), float(np.mean(times)) if times else float("nan"),
-                                        len(scenarios), seed))
+            times.append(result.avg_travel_time)
+        rows.append(ss.meta.AblationRow(int(k), float(np.mean(times)), len(scenarios), seed))
     return rows
 
 

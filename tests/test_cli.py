@@ -248,6 +248,31 @@ def test_report_vehicle_less_test_flow_exit_3(cli_workspace, tmp_path, capsys):
     assert "stage=setup" in (out / "status.txt").read_text()
 
 
+def test_ablate_vehicle_less_test_flow_exit_3(tmp_path, capsys):
+    ckpt = tmp_path / "meta.txt"
+    ss.save_meta_checkpoint(ss.MetaCheckpoint(ss.init_params((16, 16), seed=1),
+                                              ss.MetaHyper(), "digest"), ckpt)
+    test_dir = tmp_path / "test"
+    test_dir.mkdir()
+    ss.write_flow_csv(ss.sample_arrivals([10] * 8, 300.0, 3, label="busy"), test_dir / "a.csv")
+    ss.write_flow_csv(ss.FlowSpec([], horizon=300.0, label="idle"), test_dir / "b.csv")
+    code, _, err = run_cli(capsys, "ablate", "--checkpoint", str(ckpt), "--scenarios",
+                           str(test_dir), "--ks", "1,2", "--out", str(tmp_path / "abl"))
+    assert code == 3
+    assert err.startswith("ERROR[validation]: scenarios without vehicles: idle")
+    assert not (tmp_path / "abl").exists()
+
+
+def test_eval_vehicle_less_flow_exit_3(tmp_path, capsys):
+    scenario = tmp_path / "flow.csv"
+    ss.write_flow_csv(ss.FlowSpec([], horizon=300.0, label="idle"), scenario)
+    code, _, err = run_cli(capsys, "eval", "--scenario", str(scenario), "--policy",
+                           "fixed_time", "--out", str(tmp_path / "eval"))
+    assert code == 3
+    assert err.startswith("ERROR[validation]: scenarios without vehicles: idle")
+    assert not (tmp_path / "eval").exists()
+
+
 def test_report_test_dir_without_flows_exit_2(cli_workspace, tmp_path, capsys):
     workspace, config = cli_workspace
     test_dir = tmp_path / "test"

@@ -295,10 +295,11 @@ def test_ablate_rejects_a_bad_k_before_any_rollout(monkeypatch):
 
 def test_ablate_rows_equal_one_adaptation_per_k_and_scenario():
     cfg = small_config()
-    # two episodes of experience: an empty flow yields 30 transitions per episode
+    # two episodes of experience: a flow of one early vehicle yields 30
+    # transitions per episode
     ckpt = tiny_checkpoint(cfg, adapt_data_budget=2)
     flows = [ss.sample_arrivals([8, 30, 4, 6, 8, 30, 4, 6], 300.0, 0),
-             ss.FlowSpec([], horizon=300.0),
+             ss.FlowSpec([(0.0, 0)], horizon=300.0),
              ss.sample_arrivals([2] * 8, 300.0, 1),
              ss.sample_arrivals([40, 60, 30, 50, 40, 60, 30, 50], 300.0, 2)]
     # the greedy episodes leave the lockstep at different decisions
@@ -309,6 +310,20 @@ def test_ablate_rows_equal_one_adaptation_per_k_and_scenario():
     rows = ss.ablate_steps(ckpt, flows, ks, cfg, seed=2)
     assert repr(rows) == repr(reference_ablate_steps(ckpt, flows, ks, cfg, seed=2))
     assert [r.k for r in rows] == ks
+
+
+def test_ablate_refuses_vehicle_less_scenarios_before_any_work(monkeypatch):
+    cfg = small_config()
+    ckpt = tiny_checkpoint(cfg)
+
+    def collect(*args):
+        raise AssertionError("adaptation ran")
+
+    monkeypatch.setattr(ss.meta, "_collect_experience", collect)
+    flows = [ss.FlowSpec([], horizon=300.0, label="idle_a"), *small_scenarios(1),
+             ss.FlowSpec([], horizon=300.0, label="idle_b")]
+    with pytest.raises(ValueError, match=r"^scenarios without vehicles: idle_a, idle_b$"):
+        ss.ablate_steps(ckpt, flows, [1, 2], cfg)
 
 
 def memory_rows(memory):

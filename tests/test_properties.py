@@ -493,6 +493,41 @@ def test_flow_csv_write_then_read_is_identity(tmp_path_factory, flow):
     assert ss.read_flow_csv(path) == flow
 
 
+def tuple_arrivals(volumes, horizon, rng) -> list[tuple[float, int]]:
+    """`sample_arrivals` as it was built from tuples: each movement's times
+    drawn in turn, then sorted by (time, movement)."""
+    arrivals = []
+    for m, v in enumerate(volumes):
+        arrivals.extend((float(t), m) for t in rng.uniform(0.0, horizon, size=v))
+    arrivals.sort(key=lambda a: (a[0], a[1]))
+    return arrivals
+
+
+# a subnormal horizon puts the times on a grid of a few hundred values, so
+# equal times on different movements are common; the draws then also reach
+# the horizon itself at times, which the flow must reject
+HORIZONS = st.sampled_from([1e-321, 300.0, 3600.0]) | st.floats(1e-3, 1e7)
+
+
+@settings(max_examples=150, deadline=None)
+@example(volumes=[0] * 8, horizon=3600.0, seed=0)
+@given(volumes=st.lists(st.integers(0, 60) | st.just(0), min_size=1, max_size=12),
+       horizon=HORIZONS, seed=st.integers(0, 2 ** 64 - 1))
+def test_sample_arrivals_and_flow_files_equal_the_tuple_construction(
+        tmp_path_factory, volumes, horizon, seed):
+    want = tuple_arrivals(volumes, horizon, np.random.default_rng(seed))
+    if any(t >= horizon for t, _ in want):
+        with pytest.raises(ValueError, match="outside"):
+            ss.sample_arrivals(volumes, horizon, np.random.default_rng(seed))
+        return
+    flow = ss.sample_arrivals(volumes, horizon, np.random.default_rng(seed))
+    assert repr(flow.arrivals.tolist()) == repr(want)
+    path = tmp_path_factory.mktemp("flow") / "flow.csv"
+    ss.write_flow_csv(flow, path)
+    back = ss.read_flow_csv(path)
+    assert back == flow and back.arrivals.tobytes() == flow.arrivals.tobytes()
+
+
 def count_vectors(n_mov):
     return st.lists(st.integers(0, 10 ** 6), min_size=n_mov, max_size=n_mov).filter(any)
 

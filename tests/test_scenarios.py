@@ -1,4 +1,5 @@
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,13 +81,29 @@ def test_sample_arrivals_count_fidelity():
 def test_sample_arrivals_sorted_and_deterministic():
     flow1 = ss.sample_arrivals(SYNTHETIC_BASES["base1"], 3600, 3)
     flow2 = ss.sample_arrivals(SYNTHETIC_BASES["base1"], 3600, 3)
-    assert flow1.arrivals == flow2.arrivals
+    assert flow1.arrivals.tolist() == flow2.arrivals.tolist()
     times = [t for t, _ in flow1.arrivals]
     assert times == sorted(times)
 
 
 # ---------------------------------------------------------------------------
 # training / test sets
+
+def test_training_set_holds_a_record_per_vehicle(synthetic_bases):
+    # 16-byte (t, m) records; a Python (float, int) tuple per vehicle held
+    # about 100 bytes.  A first call imports modules, which are not counted.
+    ss.make_training_set(synthetic_bases[:1], seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train = ss.make_training_set(synthetic_bases, seed=1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    vehicles = sum(len(flow) for flow in train)
+    assert vehicles > 30_000
+    assert held / vehicles <= 24
+
 
 def test_training_set_cardinality(synthetic_bases):
     train = ss.make_training_set(synthetic_bases, seed=1)
@@ -99,7 +116,7 @@ def test_training_set_determinism(synthetic_bases):
     a = ss.make_training_set(synthetic_bases, seed=4)
     b = ss.make_training_set(synthetic_bases, seed=4)
     assert [f.label for f in a] == [f.label for f in b]
-    assert all(x.arrivals == y.arrivals for x, y in zip(a, b))
+    assert all(x.arrivals.tolist() == y.arrivals.tolist() for x, y in zip(a, b))
 
 
 def test_training_set_empty_bases_error():
@@ -137,7 +154,7 @@ def test_volume_scenarios_scale_total(synthetic_bases):
 def test_test_scenarios_determinism(synthetic_bases):
     a = ss.make_test_scenarios(synthetic_bases, seed=9)
     b = ss.make_test_scenarios(synthetic_bases, seed=9)
-    assert all(x.arrivals == y.arrivals for x, y in zip(a, b))
+    assert all(x.arrivals.tolist() == y.arrivals.tolist() for x, y in zip(a, b))
 
 
 def test_adding_bases_preserves_existing_scenarios(synthetic_bases):
@@ -145,7 +162,7 @@ def test_adding_bases_preserves_existing_scenarios(synthetic_bases):
     # number of bases in the call
     small = ss.make_training_set(synthetic_bases[:2], seed=6)
     full = ss.make_training_set(synthetic_bases, seed=6)
-    assert all(x.arrivals == y.arrivals
+    assert all(x.arrivals.tolist() == y.arrivals.tolist()
                for x, y in zip(small.scenarios, full.scenarios[:10]))
 
 
@@ -242,7 +259,7 @@ def test_flow_csv_round_trip(tmp_path, synthetic_bases):
     path = tmp_path / "flow.csv"
     ss.write_flow_csv(flow, path)
     back = ss.read_flow_csv(path)
-    assert back.arrivals == flow.arrivals
+    assert back.arrivals.tolist() == flow.arrivals.tolist()
     assert back.label == flow.label
     assert back.horizon == flow.horizon
     assert back.provenance == flow.provenance
