@@ -26,7 +26,7 @@ from .intersection import IntersectionConfig, check_finite_fields
 from .meta import MetaHyper
 from .metrics import DEFAULT_KL_EPSILON
 from .network import DEFAULT_COMPETE_DIM, DEFAULT_EMBED_DIM
-from .scenarios import read_key_values
+from .scenarios import parse_value, read_key_values
 
 
 def _parse_phases(text: str) -> tuple[tuple[int, ...], ...]:
@@ -91,11 +91,12 @@ class Settings:
 
 def read_overrides(path) -> dict:
     """Parse a key=value override file, rejecting unknown keys."""
-    overrides = read_key_values(Path(path).read_text().splitlines(), path)
+    lines = Path(path).read_text().splitlines()
+    overrides = read_key_values(lines, path)
     for key in overrides:
         if key not in _KEYS:
             raise ValueError(f"{path}: unknown config key {key!r}")
-    return {key: _KEYS[key][0](value) for key, value in overrides.items()}
+    return {key: parse_value(overrides, key, _KEYS[key][0], lines, path) for key in overrides}
 
 
 def load_settings(path=None, seed: int | None = None) -> Settings:

@@ -45,6 +45,7 @@ from .scenarios import (
     FlowSpec,
     file_text,
     load_scenario_dir,
+    parse_value,
     read_key_values,
     require_vehicles,
     write_file,
@@ -105,7 +106,8 @@ def load_manifest(path) -> ExperimentManifest:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest {path} does not exist")
-    kv = read_key_values(path.read_text().splitlines(), path)
+    lines = path.read_text().splitlines()
+    kv = read_key_values(lines, path)
     missing = [k for k in ("train_dir", "test_dir", "out") if k not in kv]
     if missing:
         raise ValueError(f"manifest {path} missing keys: {missing}")
@@ -114,12 +116,15 @@ def load_manifest(path) -> ExperimentManifest:
         q = Path(p)
         return q if q.is_absolute() else path.parent / q
 
+    def int_list(text: str) -> list[int]:
+        return [int(s) for s in text.split(",") if s.strip()]
+
     return ExperimentManifest(
         train_dir=rel(kv["train_dir"]),
         test_dir=rel(kv["test_dir"]),
         out_dir=rel(kv["out"]),
         algorithms=[a.strip() for a in kv.get("algorithms", "metalight,rl_adapt,rl_no_adapt").split(",") if a.strip()],
-        seeds=[int(s) for s in kv.get("seeds", "0").split(",") if s.strip()],
+        seeds=parse_value(kv, "seeds", int_list, lines, path, [0]),
         config_path=rel(kv["config"]) if kv.get("config") else None,
     )
 

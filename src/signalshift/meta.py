@@ -38,7 +38,7 @@ from .scenarios import (
     FlowSpec,
     ParseError,
     file_text,
-    flow_to_csv_text,
+    parse_value,
     read_known_keys,
     require_vehicles,
     write_file,
@@ -108,8 +108,9 @@ class AdaptResult:
 
 
 def scenario_digest(scenarios) -> str:
-    """Order-independent SHA-256 over every scenario's canonical CSV text."""
-    entries = sorted((flow.label, flow_to_csv_text(flow)) for flow in scenarios)
+    """Order-independent SHA-256 over every scenario's label, then its
+    canonical CSV text (`FlowSpec.csv_text`, formatted once per flow)."""
+    entries = sorted((flow.label, flow.csv_text) for flow in scenarios)
     h = hashlib.sha256()
     for label, text in entries:
         h.update(label.encode())
@@ -369,10 +370,12 @@ def load_meta_checkpoint(path) -> MetaCheckpoint:
     # the header is every line before the first tensor
     n_header = next((i for i, line in enumerate(lines) if line.strip().startswith("tensor ")),
                     len(lines))
-    kv = read_known_keys(lines[:n_header], path, HEADER_KEYS)
+    header = lines[:n_header]
+    kv = read_known_keys(header, path, HEADER_KEYS)
     if missing := [key for key in REQUIRED_KEYS if key not in kv]:
         raise ParseError(path, max(n_header, 1), f"the header ends without {missing}")
     # each field parses as the type of its default: int or float
-    hyper = MetaHyper(**{f.name: type(f.default)(kv[f.name]) for f in fields(MetaHyper)})
+    hyper = MetaHyper(**{f.name: parse_value(kv, f.name, type(f.default), header, path)
+                         for f in fields(MetaHyper)})
     theta0 = params_from_lines(lines, path, HEADER_KEYS)
     return MetaCheckpoint(theta0, hyper, kv["scenario_digest"])

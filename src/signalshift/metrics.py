@@ -16,6 +16,14 @@ import numpy as np
 DEFAULT_KL_EPSILON = 1e-6
 
 
+def _check_finite(v: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the first non-finite entry of `v`."""
+    bad = ~np.isfinite(v)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"{name} entry {i} is not finite: {float(v.flat[i])}")
+
+
 @dataclass
 class MovementDistribution:
     """Per-movement probability vector; sums to 1."""
@@ -26,6 +34,7 @@ class MovementDistribution:
         self.p = np.asarray(self.p, dtype=np.float64)
         if self.p.ndim != 1:
             raise ValueError("distribution must be a 1-d vector")
+        _check_finite(self.p, "distribution")
         if np.any(self.p < 0):
             raise ValueError("distribution has negative entries")
         if abs(float(self.p.sum()) - 1.0) > 1e-9:
@@ -35,6 +44,7 @@ class MovementDistribution:
 def movement_distribution(volumes: Sequence[float]) -> MovementDistribution:
     """Share vector n_i / sum_j n_j of per-movement volumes."""
     v = np.asarray(volumes, dtype=np.float64)
+    _check_finite(v, "volumes")
     if np.any(v < 0):
         raise ValueError("volumes must be non-negative")
     total = float(v.sum())

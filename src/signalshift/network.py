@@ -65,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .intersection import IntersectionConfig, phase_membership
-from .scenarios import ParseError, file_text, read_known_keys
+from .scenarios import ParseError, file_text, parse_value, read_known_keys
 from .seeding import spawn_rng
 
 DEFAULT_EMBED_DIM = 16
@@ -454,8 +454,9 @@ def params_from_lines(lines: list[str], source, known=CHECKPOINT_KEYS) -> QNetwo
         rest[i] = rest[i + 1] = ""
         i += 2
     header = read_known_keys(rest, source, known)
-    params = QNetworkParams(int(header.get("embed_dim", DEFAULT_EMBED_DIM)),
-                            int(header.get("compete_dim", DEFAULT_COMPETE_DIM)))
+    params = QNetworkParams(
+        parse_value(header, "embed_dim", int, rest, source, DEFAULT_EMBED_DIM),
+        parse_value(header, "compete_dim", int, rest, source, DEFAULT_COMPETE_DIM))
     for name in PARAM_FIELDS:
         if name not in tensors:
             raise ValueError(f"checkpoint missing tensor {name}")

@@ -20,12 +20,14 @@ files are 1-based):
 
 This module owns the framing every written file shares (`file_text`,
 `write_file`) and the one reader of key=value files (`read_key_values`;
-`read_known_keys` also rejects keys its caller does not know).
+`read_known_keys` also rejects keys its caller does not know; `parse_value`
+converts one value, naming its file and line when it does not convert).
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -103,10 +105,22 @@ def read_known_keys(lines, source, known) -> dict[str, str]:
     return kv
 
 
+def parse_value(kv, key, convert, lines, source, default=None):
+    """`convert(kv[key])`, or `default` when `key` is absent; a value that
+    `convert` rejects raises ParseError at the key's line, naming the key."""
+    if key not in kv:
+        return default
+    try:
+        return convert(kv[key])
+    except ValueError as exc:
+        raise ParseError(source, _key_line(lines, key), f"{key}: {exc}") from None
+
+
 def _key_line(lines, key: str) -> int:
-    """The 1-based number of the first `key=value` line of `lines` for `key`."""
-    return next(line_no for line_no, raw in enumerate(lines, start=1)
-                if "=" in raw and raw.partition("=")[0].strip() == key)
+    """The 1-based number of the last `key=value` line of `lines` for `key`,
+    the one whose value `read_key_values` keeps."""
+    return [line_no for line_no, raw in enumerate(lines, start=1)
+            if "=" in raw and raw.partition("=")[0].strip() == key][-1]
 
 
 @dataclass
@@ -149,6 +163,11 @@ def arrival_records(times, movements) -> np.ndarray:
     return records
 
 
+def _check_horizon(horizon) -> None:
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
+
+
 @dataclass
 class FlowSpec:
     """One scenario: its vehicles over an hour, as `arrivals`, a read-only
@@ -156,7 +175,11 @@ class FlowSpec:
     (arrival_s, movement) tuples.
 
     Built from that array or from any sequence of (t, m) pairs; either is
-    copied.  Two flows are equal when their vehicles and fields are."""
+    copied.  Two flows are equal when their vehicles and fields are.
+
+    Three views of `arrivals` are made on first use and kept: `by_movement`
+    and `by_time_and_movement` (index arrays, 8 bytes per vehicle each) and
+    `csv_text` (the flow-CSV text, about 21 bytes per vehicle)."""
 
     arrivals: np.ndarray
     horizon: float = 3600.0
@@ -165,8 +188,7 @@ class FlowSpec:
     provenance: Provenance | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        _check_horizon(self.horizon)
         if isinstance(self.arrivals, np.ndarray) and self.arrivals.dtype == ARRIVAL:
             records = self.arrivals.copy()
         else:
@@ -220,6 +242,12 @@ class FlowSpec:
         order.flags.writeable = False
         return order
 
+    @cached_property
+    def csv_text(self) -> str:
+        """`flow_to_csv_text(self)`, the text `write_flow_csv` writes and
+        `scenario_digest` hashes.  Made on first use."""
+        return flow_to_csv_text(self)
+
 
 def require_vehicles(flows) -> None:
     """Raise ValueError naming every flow without vehicles: no travel time
@@ -267,8 +295,7 @@ def sample_arrivals(volumes, horizon: float, seed, *,
     """Exactly volumes[i] arrivals on movement i, times ~ U[0, horizon):
     movement 0's times are drawn first, then movement 1's, and so on, and
     the vehicles are sorted by (time, movement)."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
     volumes = np.asarray(volumes, dtype=np.int64)
     rng = as_rng(seed)
     times = np.concatenate([np.empty(0), *(rng.uniform(0.0, horizon, size=int(v))
@@ -456,8 +483,8 @@ def read_flow_csv(path) -> FlowSpec:
     lines = sidecar.read_text().splitlines() if sidecar.exists() else []
     meta = read_known_keys(lines, sidecar, FLOW_KEYS + PROVENANCE_KEYS)
 
-    horizon = float(meta.get("horizon", 3600.0))
-    n_movements = int(meta.get("n_movements", 8))
+    horizon = parse_value(meta, "horizon", float, lines, sidecar, 3600.0)
+    n_movements = parse_value(meta, "n_movements", int, lines, sidecar, 8)
     times: list[float] = []
     movements: list[int] = []
     with path.open() as fh:
@@ -483,8 +510,10 @@ def read_flow_csv(path) -> FlowSpec:
         if missing:
             raise ParseError(sidecar, _key_line(lines, present[0]),
                              f"provenance keys {present} without {missing}")
-        provenance = Provenance(meta["base_label"], float(meta["uniform_scale"]),
-                                float(meta["half_range"]), int(meta["seed"]))
+        provenance = Provenance(meta["base_label"],
+                                parse_value(meta, "uniform_scale", float, lines, sidecar),
+                                parse_value(meta, "half_range", float, lines, sidecar),
+                                parse_value(meta, "seed", int, lines, sidecar))
     return FlowSpec(arrival_records(times, movements), horizon=horizon,
                     n_movements=n_movements, label=meta.get("label", path.stem),
                     provenance=provenance)

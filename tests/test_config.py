@@ -87,6 +87,19 @@ def test_line_without_equals_names_its_line(tmp_path):
         ss.load_settings(path)
 
 
+@pytest.mark.parametrize("line,message", [
+    ("episodes=abc", r"episodes: invalid literal for int\(\) with base 10: 'abc'"),
+    ("lr=fast", r"lr: could not convert string to float: 'fast'"),
+    ("phases=0+4;x", r"phases: cannot parse phases spec '0\+4;x'"),
+], ids=["int", "float", "phases"])
+def test_value_that_does_not_parse_names_its_line(tmp_path, line, message):
+    # each once raised a bare conversion error without file or line
+    path = tmp_path / "config.txt"
+    path.write_text(f"# tuned\ngamma=0.9\n{line}\n")
+    with pytest.raises(ss.ParseError, match=rf"config\.txt:3: {message}"):
+        ss.load_settings(path)
+
+
 # every float field of the three settings dataclasses, NaN and infinite
 FLOAT_FIELDS = [(cls, f.name) for cls in (ss.IntersectionConfig, ss.DqnHyper, ss.MetaHyper)
                 for f in fields(cls) if isinstance(f.default, float)]

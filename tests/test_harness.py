@@ -143,6 +143,9 @@ def test_manifest_validations(tmp_path):
     bad.write_text("# schema=1\ntrain_dir x\n")
     with pytest.raises(ValueError, match=r"bad\.txt:2: expected key=value"):
         ss.load_manifest(bad)
+    bad.write_text("# schema=1\ntrain_dir=x\ntest_dir=y\nout=z\nseeds=0,one\n")
+    with pytest.raises(ss.ParseError, match=r"bad\.txt:5: seeds: .*'one'"):
+        ss.load_manifest(bad)
     with pytest.raises(ValueError, match="unknown algorithms"):
         ss.ExperimentManifest(train_dir, test_dir, tmp_path / "o",
                               algorithms=["sotl"])

@@ -1,10 +1,12 @@
 import copy
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import signalshift as ss
+import signalshift.scenarios as scenarios_module
 from signalshift.meta import (
     MetaLogRow,
     _collect_experience,
@@ -427,6 +429,20 @@ def test_meta_checkpoint_header_requires_every_field(tmp_path, key):
         ss.load_meta_checkpoint(path)
 
 
+@pytest.mark.parametrize("key,value", [("alpha", "abc"), ("adapt_steps", "1.5"),
+                                       ("seed", "zero")])
+def test_meta_checkpoint_value_that_does_not_parse_names_its_line(tmp_path, key, value):
+    # each once raised a bare "could not convert ..." or "invalid literal ..."
+    path = tmp_path / "m.ckpt"
+    ss.save_meta_checkpoint(tiny_checkpoint(small_config()), path)
+    lines = path.read_text().splitlines()
+    line_no = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key}="))
+    lines[line_no - 1] = f"{key}={value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ss.ParseError, match=rf"m\.ckpt:{line_no}: {key}: .*'{value}'"):
+        ss.load_meta_checkpoint(path)
+
+
 def test_checked_in_meta_checkpoint_loads_and_resaves_byte_identical(tmp_path):
     path = Path(__file__).resolve().parents[1] / "bench" / "data" / "meta_seed0.ckpt"
     loaded = ss.load_meta_checkpoint(path)
@@ -440,6 +456,42 @@ def test_scenario_digest_tracks_content():
     assert d1 == scenario_digest(list(reversed(flows)))  # order-independent
     other = small_scenarios(3)[2:]
     assert scenario_digest(other) != d1
+
+
+def test_scenario_digest_hashes_each_label_then_its_written_file(tmp_path):
+    flows = small_scenarios(3)
+    flows[1].label = "a_first"
+    entries = []
+    for i, flow in enumerate(flows):
+        path = tmp_path / f"{i}.csv"
+        ss.write_flow_csv(flow, path)
+        entries.append((flow.label, path.read_bytes()))
+    h = hashlib.sha256()
+    for label, data in sorted(entries):
+        h.update(label.encode())
+        h.update(data)
+    assert scenario_digest(flows) == h.hexdigest()
+
+
+def test_scenario_digest_formats_each_flow_once(monkeypatch):
+    calls = []
+    original = scenarios_module.flow_to_csv_text
+    monkeypatch.setattr(scenarios_module, "flow_to_csv_text",
+                        lambda flow: calls.append(flow) or original(flow))
+    flows = small_scenarios(3)
+    first = scenario_digest(flows)
+    assert len(calls) == 3
+    assert scenario_digest(flows) == first
+    assert len(calls) == 3
+
+
+def test_scenario_digest_reads_the_label_afresh():
+    flows = small_scenarios(2)
+    first = scenario_digest(flows)
+    flows[0].label = "renamed"
+    renamed = small_scenarios(2)
+    renamed[0].label = "renamed"
+    assert scenario_digest(flows) == scenario_digest(renamed) != first
 
 
 def test_adaptation_beats_frozen_theta0_on_held_out_skew():

@@ -115,3 +115,21 @@ def test_training_average_vs_shifted_scenario_kl_scale():
 def test_kl_rejects_a_negative_or_non_finite_epsilon(epsilon):
     with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
         ss.kl_distance([0.5, 0.5], [0.25, 0.75], epsilon=epsilon)
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: ss.MovementDistribution([math.nan, 1.0]), "distribution entry 0 is not finite: nan"),
+    (lambda: ss.MovementDistribution([1.0, -math.inf]),
+     "distribution entry 1 is not finite: -inf"),
+    (lambda: ss.movement_distribution([math.inf, 1.0]), "volumes entry 0 is not finite: inf"),
+    (lambda: ss.movement_distribution([3.0, math.nan]), "volumes entry 1 is not finite: nan"),
+    (lambda: ss.kl_distance([math.nan, 1.0], [0.5, 0.5]),
+     "distribution entry 0 is not finite: nan"),
+    (lambda: ss.kl_distance([0.5, 0.5], [0.5, math.nan]),
+     "distribution entry 1 is not finite: nan"),
+], ids=["distribution-nan", "distribution-minus-inf", "volumes-inf", "volumes-nan",
+        "kl-train-nan", "kl-test-nan"])
+def test_non_finite_share_entries_are_rejected(build, match):
+    # a NaN share once passed both checks, and kl_distance read it as 0.0
+    with pytest.raises(ValueError, match=match):
+        build()

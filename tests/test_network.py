@@ -379,6 +379,17 @@ def test_checkpoint_stray_line_names_its_line(tmp_path, stray, message):
         ss.load_params(path)
 
 
+@pytest.mark.parametrize("key", ["embed_dim", "compete_dim"])
+def test_checkpoint_dim_that_does_not_parse_names_its_line(tmp_path, key):
+    lines = params_to_text(ss.init_params((8, 8), seed=28)).splitlines()
+    line_no = lines.index(f"{key}=8") + 1
+    lines[line_no - 1] = f"{key}=eight"
+    path = tmp_path / "ckpt.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ss.ParseError, match=rf"ckpt\.txt:{line_no}: {key}: .*'eight'"):
+        ss.load_params(path)
+
+
 @pytest.mark.parametrize("name", PARAM_FIELDS)
 def test_checkpoint_missing_a_tensor_names_it(tmp_path, name):
     lines = params_to_text(ss.init_params((4, 3), seed=1)).splitlines()

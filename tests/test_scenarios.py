@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 import tracemalloc
 
 import numpy as np
@@ -265,6 +266,8 @@ def test_flow_csv_round_trip(tmp_path, synthetic_bases):
     assert back.provenance == flow.provenance
     # canonical text is stable under a round trip
     assert flow_to_csv_text(back) == flow_to_csv_text(flow)
+    # the cached text is the file's text
+    assert back.csv_text == flow.csv_text == path.read_text()
 
 
 def test_flow_csv_is_one_based_in_files(tmp_path):
@@ -358,18 +361,53 @@ def test_flow_sidecar_provenance_keys_come_as_a_set(tmp_path):
         ss.read_flow_csv(path)
 
 
+@pytest.mark.parametrize("old,new", [
+    ("horizon=600.0", "horizon=abc"),
+    ("n_movements=8", "n_movements=8.5"),
+    ("uniform_scale=0.1", "uniform_scale=x"),
+    ("half_range=0.2", "half_range=wide"),
+    ("seed=7", "seed=seven"),
+], ids=lambda text: text.partition("=")[0])
+def test_flow_sidecar_value_that_does_not_parse_names_its_line(tmp_path, old, new):
+    # each once raised a bare "could not convert ..." without file or line
+    path = tmp_path / "x.csv"
+    ss.write_flow_csv(ss.FlowSpec([(1.5, 0)], horizon=600.0,
+                                  provenance=ss.Provenance("base2", 0.1, 0.2, 7)), path)
+    line_no = rewrite_sidecar_line(path, old, new)
+    key, _, value = new.partition("=")
+    with pytest.raises(ss.ParseError, match=rf"x\.meta:{line_no}: {key}: .*'{value}'"):
+        ss.read_flow_csv(path)
+
+
+def test_flow_sidecar_value_error_names_the_line_whose_value_counts(tmp_path):
+    # a later key wins, so a bad later value is named at its own line
+    path = tmp_path / "x.csv"
+    ss.write_flow_csv(ss.FlowSpec([(1.5, 0)], horizon=600.0), path)
+    sidecar = path.with_suffix(".meta")
+    sidecar.write_text(sidecar.read_text() + "horizon=abc\n")
+    line_no = len(sidecar.read_text().splitlines())
+    with pytest.raises(ss.ParseError, match=rf"x\.meta:{line_no}: horizon: "):
+        ss.read_flow_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # input guards: each case fails if its guard is deleted
 
 @pytest.mark.parametrize("build,match", [
     (lambda: ss.BaseDistribution(np.ones((2, 4)), "b"), "1-d vector"),
     (lambda: ss.BaseDistribution(np.array([5, -1, 3]), "b"), "non-negative"),
-    (lambda: ss.FlowSpec([], horizon=0.0), "horizon must be positive"),
+    (lambda: ss.FlowSpec([], horizon=0.0), "horizon must be finite and positive"),
+    (lambda: ss.FlowSpec([], horizon=math.nan), "horizon must be finite and positive"),
+    (lambda: ss.FlowSpec([], horizon=math.inf), "horizon must be finite and positive"),
+    (lambda: ss.FlowSpec([(1.0, 0)], horizon=math.nan), "horizon must be finite and positive"),
     (lambda: ss.ScenarioSet([], kind="validation"), "unknown scenario-set kind"),
-    (lambda: ss.sample_arrivals([1, 2], -1.0, 0), "horizon must be positive"),
+    (lambda: ss.sample_arrivals([1, 2], -1.0, 0), "horizon must be finite and positive"),
+    (lambda: ss.sample_arrivals([1, 2], math.nan, 0), "horizon must be finite and positive"),
+    (lambda: ss.sample_arrivals([1, 2], math.inf, 0), "horizon must be finite and positive"),
     (lambda: ss.make_test_scenarios([], 0), "at least one base"),
-], ids=["base-2d", "base-negative", "flow-horizon", "set-kind", "arrivals-horizon",
-        "test-set-no-bases"])
+], ids=["base-2d", "base-negative", "flow-horizon", "flow-horizon-nan", "flow-horizon-inf",
+        "flow-horizon-nan-with-a-vehicle", "set-kind", "arrivals-horizon",
+        "arrivals-horizon-nan", "arrivals-horizon-inf", "test-set-no-bases"])
 def test_construction_rejects(build, match):
     with pytest.raises(ValueError, match=match):
         build()
