@@ -29,6 +29,8 @@ from .meta import (
 from .metrics import kl_distance, movement_distribution
 from .network import load_params, save_params
 from .scenarios import (
+    FLOW_COLUMNS,
+    has_header,
     ingest_counts_csv,
     load_scenario_dir,
     make_test_scenarios,
@@ -58,12 +60,7 @@ def _out_dir(args) -> Path:
 def _distribution_from_file(path):
     """Movement distribution from either a flow CSV or a bases CSV."""
     path = _require(path)
-    header = ""
-    for line in path.read_text().splitlines():
-        if line.strip() and not line.startswith("#"):
-            header = line.strip().lower()
-            break
-    if header.startswith("arrival_s"):
+    if has_header(path, FLOW_COLUMNS[0]):
         return movement_distribution(read_flow_csv(path).movement_counts())
     bases = read_bases_csv(path)
     if len(bases) != 1:

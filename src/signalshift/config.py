@@ -26,7 +26,7 @@ from .intersection import IntersectionConfig, check_finite_fields
 from .meta import MetaHyper
 from .metrics import DEFAULT_KL_EPSILON
 from .network import DEFAULT_COMPETE_DIM, DEFAULT_EMBED_DIM
-from .scenarios import parse_value, read_key_values
+from .scenarios import read_known_keys
 
 
 def _parse_phases(text: str) -> tuple[tuple[int, ...], ...]:
@@ -92,11 +92,7 @@ class Settings:
 def read_overrides(path) -> dict:
     """Parse a key=value override file, rejecting unknown keys."""
     lines = Path(path).read_text().splitlines()
-    overrides = read_key_values(lines, path)
-    for key in overrides:
-        if key not in _KEYS:
-            raise ValueError(f"{path}: unknown config key {key!r}")
-    return {key: parse_value(overrides, key, _KEYS[key][0], lines, path) for key in overrides}
+    return read_known_keys(lines, path, {key: parse for key, (parse, _) in _KEYS.items()})
 
 
 def load_settings(path=None, seed: int | None = None) -> Settings:

@@ -45,8 +45,7 @@ from .scenarios import (
     FlowSpec,
     file_text,
     load_scenario_dir,
-    parse_value,
-    read_key_values,
+    read_known_keys,
     require_vehicles,
     write_file,
 )
@@ -106,27 +105,24 @@ def load_manifest(path) -> ExperimentManifest:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest {path} does not exist")
-    lines = path.read_text().splitlines()
-    kv = read_key_values(lines, path)
+
+    def rel(text: str) -> Path:
+        q = Path(text)
+        return q if q.is_absolute() else path.parent / q
+
+    def items(text: str) -> list[str]:
+        return [s.strip() for s in text.split(",") if s.strip()]
+
+    kv = read_known_keys(path.read_text().splitlines(), path, {
+        "train_dir": rel, "test_dir": rel, "out": rel,
+        "config": lambda text: rel(text) if text else None,
+        "algorithms": items, "seeds": lambda text: [int(s) for s in items(text)]})
     missing = [k for k in ("train_dir", "test_dir", "out") if k not in kv]
     if missing:
         raise ValueError(f"manifest {path} missing keys: {missing}")
-
-    def rel(p: str) -> Path:
-        q = Path(p)
-        return q if q.is_absolute() else path.parent / q
-
-    def int_list(text: str) -> list[int]:
-        return [int(s) for s in text.split(",") if s.strip()]
-
-    return ExperimentManifest(
-        train_dir=rel(kv["train_dir"]),
-        test_dir=rel(kv["test_dir"]),
-        out_dir=rel(kv["out"]),
-        algorithms=[a.strip() for a in kv.get("algorithms", "metalight,rl_adapt,rl_no_adapt").split(",") if a.strip()],
-        seeds=parse_value(kv, "seeds", int_list, lines, path, [0]),
-        config_path=rel(kv["config"]) if kv.get("config") else None,
-    )
+    return ExperimentManifest(kv["train_dir"], kv["test_dir"], kv["out"],
+                              algorithms=kv.get("algorithms", list(ALGORITHMS[:3])),
+                              seeds=kv.get("seeds", [0]), config_path=kv.get("config"))
 
 
 def evaluate(subject, scenario: FlowSpec, config: IntersectionConfig, seed: int = 0,

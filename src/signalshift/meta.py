@@ -23,6 +23,7 @@ import numpy as np
 
 from .intersection import IntersectionConfig, check_finite_fields, episode_result, rollout
 from .network import (
+    CHECKPOINT_KEYS,
     DEFAULT_COMPETE_DIM,
     DEFAULT_EMBED_DIM,
     QNetworkParams,
@@ -38,7 +39,6 @@ from .scenarios import (
     FlowSpec,
     ParseError,
     file_text,
-    parse_value,
     read_known_keys,
     require_vehicles,
     write_file,
@@ -358,11 +358,11 @@ def save_meta_checkpoint(checkpoint: MetaCheckpoint, path) -> None:
     Path(path).write_text(file_text(lines) + params_to_text(checkpoint.theta0))
 
 
-# the header's keys: the hyperparameters and the digest, which
-# `save_meta_checkpoint` always writes and a load requires, then the
-# network's dims
-REQUIRED_KEYS = (*(f.name for f in fields(MetaHyper)), "scenario_digest")
-HEADER_KEYS = (*REQUIRED_KEYS, "embed_dim", "compete_dim")
+# the header's keys and their parsers: the hyperparameters (each the type of
+# its default) and the digest, which `save_meta_checkpoint` always writes and
+# a load requires, then the network's dims
+REQUIRED_KEYS = {**{f.name: type(f.default) for f in fields(MetaHyper)}, "scenario_digest": str}
+HEADER_KEYS = REQUIRED_KEYS | CHECKPOINT_KEYS
 
 
 def load_meta_checkpoint(path) -> MetaCheckpoint:
@@ -374,8 +374,6 @@ def load_meta_checkpoint(path) -> MetaCheckpoint:
     kv = read_known_keys(header, path, HEADER_KEYS)
     if missing := [key for key in REQUIRED_KEYS if key not in kv]:
         raise ParseError(path, max(n_header, 1), f"the header ends without {missing}")
-    # each field parses as the type of its default: int or float
-    hyper = MetaHyper(**{f.name: parse_value(kv, f.name, type(f.default), header, path)
-                         for f in fields(MetaHyper)})
+    hyper = MetaHyper(**{f.name: kv[f.name] for f in fields(MetaHyper)})
     theta0 = params_from_lines(lines, path, HEADER_KEYS)
     return MetaCheckpoint(theta0, hyper, kv["scenario_digest"])

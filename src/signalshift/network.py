@@ -65,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .intersection import IntersectionConfig, phase_membership
-from .scenarios import ParseError, file_text, parse_value, read_known_keys
+from .scenarios import ParseError, file_text, read_known_keys
 from .seeding import spawn_rng
 
 DEFAULT_EMBED_DIM = 16
@@ -423,8 +423,8 @@ def params_to_text(params: QNetworkParams) -> str:
     return file_text(lines)
 
 
-# the key=value lines of a network checkpoint
-CHECKPOINT_KEYS = ("embed_dim", "compete_dim")
+# the key=value lines of a network checkpoint, each with its parser
+CHECKPOINT_KEYS = {"embed_dim": int, "compete_dim": int}
 
 
 def params_from_lines(lines: list[str], source, known=CHECKPOINT_KEYS) -> QNetworkParams:
@@ -454,9 +454,8 @@ def params_from_lines(lines: list[str], source, known=CHECKPOINT_KEYS) -> QNetwo
         rest[i] = rest[i + 1] = ""
         i += 2
     header = read_known_keys(rest, source, known)
-    params = QNetworkParams(
-        parse_value(header, "embed_dim", int, rest, source, DEFAULT_EMBED_DIM),
-        parse_value(header, "compete_dim", int, rest, source, DEFAULT_COMPETE_DIM))
+    params = QNetworkParams(header.get("embed_dim", DEFAULT_EMBED_DIM),
+                            header.get("compete_dim", DEFAULT_COMPETE_DIM))
     for name in PARAM_FIELDS:
         if name not in tensors:
             raise ValueError(f"checkpoint missing tensor {name}")

@@ -19,9 +19,9 @@ files are 1-based):
 * bases CSV       header `label,mov_1,...,mov_N`
 
 This module owns the framing every written file shares (`file_text`,
-`write_file`) and the one reader of key=value files (`read_key_values`;
-`read_known_keys` also rejects keys its caller does not know; `parse_value`
-converts one value, naming its file and line when it does not convert).
+`write_file`), the one reader of CSV rows (`read_csv_rows`) and the one
+reader of key=value files (`read_known_keys`, which converts each value
+and rejects keys its caller does not know, naming the file and line).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,10 @@ from .seeding import (
 )
 
 SCHEMA_LINE = "# schema=1"
+# the CSV headers; a bases header goes on with `mov_1..mov_N`
+FLOW_COLUMNS = ("arrival_s", "movement")
+COUNTS_COLUMNS = ("timestamp_iso8601", "movement", "count")
+BASES_COLUMN = "label"
 
 # Training-set protocol constants: five uniform scales crossed with every
 # base, then an independent +-20% per-movement perturbation.
@@ -80,47 +85,62 @@ def write_file(path, lines) -> None:
     Path(path).write_text(file_text(lines))
 
 
-def read_key_values(lines, source) -> dict[str, str]:
-    """`key=value` lines as a dict (a later key wins); blank and `#` lines are
-    skipped, and any other line without `=` raises ParseError at `source`."""
-    kv: dict[str, str] = {}
+def _csv_lines(path):
+    """(line_no, fields) of each line of `path` but blank and `#` lines."""
+    with Path(path).open() as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if (line := raw.strip()) and not line.startswith("#"):
+                yield line_no, line.split(",")
+
+
+def _is_header(fields, first_column: str) -> bool:
+    return fields[0].strip().lower() == first_column
+
+
+def has_header(path, first_column: str) -> bool:
+    """Whether CSV `path` opens with the header `read_csv_rows` skips."""
+    return any(_is_header(fields, first_column) for _, fields in islice(_csv_lines(path), 1))
+
+
+def read_csv_rows(path, first_column: str, n_fields: int | None = None):
+    """(line_no, fields) for each data row of CSV `path`.
+
+    Blank and `#` lines are skipped.  The first other line is a header, and
+    skipped, when its first field is `first_column` in any case; every later
+    line is a row.  A row of other than `n_fields` fields (when None, the
+    first line's count) raises ParseError at its line."""
+    lines = _csv_lines(path)
+    for line_no, fields in lines:
+        n_fields = n_fields or len(fields)
+        if not _is_header(fields, first_column):
+            lines = chain([(line_no, fields)], lines)
+        break
+    for line_no, fields in lines:
+        if len(fields) != n_fields:
+            raise ParseError(path, line_no, f"expected {n_fields} fields, got {len(fields)}")
+        yield line_no, fields
+
+
+def read_known_keys(lines, source, known) -> dict:
+    """`key=value` lines as a dict of `known[key](value)`, where a later key
+    wins.  Blank and `#` lines are skipped; any other line without `=`, with
+    a key not in `known` or with a value its parser rejects with ValueError
+    raises ParseError at its line."""
+    kv = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ParseError(source, line_no, f"expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
-    return kv
-
-
-def read_known_keys(lines, source, known) -> dict[str, str]:
-    """`read_key_values`, where a key not in `known` raises ParseError at
-    its line, naming the key."""
-    kv = read_key_values(lines, source)
-    for key in kv:
+        key, _, value = (part.strip() for part in line.partition("="))
         if key not in known:
-            raise ParseError(source, _key_line(lines, key), f"unknown key {key!r}")
+            raise ParseError(source, line_no, f"unknown key {key!r}")
+        try:
+            kv[key] = known[key](value)
+        except ValueError as exc:
+            raise ParseError(source, line_no, f"{key}: {exc}") from None
     return kv
-
-
-def parse_value(kv, key, convert, lines, source, default=None):
-    """`convert(kv[key])`, or `default` when `key` is absent; a value that
-    `convert` rejects raises ParseError at the key's line, naming the key."""
-    if key not in kv:
-        return default
-    try:
-        return convert(kv[key])
-    except ValueError as exc:
-        raise ParseError(source, _key_line(lines, key), f"{key}: {exc}") from None
-
-
-def _key_line(lines, key: str) -> int:
-    """The 1-based number of the last `key=value` line of `lines` for `key`,
-    the one whose value `read_key_values` keeps."""
-    return [line_no for line_no, raw in enumerate(lines, start=1)
-            if "=" in raw and raw.partition("=")[0].strip() == key][-1]
 
 
 @dataclass
@@ -163,9 +183,18 @@ def arrival_records(times, movements) -> np.ndarray:
     return records
 
 
-def _check_horizon(horizon) -> None:
+def _check_horizon(horizon) -> float:
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
+    return horizon
+
+
+class ArrivalError(ValueError):
+    """A vehicle that breaks a FlowSpec rule; `index` is its place in the flow."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass
@@ -202,10 +231,10 @@ class FlowSpec:
             i = int(bad.argmax())
             t, m = float(t[i]), int(m[i])
             if not 0.0 <= t < self.horizon:
-                raise ValueError(f"arrival time {t} outside [0, {self.horizon})")
+                raise ArrivalError(i, f"arrival time {t} outside [0, {self.horizon})")
             if not 0 <= m < self.n_movements:
-                raise ValueError(f"movement index {m} out of range")
-            raise ValueError("arrivals must be sorted by time")
+                raise ArrivalError(i, f"movement index {m} out of range")
+            raise ArrivalError(i, "arrivals must be sorted by time")
         records.flags.writeable = False
         self.arrivals = records
 
@@ -365,9 +394,6 @@ def make_test_scenarios(bases: list[BaseDistribution], seed: int,
 # ---------------------------------------------------------------------------
 # Count-file ingestion (5-minute movement buckets -> base distribution)
 
-BUCKET_SECONDS = 300
-
-
 def _parse_window_edge(value, name: str) -> dt.datetime | dt.time:
     """Accept a datetime, a time, an ISO datetime string, or 'HH:MM'."""
     if isinstance(value, (dt.datetime, dt.time)):
@@ -408,115 +434,106 @@ def ingest_counts_csv(path, window_start, window_end, *,
 
     volumes = np.zeros(n_movements, dtype=np.int64)
     matched = False
-    with path.open() as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.lower().startswith("timestamp"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(path, line_no, f"expected 3 fields, got {len(parts)}")
-            try:
-                ts = dt.datetime.fromisoformat(parts[0].strip())
-                movement = int(parts[1])
-                count = int(parts[2])
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            if not 1 <= movement <= n_movements:
-                raise ParseError(path, line_no,
-                                 f"movement {movement} outside 1..{n_movements}")
-            if count < 0:
-                raise ParseError(path, line_no, "negative count")
-            if _in_window(ts, start, end):
-                matched = True
-                volumes[movement - 1] += count
+    rows = read_csv_rows(path, COUNTS_COLUMNS[0], len(COUNTS_COLUMNS))
+    for line_no, (stamp, movement, count) in rows:
+        try:
+            ts = dt.datetime.fromisoformat(stamp.strip())
+            movement, count = int(movement), int(count)
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from exc
+        if not 1 <= movement <= n_movements:
+            raise ParseError(path, line_no, f"movement {movement} outside 1..{n_movements}")
+        if count < 0:
+            raise ParseError(path, line_no, "negative count")
+        if _in_window(ts, start, end):
+            matched = True
+            volumes[movement - 1] += count
     if not matched:
         raise ValueError(f"no rows of {path} fall in window [{window_start}, {window_end})")
-
-    def _edge_text(edge):
-        return edge.isoformat(timespec="minutes").replace(":", "")
-
-    label = f"counts_{_edge_text(start)}_{_edge_text(end)}"
-    return BaseDistribution(volumes, label=label)
+    edges = (edge.isoformat(timespec="minutes").replace(":", "") for edge in (start, end))
+    return BaseDistribution(volumes, label="counts_" + "_".join(edges))
 
 
 # ---------------------------------------------------------------------------
 # Flow / bases file IO
 
+def _label_field(label: str) -> str:
+    """`label`, when a file can hold it so that it reads back the same."""
+    if "," in label or len(label.splitlines()) > 1 or label != label.strip() or label[:1] == "#":
+        raise ValueError(f"label {label!r} cannot go into a file: it has a ',' or a line "
+                         "break, a leading '#' or surrounding whitespace")
+    return label
+
+
 def flow_to_csv_text(flow: FlowSpec) -> str:
     """Canonical CSV text of a flow (also hashed for provenance digests)."""
     times, movements = flow.arrivals["t"].tolist(), (flow.arrivals["m"] + 1).tolist()
-    return file_text(["arrival_s,movement",
+    return file_text([",".join(FLOW_COLUMNS),
                       *(f"{t!r},{m}" for t, m in zip(times, movements))])
 
 
-# the sidecar's keys; the provenance keys are written, and read, as a set
-FLOW_KEYS = ("label", "horizon", "n_movements")
-PROVENANCE_KEYS = ("base_label", "uniform_scale", "half_range", "seed")
+# the sidecar's keys, each with its parser; the provenance keys are
+# written, and read, as a set
+FLOW_KEYS = {"label": _label_field, "horizon": lambda text: _check_horizon(float(text)),
+             "n_movements": int}
+PROVENANCE_KEYS = {"base_label": _label_field, "uniform_scale": float, "half_range": float,
+                   "seed": int}
 
 
 def write_flow_csv(flow: FlowSpec, path) -> None:
     """Write the arrivals CSV and its `.meta` sidecar (1-based movements)."""
     path = Path(path)
-    path.write_text(flow_to_csv_text(flow))
-
     meta = {
-        "label": flow.label,
+        "label": _label_field(flow.label),
         "horizon": repr(flow.horizon),
         "n_movements": flow.n_movements,
     }
     if flow.provenance is not None:
         meta.update(
-            base_label=flow.provenance.base_label,
+            base_label=_label_field(flow.provenance.base_label),
             uniform_scale=repr(flow.provenance.uniform_scale),
             half_range=repr(flow.provenance.half_range),
             seed=flow.provenance.seed,
         )
+    path.write_text(flow_to_csv_text(flow))
     write_file(path.with_suffix(".meta"), [f"{k}={v}" for k, v in meta.items()])
 
 
 def read_flow_csv(path) -> FlowSpec:
+    """The flow of a flow CSV and its sidecar; a row or a sidecar value that
+    does not make a valid flow raises ParseError at its line."""
     path = Path(path)
     sidecar = path.with_suffix(".meta")
     lines = sidecar.read_text().splitlines() if sidecar.exists() else []
-    meta = read_known_keys(lines, sidecar, FLOW_KEYS + PROVENANCE_KEYS)
-
-    horizon = parse_value(meta, "horizon", float, lines, sidecar, 3600.0)
-    n_movements = parse_value(meta, "n_movements", int, lines, sidecar, 8)
+    meta = read_known_keys(lines, sidecar, FLOW_KEYS | PROVENANCE_KEYS)
+    horizon, n_movements = meta.get("horizon", 3600.0), meta.get("n_movements", 8)
     times: list[float] = []
     movements: list[int] = []
-    with path.open() as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("arrival_s"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(path, line_no, f"expected 2 fields, got {len(parts)}")
-            try:
-                t, m = float(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            if not 1 <= m <= n_movements:
-                raise ParseError(path, line_no, f"movement {m} outside 1..{n_movements}")
-            times.append(t)
-            movements.append(m - 1)
+    for line_no, (t, m) in read_csv_rows(path, FLOW_COLUMNS[0], len(FLOW_COLUMNS)):
+        try:
+            t, m = float(t), int(m)
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from exc
+        if not 1 <= m <= n_movements:
+            raise ParseError(path, line_no, f"movement {m} outside 1..{n_movements}")
+        times.append(t)
+        movements.append(m - 1)
 
     provenance = None
     if present := [key for key in PROVENANCE_KEYS if key in meta]:
         missing = [key for key in PROVENANCE_KEYS if key not in meta]
         if missing:
-            raise ParseError(sidecar, _key_line(lines, present[0]),
-                             f"provenance keys {present} without {missing}")
-        provenance = Provenance(meta["base_label"],
-                                parse_value(meta, "uniform_scale", float, lines, sidecar),
-                                parse_value(meta, "half_range", float, lines, sidecar),
-                                parse_value(meta, "seed", int, lines, sidecar))
-    return FlowSpec(arrival_records(times, movements), horizon=horizon,
-                    n_movements=n_movements, label=meta.get("label", path.stem),
-                    provenance=provenance)
+            line_no = max(line_no for line_no, raw in enumerate(lines, start=1)
+                          if raw.partition("=")[0].strip() == present[0])
+            raise ParseError(sidecar, line_no, f"provenance keys {present} without {missing}")
+        provenance = Provenance(*(meta[key] for key in PROVENANCE_KEYS))
+    try:
+        return FlowSpec(arrival_records(times, movements), horizon=horizon,
+                        n_movements=n_movements, label=meta.get("label", path.stem),
+                        provenance=provenance)
+    except ArrivalError as exc:
+        rows = read_csv_rows(path, FLOW_COLUMNS[0], len(FLOW_COLUMNS))
+        raise ParseError(path, next(islice(rows, exc.index, None))[0], str(exc)) from None
 
 
 def write_scenario_set(scenario_set: ScenarioSet, out_dir) -> list[Path]:
@@ -541,27 +558,21 @@ def load_scenario_dir(directory, kind: str = "test") -> ScenarioSet:
 
 def write_bases_csv(bases: list[BaseDistribution], path) -> None:
     n = bases[0].n_movements
-    lines = ["label," + ",".join(f"mov_{i + 1}" for i in range(n))]
-    lines.extend(b.label + "," + ",".join(str(int(v)) for v in b.volumes) for b in bases)
+    lines = [",".join([BASES_COLUMN, *(f"mov_{i + 1}" for i in range(n))])]
+    lines.extend(_label_field(b.label) + "," + ",".join(str(int(v)) for v in b.volumes)
+                 for b in bases)
     write_file(path, lines)
 
 
 def read_bases_csv(path) -> list[BaseDistribution]:
-    path = Path(path)
+    """The bases of a bases CSV, each row as wide as the header (or the first
+    row); a row that does not make a base raises ParseError at its line."""
     bases = []
-    with path.open() as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.lower().startswith("label"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise ParseError(path, line_no, "expected label plus volumes")
-            try:
-                volumes = [int(p) for p in parts[1:]]
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            bases.append(BaseDistribution(np.array(volumes), label=parts[0]))
+    for line_no, (label, *volumes) in read_csv_rows(path, BASES_COLUMN):
+        try:
+            bases.append(BaseDistribution([int(v) for v in volumes], label))
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from exc
     if not bases:
         raise ValueError(f"no base distributions found in {path}")
     return bases

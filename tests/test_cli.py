@@ -418,8 +418,19 @@ def test_unknown_subcommand(capsys):
 
 def test_bad_config_key_exit_3(tmp_path, capsys):
     config = tmp_path / "config.txt"
-    config.write_text("not_a_key=1\n")
+    config.write_text("gamma=0.9\nnot_a_key=1\n")
     f = volumes_file(tmp_path, "p.csv", [50, 50])
     code, _, err = run_cli(capsys, "kl", "--a", str(f), "--b", str(f),
                            "--config", str(config))
-    assert code == 3 and "unknown config key 'not_a_key'" in err and str(config) in err
+    assert code == 3 and f"{config}:2: unknown key 'not_a_key'" in err
+
+
+def test_ingest_label_no_bases_file_can_hold_exit_3(tmp_path, capsys):
+    # `--label "east,peak"` once wrote a bases file that could not be read back
+    counts = tmp_path / "counts.csv"
+    counts.write_text("# schema=1\n2024-05-07T08:00:00,3,7\n")
+    code, _, err = run_cli(capsys, "ingest", "--counts", str(counts), "--start", "08:00",
+                           "--end", "08:05", "--label", "east,peak",
+                           "--out", str(tmp_path / "out"))
+    assert code == 3 and "ERROR[validation]: label 'east,peak' cannot go into a file" in err
+    assert not (tmp_path / "out" / "ingested_bases.csv").exists()

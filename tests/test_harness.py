@@ -3,6 +3,7 @@ import pytest
 
 import signalshift as ss
 from signalshift import harness
+from signalshift.cli import main
 from signalshift.harness import percent_delta
 
 from conftest import param_distance, synthetic_base_list
@@ -367,3 +368,17 @@ def test_experiment_computes_each_scenario_kl_once(tmp_path, monkeypatch):
                                 settings.intersection, train_dist=train_dist,
                                 kl_epsilon=settings.kl_epsilon)
         assert record.kl_to_train == want.kl_to_train
+
+
+def test_a_manifest_key_typo_stops_the_run_at_its_line(tmp_path, capsys):
+    # `algoritms=` was once ignored, and the default matrix ran in its place
+    train_dir, test_dir = write_sets(tmp_path)
+    path = tmp_path / "manifest.txt"
+    path.write_text(f"# schema=1\ntrain_dir={train_dir}\ntest_dir={test_dir}\n"
+                    f"out={tmp_path / 'out'}\nalgoritms=random\n")
+    with pytest.raises(ss.ParseError, match=r"manifest\.txt:5: unknown key 'algoritms'"):
+        ss.load_manifest(path)
+    assert main(["report", "--manifest", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR[validation]: ") and f"{path}:5: unknown key" in err
+    assert not (tmp_path / "out").exists()

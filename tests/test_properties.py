@@ -493,6 +493,49 @@ def test_flow_csv_write_then_read_is_identity(tmp_path_factory, flow):
     assert ss.read_flow_csv(path) == flow
 
 
+# labels a user may give: some begin like a CSV header's first field, and
+# some hold what a file cannot hold as it is
+FILE_LABELS = st.builds(
+    str.__add__,
+    st.sampled_from(["", "label", "Label", "LABEL_", "arrival_s", "Arrival_s",
+                     "timestamp_iso8601"]),
+    st.text("ab1_- ,#=\t\n\r\x85\u2028\u00e9", max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@example(label="Labelled_peak", volumes=[1, 2], flow=ss.FlowSpec([(1.0, 0)]))
+@example(label="east,peak", volumes=[1, 2], flow=ss.FlowSpec([(1.0, 0)]))
+@given(label=FILE_LABELS, flow=flows(),
+       volumes=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8).filter(any))
+def test_bases_and_flow_files_give_back_their_labels_or_refuse_them(tmp_path_factory, label,
+                                                                     volumes, flow):
+    directory = tmp_path_factory.mktemp("labels")
+    bases = [ss.BaseDistribution(np.array(volumes), "first"),
+             ss.BaseDistribution(np.array(volumes), label)]
+    flow = replace(flow, label=label, provenance=flow.provenance and replace(
+        flow.provenance, base_label=label))
+
+    def round_trips() -> bool:
+        ss.write_bases_csv(bases, directory / "bases.csv")
+        ss.write_flow_csv(flow, directory / "flow.csv")
+        back = ss.read_bases_csv(directory / "bases.csv")
+        return ([(b.label, b.volumes.tolist()) for b in back]
+                == [(b.label, b.volumes.tolist()) for b in bases]
+                and ss.read_flow_csv(directory / "flow.csv") == flow)
+
+    try:
+        assert round_trips()
+    except ValueError as exc:
+        assert f"label {label!r} cannot go into a file" in str(exc)
+        # a refusal is owed: written unchecked, the label does not come back
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ss.scenarios, "_label_field", lambda text: text)
+            try:
+                assert not round_trips()
+            except ValueError:
+                pass
+
+
 def tuple_arrivals(volumes, horizon, rng) -> list[tuple[float, int]]:
     """`sample_arrivals` as it was built from tuples: each movement's times
     drawn in turn, then sorted by (time, movement)."""

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from signalshift.scenarios import (
     TEST_VARIABILITY_HALF_RANGE,
     TEST_VOLUME_SCALE,
     flow_to_csv_text,
-    read_key_values,
+    read_known_keys,
 )
 
 from conftest import PEAK_BASES, SYNTHETIC_BASES, synthetic_base_list
@@ -312,9 +313,9 @@ def test_flowspec_validation():
 # ---------------------------------------------------------------------------
 # key=value files
 
-def test_read_key_values_skips_comments_and_later_keys_win():
+def test_read_known_keys_skips_comments_and_later_keys_win():
     lines = ["# schema=1", "", "  a = 1 ", "b=x=y", "a=2"]
-    assert read_key_values(lines, "f.txt") == {"a": "2", "b": "x=y"}
+    assert read_known_keys(lines, "f.txt", {"a": int, "b": str}) == {"a": 2, "b": "x=y"}
 
 
 def test_flow_sidecar_line_without_equals_names_its_line(tmp_path):
@@ -367,6 +368,9 @@ def test_flow_sidecar_provenance_keys_come_as_a_set(tmp_path):
     ("uniform_scale=0.1", "uniform_scale=x"),
     ("half_range=0.2", "half_range=wide"),
     ("seed=7", "seed=seven"),
+    # a label no file can hold as it is, which a report's CSV rows would carry
+    ("label=flow", "label=east,peak"),
+    ("base_label=base2", "base_label=#base2"),
 ], ids=lambda text: text.partition("=")[0])
 def test_flow_sidecar_value_that_does_not_parse_names_its_line(tmp_path, old, new):
     # each once raised a bare "could not convert ..." without file or line
@@ -435,7 +439,11 @@ def test_ingest_rejects(tmp_path, start, end, row, match):
     ("soon,1", "could not convert string to float"),
     ("12.5,9", r"movement 9 outside 1\.\.8"),
     ("12.5,0", "movement 0 outside"),
-], ids=["fields", "time-unparsable", "movement-high", "movement-low"])
+    # the flow's own checks, once raised without the file
+    ("5.0,2", "arrivals must be sorted by time"),
+    ("3600.0,2", r"arrival time 3600\.0 outside \[0, 3600\.0\)"),
+], ids=["fields", "time-unparsable", "movement-high", "movement-low", "unsorted",
+        "past-horizon"])
 def test_read_flow_csv_rejects(tmp_path, row, match):
     path = tmp_path / "flow.csv"
     path.write_text(f"# schema=1\narrival_s,movement\n10.0,1\n{row}\n")
@@ -444,7 +452,7 @@ def test_read_flow_csv_rejects(tmp_path, row, match):
 
 
 @pytest.mark.parametrize("rows,match", [
-    ("b2", r"bases\.csv:4: expected label plus volumes"),
+    ("b2", r"bases\.csv:4: expected 3 fields, got 1"),
     ("b2,3,x", r"bases\.csv:4: invalid literal for int\(\)"),
     (None, r"no base distributions found in .*bases\.csv"),
 ], ids=["label-only", "volume-unparsable", "no-bases"])
@@ -455,3 +463,63 @@ def test_read_bases_csv_rejects(tmp_path, rows, match):
     with pytest.raises(ValueError, match=match) as err:
         ss.read_bases_csv(path)
     assert isinstance(err.value, ss.ParseError) == (rows is not None)
+
+
+# ---------------------------------------------------------------------------
+# CSV framing: a header only as the first line, rows as wide as the first line
+
+def test_a_base_labelled_like_the_header_is_read(tmp_path):
+    # any row starting with "label" was once skipped as a header: this base vanished
+    path = tmp_path / "bases.csv"
+    path.write_text("# schema=1\nlabel,mov_1,mov_2\nA,1,2\nLabelled_peak,3,4\n")
+    assert [(b.label, b.volumes.tolist()) for b in ss.read_bases_csv(path)] == [
+        ("A", [1, 2]), ("Labelled_peak", [3, 4])]
+
+
+@pytest.mark.parametrize("name,text,read", [
+    ("flow.csv", "arrival_s,movement\n1.0,1\narrival_s,movement\n2.0,2\n", ss.read_flow_csv),
+    ("bases.csv", "label,mov_1,mov_2\nA,1,2\nlabel,mov_1,mov_2\n", ss.read_bases_csv),
+    ("counts.csv", "timestamp_iso8601,movement,count\n2024-05-07T08:00:00,3,7\n"
+                   "Timestamp_ISO8601,movement,count\n",
+     lambda path: ss.ingest_counts_csv(path, "08:00", "08:05")),
+], ids=["flow", "bases", "counts"])
+def test_a_header_repeated_mid_file_is_an_error_at_its_line(tmp_path, name, text, read):
+    path = tmp_path / name
+    path.write_text("# schema=1\n" + text)
+    with pytest.raises(ss.ParseError, match=rf"{name.replace('.', '[.]')}:4: "):
+        read(path)
+
+
+@pytest.mark.parametrize("header", ["label,mov_1,mov_2,mov_3\n", "LABEL,a,b,c\n", ""],
+                         ids=["header", "header-any-case", "no-header"])
+def test_a_ragged_bases_row_is_an_error_at_its_line(tmp_path, header):
+    # `A,1,2,3` and `B,4,5` once read as a 3- and a 2-movement base
+    path = tmp_path / "bases.csv"
+    path.write_text("# schema=1\n" + header + "A,1,2,3\nB,4,5\n")
+    line_no = 4 if header else 3
+    with pytest.raises(ss.ParseError, match=rf"bases\.csv:{line_no}: expected 4 fields, got 3"):
+        ss.read_bases_csv(path)
+
+
+def test_a_nan_sidecar_horizon_is_an_error_at_its_line(tmp_path):
+    path = tmp_path / "x.csv"
+    ss.write_flow_csv(ss.FlowSpec([(1.5, 0)], horizon=600.0), path)
+    line_no = rewrite_sidecar_line(path, "horizon=600.0", "horizon=nan")
+    with pytest.raises(ss.ParseError,
+                       match=rf"x\.meta:{line_no}: horizon: .*finite and positive, got nan"):
+        ss.read_flow_csv(path)
+
+
+@pytest.mark.parametrize("label", ["east,peak", "east\npeak", "east\rpeak", "#east",
+                                   " east", "east "])
+def test_a_label_no_file_can_hold_is_refused_on_write(tmp_path, label):
+    base = ss.BaseDistribution(np.array([1, 2]), label)
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r} cannot go into a file")):
+        ss.write_bases_csv([base], tmp_path / "bases.csv")
+    flow = ss.FlowSpec([(1.0, 0)], label=label)
+    with pytest.raises(ValueError, match="cannot go into a file"):
+        ss.write_flow_csv(flow, tmp_path / "flow.csv")
+    with pytest.raises(ValueError, match="cannot go into a file"):
+        ss.write_flow_csv(ss.FlowSpec([], provenance=ss.Provenance(label, 0.0, 0.0, 0)),
+                          tmp_path / "flow.csv")
+    assert not list(tmp_path.iterdir())
