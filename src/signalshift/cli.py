@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import load_settings
 from .dqn import GreedyPolicy, train_dqn, write_training_log
-from .harness import ExperimentError, baseline_policy, load_manifest, run_experiment
+from .harness import BASELINES, ExperimentError, load_manifest, run_experiment
 from .intersection import run_episode, write_vehicle_trace
 from .meta import (
     ablate_steps,
@@ -58,13 +58,16 @@ def _out_dir(args) -> Path:
 
 
 def _distribution_from_file(path):
-    """Movement distribution from either a flow CSV or a bases CSV."""
+    """Movement distribution from a flow CSV, a file with the flow header or
+    a `.meta` sidecar, or else from a bases CSV."""
     path = _require(path)
-    if has_header(path, FLOW_COLUMNS[0]):
+    if has_header(path, FLOW_COLUMNS[0]) or path.with_suffix(".meta").exists():
         return movement_distribution(read_flow_csv(path).movement_counts())
     bases = read_bases_csv(path)
     if len(bases) != 1:
-        raise ValueError(f"{path} holds {len(bases)} distributions; expected exactly 1")
+        raise ValueError(f"{path} holds {len(bases)} distributions; expected exactly 1 "
+                         f"(read as a bases file: it has neither the flow header "
+                         f"{','.join(FLOW_COLUMNS)} nor a .meta sidecar)")
     return movement_distribution(bases[0].volumes)
 
 
@@ -150,7 +153,7 @@ def cmd_eval(args) -> int:
         policy = GreedyPolicy(load_params(_require(args.checkpoint)), config)
         tag = "checkpoint"
     else:
-        policy = baseline_policy(args.policy, config, args.seed)
+        policy = BASELINES[args.policy](config, args.seed)
         tag = args.policy
     result = run_episode(config, scenario, policy, seed=args.seed)
     out = _out_dir(args)
@@ -242,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--checkpoint")
-    group.add_argument("--policy", choices=("fixed_time", "max_pressure", "random"))
+    group.add_argument("--policy", choices=tuple(BASELINES))
     p.add_argument("--trace", action="store_true", help="also write vehicles.csv")
     p.set_defaults(func=cmd_eval)
 

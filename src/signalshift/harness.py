@@ -7,18 +7,23 @@ writes the report files:
   report_summary.csv  per-cell mean/min/max over seeds
   report_pivot.csv    algorithms x scenarios, column best starred and the
                       rest annotated with (+N%) relative deltas
-  timing.csv          wall-clock of train/adapt stages (the one output that
-                      is not byte-reproducible across runs)
+  timing.csv          mean wall-clock of each training and adaptation that
+                      ran, one row each in TIMING_ROWS order (the one output
+                      that is not byte-reproducible across runs)
   curve.csv           travel time against KL distance from training
   status.txt          ok, or the stage that failed
 
 Travel times are greedy-policy episodes; KL distances are measured against
 the mean movement distribution of the training scenarios.
+Each algorithm tag is one `ALGORITHMS` entry; the non-learning policies
+are `BASELINES`, which `signalshift eval --policy` uses too.
 """
 
 from __future__ import annotations
 
+import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -51,8 +56,54 @@ from .scenarios import (
 )
 from .seeding import NS_RL_ADAPT, spawn_rng
 
-ALGORITHMS = ("metalight", "rl_adapt", "rl_no_adapt",
-              "fixed_time", "max_pressure", "random")
+# The table's functions look up what they call when called, so a patched
+# module global (a test's spy, the benchmark tracer's wrapper) is reached.
+BASELINES = {
+    "fixed_time": lambda config, seed: FixedTimePolicy(config),
+    "max_pressure": lambda config, seed: MaxPressurePolicy(config),
+    "random": lambda config, seed: RandomPolicy(config, seed=seed),
+}
+
+
+def _train_meta(settings, train_set, seed):
+    return train_metalight(settings.intersection, train_set,
+                           replace(settings.meta, seed=seed), dims=settings.dims).checkpoint
+
+
+def _train_dqn(settings, train_set, seed):
+    return train_dqn(settings.intersection, train_set,
+                     replace(settings.dqn, seed=seed), dims=settings.dims).params
+
+
+def _adapt_meta(checkpoint, scenario, settings, seed):
+    return adapt_to_scenario(checkpoint, scenario, settings.intersection, seed=seed).params
+
+
+def _adapt_dqn(params, scenario, settings, seed):
+    # the same hyperparameters, clip included, as metalight
+    return adapt_params(params, scenario, settings.intersection, settings.meta,
+                        settings.meta.adapt_steps,
+                        spawn_rng(seed, NS_RL_ADAPT, zlib.crc32(scenario.label.encode()))).params
+
+
+def _baseline(tag: str):
+    return lambda _, scenario, settings, seed: BASELINES[tag](settings.intersection, seed)
+
+
+# each training: its stage, its timing.csv row and its run for one seed
+TRAININGS = {"meta": ("train-meta", "metalight_training_base_model", _train_meta),
+             "dqn": ("train-dqn", "dqn_training_from_scratch", _train_dqn)}
+# each tag: the training it starts from, how it makes its subject (params or
+# a policy) from (trained, scenario, settings, seed), and its timing.csv row
+# when it adapts; a tag with that row makes its subject as stage adapt
+ALGORITHMS = {
+    "metalight": ("meta", _adapt_meta, "metalight_adapting_base_model"),
+    "rl_adapt": ("dqn", _adapt_dqn, "dqn_adapting_trained_model"),
+    "rl_no_adapt": ("dqn", lambda params, *_: params, None),
+    **{tag: (None, _baseline(tag), None) for tag in BASELINES},
+}
+TIMING_ROWS = ("metalight_training_base_model", "metalight_adapting_base_model",
+               "dqn_training_from_scratch", "dqn_adapting_trained_model")
 
 
 class ExperimentError(RuntimeError):
@@ -79,7 +130,8 @@ class ExperimentManifest:
     train_dir: Path
     test_dir: Path
     out_dir: Path
-    algorithms: list[str] = field(default_factory=lambda: list(ALGORITHMS[:3]))
+    algorithms: list[str] = field(  # the learned tags
+        default_factory=lambda: [tag for tag, (training, *_) in ALGORITHMS.items() if training])
     seeds: list[int] = field(default_factory=lambda: [0])
     config_path: Path | None = None
 
@@ -88,7 +140,7 @@ class ExperimentManifest:
             raise ValueError("manifest needs at least one seed")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
-            raise ValueError(f"unknown algorithms {unknown}; valid: {ALGORITHMS}")
+            raise ValueError(f"unknown algorithms {unknown}; valid: {tuple(ALGORITHMS)}")
         for attr in ("train_dir", "test_dir"):
             p = Path(getattr(self, attr))
             setattr(self, attr, p)
@@ -121,8 +173,8 @@ def load_manifest(path) -> ExperimentManifest:
     if missing:
         raise ValueError(f"manifest {path} missing keys: {missing}")
     return ExperimentManifest(kv["train_dir"], kv["test_dir"], kv["out"],
-                              algorithms=kv.get("algorithms", list(ALGORITHMS[:3])),
-                              seeds=kv.get("seeds", [0]), config_path=kv.get("config"))
+                              config_path=kv.get("config"),
+                              **{k: kv[k] for k in ("algorithms", "seeds") if k in kv})
 
 
 def evaluate(subject, scenario: FlowSpec, config: IntersectionConfig, seed: int = 0,
@@ -143,6 +195,22 @@ def _kl_to_train(scenario: FlowSpec, train_dist: MovementDistribution,
                        epsilon=kl_epsilon)
 
 
+def require_reportable(train_set, test_set, n_movements: int) -> None:
+    """Raise ValueError naming every flow whose movement count is not the
+    config's, and every test label held by more than one flow: a report
+    cannot score the first, nor give the second a cell of its own."""
+    problems = []
+    if wrong := [f"{f.label} ({f.n_movements})" for f in [*train_set, *test_set]
+                 if f.n_movements != n_movements]:
+        problems.append(f"flows whose movement count is not the config's {n_movements}: "
+                        + ", ".join(wrong))
+    labels = [f.label for f in test_set]
+    if repeated := sorted({label for label in labels if labels.count(label) > 1}):
+        problems.append(f"test labels held by more than one flow: {', '.join(repeated)}")
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 def emit_curve(records: list[EvalRecord]) -> str:
     """CSV `kl,algorithm,avg_travel_time_s`, sorted ascending by kl."""
     for r in records:
@@ -158,105 +226,56 @@ def percent_delta(value: float, best: float) -> int:
     return round(100.0 * (value - best) / best)
 
 
-def baseline_policy(tag: str, config: IntersectionConfig, seed: int):
-    """The non-learning policy named by an algorithm tag."""
-    if tag == "fixed_time":
-        return FixedTimePolicy(config)
-    if tag == "max_pressure":
-        return MaxPressurePolicy(config)
-    if tag == "random":
-        return RandomPolicy(config, seed=seed)
-    raise ValueError(f"no policy for tag {tag!r}")
-
-
 def run_experiment(manifest: ExperimentManifest) -> list[EvalRecord]:
-    """Execute train -> adapt -> evaluate for every cell of the matrix.
-
-    Any stage failure aborts with a stage-tagged ExperimentError after
-    flagging the partial output directory via status.txt.
-    """
+    """Execute train -> adapt -> evaluate for every cell of the matrix.  A
+    stage's failure flags status.txt and raises a stage-tagged ExperimentError."""
     out = manifest.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    stage = "setup"
-    try:
+    times: dict[str, list[float]] = {}
+
+    @contextmanager
+    def timed(stage: str, row: str | None = None):
+        # a failure in the block is the stage's; a row keeps its wall time
+        start = time.perf_counter()
+        try:
+            yield
+        except Exception as exc:
+            (out / "status.txt").write_text(f"status=failed\nstage={stage}\n")
+            raise ExperimentError(stage, str(exc)) from exc
+        if row:
+            times.setdefault(row, []).append(time.perf_counter() - start)
+
+    with timed("setup"):
         settings = load_settings(manifest.config_path)
         train_set = load_scenario_dir(manifest.train_dir, kind="training")
         test_set = load_scenario_dir(manifest.test_dir, kind="test")
         require_vehicles([*train_set, *test_set])
+        require_reportable(train_set, test_set, settings.intersection.n_movements)
         train_dist = average_training_distribution(train_set)
-        config = settings.intersection
-
-        records: list[EvalRecord] = []
-        meta_train_times: list[float] = []
-        dqn_train_times: list[float] = []
-        adapt_times: list[float] = []
-
-        # each test scenario's KL, computed at its first evaluated cell
-        kls: list[float | None] = [None] * len(test_set)
-        needs_meta = "metalight" in manifest.algorithms
-        needs_dqn = any(a in manifest.algorithms for a in ("rl_adapt", "rl_no_adapt"))
-
-        for seed in manifest.seeds:
-            meta_ckpt = None
-            dqn_params = None
-            if needs_meta:
-                stage = "train-meta"
-                meta_result = train_metalight(config, train_set,
-                                              replace(settings.meta, seed=seed),
-                                              dims=settings.dims)
-                meta_ckpt = meta_result.checkpoint
-                meta_train_times.append(meta_result.wall_time_s)
-            if needs_dqn:
-                stage = "train-dqn"
-                dqn_result = train_dqn(config, train_set,
-                                       replace(settings.dqn, seed=seed),
-                                       dims=settings.dims)
-                dqn_params = dqn_result.params
-                dqn_train_times.append(dqn_result.wall_time_s)
-
-            for j, scenario in enumerate(test_set):
-                for algorithm in manifest.algorithms:
-                    if algorithm == "metalight":
-                        stage = "adapt"
-                        adapted = adapt_to_scenario(meta_ckpt, scenario, config,
-                                                    seed=seed)
-                        adapt_times.append(adapted.wall_time_s)
-                        subject = adapted.params
-                    elif algorithm == "rl_adapt":
-                        stage = "adapt"
-                        # the same hyperparameters, clip included, as metalight
-                        tuned = adapt_params(
-                            dqn_params, scenario, config, settings.meta,
-                            settings.meta.adapt_steps,
-                            spawn_rng(seed, NS_RL_ADAPT, zlib.crc32(scenario.label.encode())))
-                        subject = tuned.params
-                    elif algorithm == "rl_no_adapt":
-                        subject = dqn_params
-                    else:
-                        subject = baseline_policy(algorithm, config, seed)
-                    stage = "evaluate"
-                    record = evaluate(subject, scenario, config, seed=seed,
-                                      algorithm=algorithm)
-                    if kls[j] is None:
-                        kls[j] = _kl_to_train(scenario, train_dist, settings.kl_epsilon)
-                    record.kl_to_train = kls[j]
-                    records.append(record)
-
-        stage = "report"
-        _write_reports(records, manifest, out,
-                       meta_train_times, dqn_train_times, adapt_times)
-    except Exception as exc:
-        (out / "status.txt").write_text(f"status=failed\nstage={stage}\n")
-        if isinstance(exc, ExperimentError):
-            raise
-        raise ExperimentError(stage, str(exc)) from exc
-
+        kls = [_kl_to_train(s, train_dist, settings.kl_epsilon) for s in test_set]
+    records: list[EvalRecord] = []
+    for seed in manifest.seeds:
+        trained = {}
+        for kind, (stage, row, train) in TRAININGS.items():
+            if any(ALGORITHMS[tag][0] == kind for tag in manifest.algorithms):
+                with timed(stage, row):
+                    trained[kind] = train(settings, train_set, seed)
+        for scenario, kl in zip(test_set, kls):
+            for tag in manifest.algorithms:
+                training, make_subject, adapt_row = ALGORITHMS[tag]
+                with timed("adapt" if adapt_row else "evaluate", adapt_row):
+                    subject = make_subject(trained.get(training), scenario, settings, seed)
+                with timed("evaluate"):
+                    record = evaluate(subject, scenario, settings.intersection,
+                                      seed=seed, algorithm=tag)
+                records.append(replace(record, kl_to_train=kl))
+    with timed("report"):
+        _write_reports(records, manifest, out, times)
     (out / "status.txt").write_text("status=ok\n")
     return records
 
 
-def _write_reports(records, manifest, out: Path,
-                   meta_train_times, dqn_train_times, adapt_times) -> None:
+def _write_reports(records, manifest, out: Path, times: dict[str, list[float]]) -> None:
     # setup rejects vehicle-less scenarios, so every record has a travel time
     lines = ["algorithm,scenario,seed,avg_travel_time_s,completed,residual,kl_to_train"]
     lines.extend(
@@ -293,12 +312,8 @@ def _write_reports(records, manifest, out: Path,
     write_file(out / "report_pivot.csv", lines)
 
     lines = ["task,seconds"]
-    if meta_train_times:
-        lines.append(f"metalight_training_base_model,{float(np.mean(meta_train_times))!r}")
-    if adapt_times:
-        lines.append(f"metalight_adapting_base_model,{float(np.mean(adapt_times))!r}")
-    if dqn_train_times:
-        lines.append(f"dqn_training_from_scratch,{float(np.mean(dqn_train_times))!r}")
+    lines.extend(f"{row},{float(np.mean(times[row]))!r}" for row in TIMING_ROWS
+                 if row in times)
     write_file(out / "timing.csv", lines)
 
     (out / "curve.csv").write_text(emit_curve(records))

@@ -537,7 +537,14 @@ def read_flow_csv(path) -> FlowSpec:
 
 
 def write_scenario_set(scenario_set: ScenarioSet, out_dir) -> list[Path]:
-    """One flow CSV (+sidecar) per scenario, named by scenario label."""
+    """One flow CSV (+sidecar) per scenario, named by scenario label.  A
+    label that is no plain file name, or that two flows share, is refused
+    before any file is written."""
+    labels = [_label_field(flow.label) for flow in scenario_set]
+    if odd := [label for label in labels if "/" in label or label in ("", ".", "..")]:
+        raise ValueError(f"labels that are not plain file names: {odd}")
+    if repeated := sorted({label for label in labels if labels.count(label) > 1}):
+        raise ValueError(f"labels held by more than one flow: {', '.join(repeated)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -355,9 +355,10 @@ def test_criterion_11_experiment_shape(tmp_path):
                     expected = percent_delta(means[(row[0], scenario)], best)
                     assert int(delta.rstrip("%)")) == expected
             assert stars >= 1  # per-column best is marked
-        # the timing table mirrors the three task rows
+        # the timing table has a row for each training and each adaptation
         timing_rows = [line.split(",")[0] for line in
                        (tmp_path / "out" / "timing.csv").read_text().splitlines()[2:]]
         assert timing_rows == ["metalight_training_base_model",
                                "metalight_adapting_base_model",
-                               "dqn_training_from_scratch"]
+                               "dqn_training_from_scratch",
+                               "dqn_adapting_trained_model"]

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import signalshift as ss
-from signalshift.cli import main
+from signalshift import harness
+from signalshift.cli import build_parser, main
 
 from conftest import synthetic_base_list
 
@@ -83,6 +85,39 @@ def test_kl_multi_row_bases_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "kl", "--a", str(f), "--b", str(one))
     assert code == 3
     assert err.startswith("ERROR[validation]:")
+
+
+def headerless_flow(tmp_path, sidecar: bool):
+    """A flow CSV of two vehicles without its header line, and with or
+    without its `.meta` sidecar."""
+    flow = ss.FlowSpec([(10.0, 0), (20.0, 1)], label="flow")
+    path = tmp_path / "flow.csv"
+    ss.write_flow_csv(flow, path)
+    path.write_text("10.0,1\n20.0,2\n")
+    if not sidecar:
+        path.with_suffix(".meta").unlink()
+    return flow, path
+
+
+def test_kl_reads_a_headerless_flow_with_its_sidecar_as_a_flow(tmp_path, capsys):
+    # it was once read as a bases file of two bases, one per vehicle
+    flow, path = headerless_flow(tmp_path, sidecar=True)
+    ref = volumes_file(tmp_path, "ref.csv", [1, 2, 3, 4, 5, 6, 7, 8])
+    code, out, err = run_cli(capsys, "kl", "--a", str(ref), "--b", str(path))
+    assert code == 0, err
+    want = ss.kl_distance(ss.movement_distribution([1, 2, 3, 4, 5, 6, 7, 8]),
+                          ss.movement_distribution(flow.movement_counts()))
+    assert out.strip() == f"{want:.6f}"
+
+
+def test_kl_names_the_bases_format_a_file_without_header_or_sidecar_was_read_as(
+        tmp_path, capsys):
+    _, path = headerless_flow(tmp_path, sidecar=False)
+    code, _, err = run_cli(capsys, "kl", "--a", str(path), "--b", str(path))
+    assert code == 3
+    assert err.startswith(f"ERROR[validation]: {path} holds 2 distributions; expected "
+                          "exactly 1 (read as a bases file: it has neither the flow header "
+                          "arrival_s,movement nor a .meta sidecar)")
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +234,14 @@ def test_eval_policy_baseline(cli_workspace, capsys):
                            "--out", str(tmp_path / "evalmp"))
     assert code == 0
     assert float(out.strip()) > 0
+
+
+def test_eval_policy_choices_are_the_baselines():
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    [policy] = [a for a in commands.choices["eval"]._actions if a.dest == "policy"]
+    assert policy.choices == tuple(harness.BASELINES) == \
+        ("fixed_time", "max_pressure", "random")
 
 
 def test_report_runs_manifest(cli_workspace, capsys):

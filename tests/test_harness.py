@@ -188,7 +188,8 @@ def test_experiment_timing_rows(tiny_experiment):
             (out / "timing.csv").read_text().splitlines()[2:]]
     assert rows == ["metalight_training_base_model",
                     "metalight_adapting_base_model",
-                    "dqn_training_from_scratch"]
+                    "dqn_training_from_scratch",
+                    "dqn_adapting_trained_model"]
 
 
 def test_experiment_pivot_shape_and_deltas(tiny_experiment):
@@ -249,20 +250,46 @@ def test_experiment_single_cell_report(tmp_path):
     assert len(body) == 1
 
 
-def test_experiment_stage_error_flags_output(tmp_path):
+def test_experiment_stage_error_flags_output(tmp_path, monkeypatch):
     train_dir, test_dir = write_sets(tmp_path)
-    # a test scenario with the wrong movement count trips the evaluate stage
-    broken = ss.FlowSpec([(1.0, 0)], horizon=300.0, n_movements=4, label="zz_bad")
-    ss.write_flow_csv(broken, test_dir / "zz_bad.csv")
+
+    def broken_episode(*args, **kwargs):
+        raise RuntimeError("simulator fault")
+
+    monkeypatch.setattr(harness, "run_episode", broken_episode)
     out = tmp_path / "out"
     manifest = ss.ExperimentManifest(train_dir, test_dir, out,
                                      algorithms=["fixed_time"], seeds=[0],
                                      config_path=small_config_file(tmp_path))
-    with pytest.raises(ss.ExperimentError) as err:
+    with pytest.raises(ss.ExperimentError, match=r"\[evaluate\] simulator fault") as err:
         ss.run_experiment(manifest)
     assert err.value.stage == "evaluate"
     status = (out / "status.txt").read_text()
     assert "status=failed" in status and "stage=evaluate" in status
+
+
+@pytest.mark.parametrize("kind", ["train", "test"])
+def test_flows_a_report_cannot_score_or_hold_fail_at_setup(tmp_path, capsys, kind):
+    # a 4-movement test flow under the 8-movement config was once refused
+    # only after both trainings, and two test flows with one label merged
+    # into one report cell; both are now named at setup, before any training
+    train_dir, test_dir = write_sets(tmp_path)
+    ss.write_flow_csv(ss.FlowSpec([(1.0, 0)], horizon=300.0, n_movements=4, label="zz_four"),
+                      (train_dir if kind == "train" else test_dir) / "zz_four.csv")
+    ss.write_flow_csv(ss.sample_arrivals([9] * 8, 300.0, 7, label="te0"),
+                      test_dir / "zz_twin.csv")
+    out = tmp_path / "out"
+    path = tmp_path / "manifest.txt"
+    path.write_text(f"train_dir={train_dir}\ntest_dir={test_dir}\nout={out}\n"
+                    f"config={small_config_file(tmp_path)}\n"
+                    "algorithms=metalight,rl_adapt,fixed_time\n")
+    assert main(["report", "--manifest", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR[validation]: [setup] flows whose movement count is not "
+                          "the config's 8: zz_four (4); test labels held by more than "
+                          "one flow: te0")
+    assert sorted(p.name for p in out.iterdir()) == ["status.txt"]
+    assert (out / "status.txt").read_text() == "status=failed\nstage=setup\n"
 
 
 @pytest.mark.parametrize("kind", ["train", "test"])
@@ -310,6 +337,31 @@ def test_diverging_training_fails_in_its_stage(tmp_path, algorithm, stage, setti
     assert err.value.stage == stage
     assert isinstance(err.value.__cause__, FloatingPointError)
     assert f"stage={stage}" in (out / "status.txt").read_text()
+
+
+@pytest.mark.parametrize("algorithms,rows", [
+    (list(harness.ALGORITHMS), ("metalight_training_base_model",
+                                "metalight_adapting_base_model",
+                                "dqn_training_from_scratch", "dqn_adapting_trained_model")),
+    (["rl_adapt", "random"], ("dqn_training_from_scratch", "dqn_adapting_trained_model")),
+    (["rl_no_adapt"], ("dqn_training_from_scratch",)),
+    (["metalight"], ("metalight_training_base_model", "metalight_adapting_base_model")),
+    (["fixed_time", "max_pressure"], ()),
+])
+def test_each_tag_makes_one_record_per_scenario_and_its_timing_rows(tmp_path, algorithms,
+                                                                    rows):
+    # every training and every adapting tag that ran has its timing row, and
+    # no other row is written: rl_adapt's adaptation was once left out
+    train_dir, test_dir = write_sets(tmp_path)
+    out = tmp_path / "out"
+    manifest = ss.ExperimentManifest(train_dir, test_dir, out, algorithms=algorithms,
+                                     seeds=[0], config_path=small_config_file(tmp_path))
+    records = ss.run_experiment(manifest)
+    assert sorted((r.algorithm, r.scenario) for r in records) == \
+        sorted((tag, label) for tag in algorithms for label in ("te0", "te1"))
+    timing = [line.split(",") for line in (out / "timing.csv").read_text().splitlines()[2:]]
+    assert tuple(row for row, _ in timing) == rows
+    assert all(float(seconds) > 0 for _, seconds in timing)
 
 
 def test_rl_adapt_clips_like_metalight(tmp_path, monkeypatch):

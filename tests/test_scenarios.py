@@ -523,3 +523,20 @@ def test_a_label_no_file_can_hold_is_refused_on_write(tmp_path, label):
         ss.write_flow_csv(ss.FlowSpec([], provenance=ss.Provenance(label, 0.0, 0.0, 0)),
                           tmp_path / "flow.csv")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("labels,match", [
+    (["am", "am/peak"], r"not plain file names: \['am/peak'\]"),
+    (["."], r"not plain file names: \['\.'\]"),
+    (["am", ".."], r"not plain file names: \['\.\.'\]"),
+    (["pm", "am", "pm"], "held by more than one flow: pm"),
+])
+def test_a_scenario_set_its_labels_cannot_name_is_refused_before_writing(tmp_path, labels,
+                                                                         match):
+    # `am/peak` once raised FileNotFoundError for a directory that does not
+    # exist, and a second `pm` overwrote the first's files without a word
+    flows = ss.ScenarioSet([ss.FlowSpec([(1.0, i)], label=label)
+                            for i, label in enumerate(labels)])
+    with pytest.raises(ValueError, match=match):
+        ss.write_scenario_set(flows, tmp_path / "set")
+    assert not (tmp_path / "set").exists()
