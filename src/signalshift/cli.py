@@ -14,17 +14,17 @@ import sys
 from pathlib import Path
 
 from .config import load_settings
-from .dqn import GreedyPolicy, train_dqn, write_training_log
+from .dqn import GreedyPolicy, LogRow, train_dqn
 from .harness import BASELINES, ExperimentError, load_manifest, run_experiment
 from .intersection import run_episode, write_vehicle_trace
 from .meta import (
+    AblationRow,
+    MetaLogRow,
     ablate_steps,
     adapt_to_scenario,
     load_meta_checkpoint,
     save_meta_checkpoint,
     train_metalight,
-    write_ablation_csv,
-    write_meta_log,
 )
 from .metrics import kl_distance, movement_distribution
 from .network import load_params, save_params
@@ -40,6 +40,7 @@ from .scenarios import (
     require_vehicles,
     write_bases_csv,
     write_file,
+    write_rows,
     write_scenario_set,
 )
 
@@ -113,7 +114,7 @@ def cmd_train_dqn(args) -> int:
                        dims=settings.dims)
     out = _out_dir(args)
     save_params(result.params, out / "dqn_checkpoint.txt")
-    write_training_log(result.log, out / "dqn_training_log.csv")
+    write_rows(out / "dqn_training_log.csv", LogRow, result.log)
     print(f"trained {result.updates} updates; checkpoint in {out}", file=sys.stderr)
     return 0
 
@@ -125,7 +126,7 @@ def cmd_train_meta(args) -> int:
                              dims=settings.dims)
     out = _out_dir(args)
     save_meta_checkpoint(result.checkpoint, out / "meta_checkpoint.txt")
-    write_meta_log(result.log, out / "meta_training_log.csv")
+    write_rows(out / "meta_training_log.csv", MetaLogRow, result.log)
     print(f"meta-trained {len(result.log)} iterations; checkpoint in {out}",
           file=sys.stderr)
     return 0
@@ -175,7 +176,7 @@ def cmd_ablate(args) -> int:
     rows = ablate_steps(checkpoint, scenarios, ks, settings.intersection,
                         seed=args.seed)
     out = _out_dir(args)
-    write_ablation_csv(rows, out / "ablation.csv")
+    write_rows(out / "ablation.csv", AblationRow, rows)
     for row in rows:
         print(f"k={row.k} avg_travel_time_s={row.avg_travel_time_s!r}")
     return 0

@@ -33,7 +33,6 @@ from .network import (
     init_params,
     sgd_step,
 )
-from .scenarios import write_file
 from .seeding import NS_DQN, NS_RANDOM_POLICY, as_rng, spawn_rng
 
 
@@ -240,12 +239,6 @@ def train_dqn(config: IntersectionConfig, scenarios, hyper: DqnHyper,
 
     return TrainResult(check_bounded(learner.params), log, time.perf_counter() - t_start,
                        learner.updates)
-
-
-def write_training_log(log: list[LogRow], path) -> None:
-    write_file(path, ["update,episode,loss,mean_reward,epsilon",
-                      *(f"{r.update},{r.episode},{r.loss!r},{r.mean_reward!r},{r.epsilon!r}"
-                        for r in log)])
 
 
 # ---------------------------------------------------------------------------

@@ -138,9 +138,16 @@ class ExperimentManifest:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("manifest needs at least one seed")
+        if not self.algorithms:
+            raise ValueError("manifest needs at least one algorithm")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms {unknown}; valid: {tuple(ALGORITHMS)}")
+        for name in ("algorithms", "seeds"):
+            items = getattr(self, name)
+            repeated = sorted({x for x in items if items.count(x) > 1})
+            if repeated:
+                raise ValueError(f"manifest repeats {name} {repeated}")
         for attr in ("train_dir", "test_dir"):
             p = Path(getattr(self, attr))
             setattr(self, attr, p)

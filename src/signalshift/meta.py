@@ -41,7 +41,6 @@ from .scenarios import (
     file_text,
     read_known_keys,
     require_vehicles,
-    write_file,
 )
 from .dqn import ReplayMemory, TDLearner, _explore, epsilon_greedy, td_grads
 # kept bound here: bench/selftest.py checks that the tracer restores
@@ -334,18 +333,6 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
     mean_time = {k: float(np.mean(times[j * len(flows):(j + 1) * len(flows)]))
                  for j, k in enumerate(steps)}
     return [AblationRow(k, mean_time[k], len(flows), seed) for k in ks]
-
-
-def write_ablation_csv(rows: list[AblationRow], path) -> None:
-    write_file(path, ["k,avg_travel_time_s,scenario_count,seed",
-                      *(f"{r.k},{r.avg_travel_time_s!r},{r.scenario_count},{r.seed}"
-                        for r in rows)])
-
-
-def write_meta_log(log: list[MetaLogRow], path) -> None:
-    write_file(path, ["iteration,mean_rollout_loss,mean_meta_loss",
-                      *(f"{r.iteration},{r.mean_rollout_loss!r},{r.mean_meta_loss!r}"
-                        for r in log)])
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,14 @@ def write_file(path, lines) -> None:
     Path(path).write_text(file_text(lines))
 
 
+def write_rows(path, row_type, rows) -> None:
+    """The namedtuple `rows` as a CSV under the header `row_type._fields`;
+    a float is written with `repr`, any other value with `str`."""
+    write_file(path, [",".join(row_type._fields),
+                      *(",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+                        for row in rows)])
+
+
 def _csv_lines(path):
     """(line_no, fields) of each line of `path` but blank and `#` lines."""
     with Path(path).open() as fh:

@@ -279,6 +279,19 @@ def test_report_config_with_a_nan_kl_epsilon_exit_3(cli_workspace, tmp_path, cap
     assert "stage=setup" in (out / "status.txt").read_text()
 
 
+@pytest.mark.parametrize("key", ["embed_dim", "compete_dim"])
+def test_report_config_with_a_zero_network_dim_stops_at_setup(cli_workspace, tmp_path,
+                                                             capsys, key):
+    # once refused only at train-dqn, and a report without a learned tag passed
+    workspace, _ = cli_workspace
+    code, err, out = run_report(capsys, tmp_path, workspace, workspace / "sets" / "test",
+                                small_config(tmp_path, **{key: 0}), algorithms="random")
+    assert code == 3
+    assert err == f"ERROR[validation]: [setup] {key} must be positive\n"
+    assert sorted(p.name for p in out.iterdir()) == ["status.txt"]
+    assert (out / "status.txt").read_text() == "status=failed\nstage=setup\n"
+
+
 def test_report_vehicle_less_test_flow_exit_3(cli_workspace, tmp_path, capsys):
     workspace, config = cli_workspace
     test_dir = tmp_path / "test"

@@ -65,8 +65,27 @@ def field_value(settings: ss.Settings, section: str, field: str):
     return getattr(getattr(settings, section), field)
 
 
-def test_every_readme_key_has_a_case():
-    assert readme_keys() == set(CASES)
+def test_the_accepted_keys_are_the_cases_and_the_readme_rows():
+    # the keys follow the settings records' fields, so a new field is a new
+    # key: it needs a case above and a README row
+    assert set(ss.config.KEY_PARSERS) == set(CASES) == readme_keys()
+
+
+def test_seed_in_a_config_file_is_an_unknown_key_at_its_line(tmp_path):
+    # the seed comes from --seed and the manifest, never from the config
+    path = tmp_path / "config.txt"
+    path.write_text("gamma=0.9\nseed=3\n")
+    with pytest.raises(ss.ParseError, match=r"config\.txt:2: unknown key 'seed'"):
+        ss.load_settings(path)
+
+
+@pytest.mark.parametrize("key", ["embed_dim", "compete_dim"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_file_with_a_non_positive_network_dim_is_rejected(tmp_path, key, value):
+    path = tmp_path / "config.txt"
+    path.write_text(f"{key}={value}\n")
+    with pytest.raises(ValueError, match=f"^{key} must be positive$"):
+        ss.load_settings(path)
 
 
 @pytest.mark.parametrize("key", sorted(CASES))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import signalshift as ss
-from signalshift.dqn import write_training_log
+from signalshift.dqn import LogRow
 from signalshift.network import params_to_text
+from signalshift.scenarios import write_rows
 from signalshift.seeding import spawn_rng
 
 from conftest import batch_of, make_toy_flow, obs_row, params_equal
@@ -180,7 +181,7 @@ def test_training_log_schema(tmp_path):
     result = ss.train_dqn(cfg, [small_flow()], ss.DqnHyper(episodes=2, seed=1))
     assert result.updates > 0
     path = tmp_path / "log.csv"
-    write_training_log(result.log, path)
+    write_rows(path, LogRow, result.log)
     lines = path.read_text().splitlines()
     assert lines[1] == "update,episode,loss,mean_reward,epsilon"
     assert len(lines) == 2 + len(result.log)

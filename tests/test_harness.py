@@ -434,3 +434,21 @@ def test_a_manifest_key_typo_stops_the_run_at_its_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ERROR[validation]: ") and f"{path}:5: unknown key" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lines,message", [
+    ("algorithms=random,random,fixed_time", "manifest repeats algorithms ['random']"),
+    ("algorithms=fixed_time\nseeds=0,0", "manifest repeats seeds [0]"),
+    ("algorithms=", "manifest needs at least one algorithm"),
+], ids=["repeated-tag", "repeated-seed", "no-algorithm"])
+def test_a_manifest_with_a_repeat_or_no_algorithm_exits_3_before_out(tmp_path, capsys,
+                                                                     lines, message):
+    # each once ran to status ok: a repeated tag as two report rows, a repeated
+    # seed as n_seeds=2 from one seed, and no algorithm as empty reports
+    train_dir, test_dir = write_sets(tmp_path)
+    path = tmp_path / "manifest.txt"
+    path.write_text(f"train_dir={train_dir}\ntest_dir={test_dir}\n"
+                    f"out={tmp_path / 'out'}\n{lines}\n")
+    assert main(["report", "--manifest", str(path)]) == 3
+    assert capsys.readouterr().err == f"ERROR[validation]: {message}\n"
+    assert not (tmp_path / "out").exists()

@@ -8,13 +8,14 @@ import pytest
 import signalshift as ss
 import signalshift.scenarios as scenarios_module
 from signalshift.meta import (
+    AblationRow,
     MetaLogRow,
     _collect_experience,
     adapt_params,
     scenario_digest,
-    write_ablation_csv,
 )
 from signalshift.network import params_to_text
+from signalshift.scenarios import write_rows
 from signalshift.seeding import spawn_rng
 
 from conftest import make_toy_flow, param_distance, params_equal, zero_grads
@@ -260,7 +261,7 @@ def test_ablate_default_ks_rows(tmp_path):
     assert all(r.scenario_count == 2 and r.seed == 3 for r in rows)
     assert all(np.isfinite(r.avg_travel_time_s) for r in rows)
     path = tmp_path / "ablation.csv"
-    write_ablation_csv(rows, path)
+    write_rows(path, AblationRow, rows)
     lines = path.read_text().splitlines()
     assert lines[1] == "k,avg_travel_time_s,scenario_count,seed"
     assert len(lines) == 7
