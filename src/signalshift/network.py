@@ -33,13 +33,25 @@ live stack of the ablation for all their decisions; the TD learner
 adaptation) binds each new iterate once, after its SGD step, for the next
 decision and TD step (and the target, while it is the learner itself).
 
-There are two forwards on a bound network.  `_forward_bound` is the batch
-forward of the TD step: x (B, M, 2), and the cache the backward pass
-reads.  `_decide` is the decision forward: one observation (M, 2), or one
-per network of a stack (T, M, 2).  It runs the batch forward's products
-at B=1 on the same shapes, so its Q-values equal the batch forward's bit
-for bit (a property test checks this), but it skips the B axis's reshapes
-and indexing and builds no cache.
+There are three forwards on a bound network, one per kind of input, and
+each returns the bits of the batch forward at B=1 (property tests check
+this under several BLAS kernels).  `_forward_bound` is the batch forward of
+the TD step: x (B, M, 2), and the cache the backward pass reads.
+`_decide_one` is one network's decision forward, for one observation
+(M, 2): `greedy_phase`, and so every greedy evaluation step, adaptation's
+experience collection and each exploiting decision in training, runs it.
+It calls the same 2-D products through `np.dot`, and takes each pair's two
+sides by a gather instead of the 0/1 products: 10.4 µs against 14.5 µs
+through `@`, `vecmat` and the 0/1 products (one BLAS thread, OpenBLAS's
+SkylakeX kernel).
+`_decide` is the decision forward of a stack (T, M, 2), one observation
+per network, for lockstep episodes.  It runs the batch forward's products
+on the same shapes, without the B axis's reshapes and indexing and without
+a cache.  The gather stays out of the batch forward, where it is slower
+(40.0 -> 59.2 µs at B=32), and out of the stacked one, where it is no
+clear gain: 26.9 -> 24.9 µs at T=5 but 65.5 -> 69.0 µs at T=25, the
+ablation's widest stack.  `frap_forward` picks one of the two decision
+forwards by the observation's rank.
 
 Every decision goes through one greedy rule, `_greedy`: on a Python list
 of the P Q-values, finiteness, then the lowest index of the largest.
@@ -160,8 +172,8 @@ def _phase_structs(config: IntersectionConfig):
     """The fixed matrices of the forward and backward passes: the phase
     membership (M, P), each column the mean over the phase's movements;
     the 0/1 selections (2, P, K) of the p and the q phase of each ordered
-    pair p != q, their transposes (2, K, P), and the p phase of each pair
-    (K,)."""
+    pair p != q, their transposes (2, K, P), and the p phase and the q
+    phase of each pair (K,) each."""
     n_phases = config.n_phases
     member = phase_membership(config)
     mem_norm = np.ascontiguousarray((member / member.sum(axis=1, keepdims=True)).T)
@@ -170,7 +182,9 @@ def _phase_structs(config: IntersectionConfig):
     for k, (p, q) in enumerate(pairs):
         select[0, p, k] = select[1, q, k] = 1.0
     pair_phase = np.array([p for p, _ in pairs], dtype=np.int64)
-    return mem_norm, select, np.ascontiguousarray(select.transpose(0, 2, 1)), pair_phase
+    pair_rival = np.array([q for _, q in pairs], dtype=np.int64)
+    return (mem_norm, select, np.ascontiguousarray(select.transpose(0, 2, 1)), pair_phase,
+            pair_rival)
 
 
 class BoundNetwork(NamedTuple):
@@ -187,6 +201,7 @@ class BoundNetwork(NamedTuple):
     select: np.ndarray         # (2, P, K)
     select_t: np.ndarray       # (2, K, P)
     pair_phase: np.ndarray     # (K,): the p phase of each pair
+    pair_rival: np.ndarray     # (K,): the q phase of each pair
     embed_dim: int
     compete_dim: int
     obs_shape: tuple           # lead + (M, 2)
@@ -199,7 +214,7 @@ def bind(params: QNetworkParams, config: IntersectionConfig) -> BoundNetwork:
     the weights after binding and the bound network no longer follows them.
     They are sliced from theta, not read through the tensor views, which
     would make and keep six views on `params`."""
-    mem_norm, select, select_t, pair_phase = _phase_structs(config)
+    mem_norm, select, select_t, pair_phase, pair_rival = _phase_structs(config)
     theta, embed, compete = params.theta, params.embed_dim, params.compete_dim
     lead = theta.shape[:-1]
     W_e, b_e, W_c, b_c, w_r, b_r = (theta[..., span]
@@ -208,7 +223,8 @@ def bind(params: QNetworkParams, config: IntersectionConfig) -> BoundNetwork:
         lead + (2 * compete, embed))
     return BoundNetwork(W_e.reshape(lead + (embed, 2)), b_e.reshape(lead + (embed, 1)), w_pq,
                         b_c.reshape(lead + (compete, 1)), w_r, b_r, mem_norm, select,
-                        select_t, pair_phase, embed, compete, (*lead, config.n_movements, 2))
+                        select_t, pair_phase, pair_rival, embed, compete,
+                        (*lead, config.n_movements, 2))
 
 
 def _forward_bound(network: BoundNetwork, x: np.ndarray):
@@ -226,7 +242,7 @@ def _forward_bound(network: BoundNetwork, x: np.ndarray):
     The B axis stays even at B=1: the products keep these shapes, because
     BLAS may round others differently.
     """
-    W_e, b_e, w_pq, b_c, w_r, b_r, mem_norm, select, _, _, embed, compete, _ = network
+    W_e, b_e, w_pq, b_c, w_r, b_r, mem_norm, select, _, _, _, embed, compete, _ = network
     lead = x.shape[:-3]                                       # () or (T,)
     n, n_mov = x.shape[-3:-1]
     n_phases, n_pairs = select.shape[1:]
@@ -251,7 +267,7 @@ def _forward_bound(network: BoundNetwork, x: np.ndarray):
 def _backward(network: BoundNetwork, cache, d_s: np.ndarray) -> QNetworkParams:
     """Reverse-mode d(loss)/d(params) given d(loss)/ds (B, K), the gradient
     of the pair scores; the tensors' gradients go into one flat vector."""
-    _, _, w_pq, _, w_r, _, mem_norm, _, select_t, _, embed, compete, _ = network
+    _, _, w_pq, _, w_r, _, mem_norm, _, select_t, _, _, embed, compete, _ = network
     x, e, rho, c = cache
     n, n_mov = x.shape[0], x.shape[1]
     n_phases = select_t.shape[2]
@@ -270,26 +286,57 @@ def _backward(network: BoundNetwork, cache, d_s: np.ndarray) -> QNetworkParams:
     return QNetworkParams(embed, compete, theta)
 
 
-def _decide(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
-    """The decision forward: Q (P,) for one observation (M, 2), or Q (T, P)
-    for a stack's observations (T, M, 2), one each.
+def _decide_one(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
+    """The decision forward of one network: Q (P,) for one observation (M, 2).
 
-    It runs the products of `_forward_bound` at B=1 on the same shapes, so
-    its Q-values are the same bits, but it skips the B axis's reshapes and
-    indexing and keeps no cache for a backward pass."""
-    W_e, b_e, w_pq, b_c, w_r, b_r, mem_norm, select, _, _, _, compete, _ = network
-    e = W_e @ obs.mT                                          # (E, M)
+    Its products are those of `_forward_bound` at B=1, on the same 2-D
+    shapes, called through `np.dot`, which dispatches to BLAS with less
+    overhead than `@` and `vecmat` and gave the same bits under every
+    kernel tried.  The pair stage gathers instead of multiplying: each
+    pair's two sides are columns of the p-half and the q-half scores, and a
+    0/1 product with one 1 per column returns the selected value bit for
+    bit, so the Q-values equal the batch forward's while every score is
+    finite.  (A non-finite score reaches only its own pairs here, where the
+    product made every pair NaN; scores that large need weights far past
+    MAX_PARAM_ABS.)  No cache is kept."""
+    (W_e, b_e, w_pq, b_c, w_r, b_r, mem_norm, select, _, pair_phase, pair_rival, _,
+     compete, _) = network
+    e = np.dot(W_e, obs.T)                                    # (E, M)
     e += b_e
     np.maximum(e, 0.0, out=e)
-    h = w_pq @ (e @ mem_norm)                                 # (2C, P)
+    h = np.dot(w_pq, np.dot(e, mem_norm))                     # (2C, P)
+    h_p = h[:compete]
+    h_p += b_c
+    c = h_p.take(pair_phase, axis=1)                          # (C, K)
+    c += h[compete:].take(pair_rival, axis=1)
+    np.maximum(c, 0.0, out=c)
+    s = np.dot(w_r, c)                                        # (K,)
+    s += b_r
+    return np.dot(s, select[0].T)                             # (P,)
+
+
+def _decide(stack: BoundNetwork, obs: np.ndarray) -> np.ndarray:
+    """The decision forward of a stack of T networks: Q (T, P) for their
+    observations (T, M, 2), one each.
+
+    It runs the products of `_forward_bound` at B=1 on the same shapes, so
+    each row is the bits of that network's batch forward, but it skips the
+    B axis's reshapes and indexing and keeps no cache for a backward pass.
+    Its pair stage stays the 0/1 product: a gather gains at small T and
+    loses at the ablation's T=25 (figures in the module docstring)."""
+    W_e, b_e, w_pq, b_c, w_r, b_r, mem_norm, select, _, _, _, _, compete, _ = stack
+    e = W_e @ obs.mT                                          # (T, E, M)
+    e += b_e
+    np.maximum(e, 0.0, out=e)
+    h = w_pq @ (e @ mem_norm)                                 # (T, 2C, P)
     h[..., :compete, :] += b_c
-    z_c = h.reshape(h.shape[:-2] + (2, compete, h.shape[-1])) @ select  # (2, C, K)
+    z_c = h.reshape(h.shape[:-2] + (2, compete, h.shape[-1])) @ select  # (T, 2, C, K)
     c = z_c[..., 0, :, :]
     c += z_c[..., 1, :, :]
     np.maximum(c, 0.0, out=c)
-    s = np.vecmat(w_r, c)                                     # (K,)
+    s = np.vecmat(w_r, c)                                     # (T, K)
     s += b_r
-    return (s[..., None, :] @ select[0].T)[..., 0, :]        # (1, K) @ (K, P)
+    return (s[..., None, :] @ select[0].T)[..., 0, :]        # (T, 1, K) @ (K, P)
 
 
 def _check_shape(network: BoundNetwork, obs: np.ndarray) -> None:
@@ -314,7 +361,7 @@ def frap_forward(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
     """Q-value per phase (P,) for a single (M, 2) observation from `observe`;
     for a stack of T networks, Q (T, P) for obs (T, M, 2), one row each."""
     _check_shape(network, obs)
-    q = _decide(network, obs)
+    q = (_decide_one if obs.ndim == 2 else _decide)(network, obs)
     if not np.isfinite(q).all():
         raise FloatingPointError("non-finite Q-values")
     return q
@@ -325,7 +372,7 @@ def greedy_phase(network: BoundNetwork, obs: np.ndarray) -> int:
     observation.  Q-values that are not finite raise FloatingPointError, an
     observation of the wrong shape ValueError."""
     _check_shape(network, obs)
-    return _greedy(_decide(network, obs).tolist())
+    return _greedy(_decide_one(network, obs).tolist())
 
 
 def greedy_phases(stack: BoundNetwork, obs: np.ndarray, rows=None) -> list[int]:
