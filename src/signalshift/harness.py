@@ -148,6 +148,8 @@ class ExperimentManifest:
             repeated = sorted({x for x in items if items.count(x) > 1})
             if repeated:
                 raise ValueError(f"manifest repeats {name} {repeated}")
+        if negative := [seed for seed in self.seeds if seed < 0]:
+            raise ValueError(f"manifest seeds must be non-negative, got {negative}")
         for attr in ("train_dir", "test_dir"):
             p = Path(getattr(self, attr))
             setattr(self, attr, p)

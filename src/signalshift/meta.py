@@ -42,7 +42,7 @@ from .scenarios import (
     read_known_keys,
     require_vehicles,
 )
-from .dqn import ReplayMemory, TDLearner, _explore, epsilon_greedy, td_grads
+from .dqn import ReplayMemory, TDLearner, _explore, td_grads
 # kept bound here: bench/selftest.py checks that the tracer restores
 # `meta.bellman_grads`; TD steps go through `td_grads`
 from .network import bellman_grads  # noqa: F401
@@ -211,49 +211,43 @@ def _live_stack(thetas: np.ndarray, dims: tuple[int, int], config: IntersectionC
 def _collect_experience(theta: QNetworkParams, scenarios: list[FlowSpec],
                         config: IntersectionConfig, hyper: MetaHyper,
                         rngs) -> list[ReplayMemory]:
-    """`hyper.adapt_data_budget` episodes per scenario acting
-    epsilon-greedily from theta, the scenarios stepped in lockstep.
-    Scenario i's epsilon draws come from rngs[i], and so do the batches its
-    replay memory (the one returned at i) later samples.
-
-    With several scenarios, each decision first draws every live episode's
-    exploration from its own generator, then `greedy_phases` decides the
-    exploiting episodes' rows of theta stacked over the live set, each row
-    the Q-values that episode alone would get.  One scenario acts through
-    `epsilon_greedy` on one network."""
+    """`adapt_params`'s experience for several scenarios at once, stepped in
+    lockstep: `hyper.adapt_data_budget` episodes each, acting
+    epsilon-greedily from theta.  Each decision draws every live episode's
+    exploration from its own generator (rngs[i] for scenario i), then
+    `greedy_phases` decides the exploiting episodes' rows of theta stacked
+    over the live set, each row the Q-values that episode alone would get.
+    The memory returned at i samples from rngs[i], so it is the one
+    `adapt_params` collects for scenario i."""
     memories = [ReplayMemory(hyper.capacity, seed=rng) for rng in rngs]
-    epsilon = hyper.rollout_epsilon
-    if len(scenarios) == 1:
-        network = bind(theta, config)
+    stack = _live_stack(np.broadcast_to(theta.theta, (len(scenarios), theta.theta.size)),
+                        (theta.embed_dim, theta.compete_dim), config)
 
-        def act(live, obs):
-            return [epsilon_greedy(network, obs[0], epsilon, rngs[0])]
-    else:
-        stack = _live_stack(np.broadcast_to(theta.theta, (len(scenarios), theta.theta.size)),
-                            (theta.embed_dim, theta.compete_dim), config)
-
-        def act(live, obs):
-            phases = [_explore(epsilon, rngs[i], config.n_phases) for i in live]
-            exploit = [j for j, phase in enumerate(phases) if phase is None]
-            if exploit:
-                greedy = greedy_phases(stack(live), np.array(obs), exploit)
-                for j, phase in zip(exploit, greedy):
-                    phases[j] = phase
-            return phases
+    def act(live, obs):
+        phases = [_explore(hyper.rollout_epsilon, rngs[i], config.n_phases) for i in live]
+        exploit = [j for j, phase in enumerate(phases) if phase is None]
+        if exploit:
+            greedy = greedy_phases(stack(live), np.array(obs), exploit)
+            for j, phase in zip(exploit, greedy):
+                phases[j] = phase
+        return phases
 
     for _ in range(hyper.adapt_data_budget):
-        rollout(config, scenarios, act,
-                lambda i, transition: memories[i].push(transition))
+        rollout(config, scenarios, act, lambda i, transition: memories[i].push(transition))
     return memories
 
 
 def adapt_params(theta: QNetworkParams, scenario: FlowSpec, config: IntersectionConfig,
                  hyper: MetaHyper, steps: int, rng) -> AdaptResult:
-    """Collect `hyper.adapt_data_budget` episodes acting from theta, then
-    take `steps` TD gradient steps on the collected memory."""
+    """Collect `hyper.adapt_data_budget` episodes acting epsilon-greedily
+    from theta, through a `TDLearner` that only acts and stores (its
+    epsilon draws and its memory's batches both from `rng`), then take
+    `steps` TD gradient steps on the collected memory."""
     t_start = time.perf_counter()
-    [memory] = _collect_experience(theta, [scenario], config, hyper, [rng])
-    adapted = individual_adapt(theta, memory, steps, config, hyper)
+    learner = TDLearner(theta, config, hyper, hyper.alpha, rng, epsilon=hyper.rollout_epsilon)
+    for _ in range(hyper.adapt_data_budget):
+        rollout(config, [scenario], learner.act, lambda i, t: learner.memory.push(t))
+    adapted = individual_adapt(theta, learner.memory, steps, config, hyper)
     return AdaptResult(check_bounded(adapted), time.perf_counter() - t_start,
                        episodes_used=hyper.adapt_data_budget, update_steps=steps)
 

@@ -14,7 +14,7 @@ each half once; the P x P pair grid then takes its K = P(P-1) off-diagonal
 entries, p != q, as sums of one p-side and one q-side score, and the
 diagonal is never formed.  No pair input of width 2E is built.
 
-The forward pass is written over leading axes: a stack of T networks,
+The batch forward is written over leading axes: a stack of T networks,
 theta (T, n) with observations x (T, B, M, 2), runs as the same 2-D
 products, one per network, through stacked `matmul` and `vecmat`.  Its
 Q-values equal the T separate forwards bit for bit (a property test checks
@@ -27,31 +27,26 @@ config only: the p/q relayout w_pq of W_c, the bias columns and the
 config's phase matrices.  The products then run on them, with the same
 shapes whether bound once or per call, so the Q-values are the same bits.
 Every entry point takes bound networks, and each parameter version is
-bound once: a greedy policy, adaptation's experience collection and each
-live stack of the ablation for all their decisions; the TD learner
-(`dqn.TDLearner`, the one update rule of DQN training, meta-training and
+bound once: a greedy policy and each live stack of a lockstep rollout for
+all their decisions; the TD learner (`dqn.TDLearner`, the one update rule
+and one-network epsilon-greedy actor of DQN training, meta-training and
 adaptation) binds each new iterate once, after its SGD step, for the next
 decision and TD step (and the target, while it is the learner itself).
 
-There are three forwards on a bound network, one per kind of input, and
-each returns the bits of the batch forward at B=1 (property tests check
-this under several BLAS kernels).  `_forward_bound` is the batch forward of
-the TD step: x (B, M, 2), and the cache the backward pass reads.
-`_decide_one` is one network's decision forward, for one observation
-(M, 2): `greedy_phase`, and so every greedy evaluation step, adaptation's
-experience collection and each exploiting decision in training, runs it.
-It calls the same 2-D products through `np.dot`, and takes each pair's two
-sides by a gather instead of the 0/1 products: 10.4 µs against 14.5 µs
-through `@`, `vecmat` and the 0/1 products (one BLAS thread, OpenBLAS's
-SkylakeX kernel).
-`_decide` is the decision forward of a stack (T, M, 2), one observation
-per network, for lockstep episodes.  It runs the batch forward's products
-on the same shapes, without the B axis's reshapes and indexing and without
-a cache.  The gather stays out of the batch forward, where it is slower
-(40.0 -> 59.2 µs at B=32), and out of the stacked one, where it is no
-clear gain: 26.9 -> 24.9 µs at T=5 but 65.5 -> 69.0 µs at T=25, the
-ablation's widest stack.  `frap_forward` picks one of the two decision
-forwards by the observation's rank.
+There are two forwards on a bound network.  `_forward_bound` is the batch
+forward of the TD step, x (B, M, 2), with the cache the backward pass
+reads; at B=1 it also makes every stacked decision (`greedy_phases`, a
+stack's `frap_forward`).  `_decide_one` is one network's decision forward,
+for one observation (M, 2): `greedy_phase`, and so every greedy evaluation
+step and every exploiting decision of a `dqn.TDLearner`, runs it.  It
+returns the batch forward's bits at B=1 (property tests check this under
+several BLAS kernels) from the same 2-D products, called through `np.dot`,
+with each pair's two sides taken by a gather instead of the 0/1 products:
+10.4 µs against 14.5 µs (one BLAS thread, OpenBLAS's SkylakeX kernel).
+The gather is slower in the batch forward (40.0 -> 59.2 µs at B=32).  A
+stacked decision pays ~2.5 µs for the batch forward's B axis and cache
+(T=5 26.7 -> 29.1 µs, T=25 64.2 -> 66.7 µs against a stacked forward of
+its own).
 
 Every decision goes through one greedy rule, `_greedy`: on a Python list
 of the P Q-values, finiteness, then the lowest index of the largest.
@@ -315,30 +310,6 @@ def _decide_one(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
     return np.dot(s, select[0].T)                             # (P,)
 
 
-def _decide(stack: BoundNetwork, obs: np.ndarray) -> np.ndarray:
-    """The decision forward of a stack of T networks: Q (T, P) for their
-    observations (T, M, 2), one each.
-
-    It runs the products of `_forward_bound` at B=1 on the same shapes, so
-    each row is the bits of that network's batch forward, but it skips the
-    B axis's reshapes and indexing and keeps no cache for a backward pass.
-    Its pair stage stays the 0/1 product: a gather gains at small T and
-    loses at the ablation's T=25 (figures in the module docstring)."""
-    W_e, b_e, w_pq, b_c, w_r, b_r, mem_norm, select, _, _, _, _, compete, _ = stack
-    e = W_e @ obs.mT                                          # (T, E, M)
-    e += b_e
-    np.maximum(e, 0.0, out=e)
-    h = w_pq @ (e @ mem_norm)                                 # (T, 2C, P)
-    h[..., :compete, :] += b_c
-    z_c = h.reshape(h.shape[:-2] + (2, compete, h.shape[-1])) @ select  # (T, 2, C, K)
-    c = z_c[..., 0, :, :]
-    c += z_c[..., 1, :, :]
-    np.maximum(c, 0.0, out=c)
-    s = np.vecmat(w_r, c)                                     # (T, K)
-    s += b_r
-    return (s[..., None, :] @ select[0].T)[..., 0, :]        # (T, 1, K) @ (K, P)
-
-
 def _check_shape(network: BoundNetwork, obs: np.ndarray) -> None:
     if obs.shape != network.obs_shape:
         raise ValueError(f"observation has shape {obs.shape}, the config and the "
@@ -361,7 +332,10 @@ def frap_forward(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
     """Q-value per phase (P,) for a single (M, 2) observation from `observe`;
     for a stack of T networks, Q (T, P) for obs (T, M, 2), one row each."""
     _check_shape(network, obs)
-    q = (_decide_one if obs.ndim == 2 else _decide)(network, obs)
+    if obs.ndim == 2:
+        q = _decide_one(network, obs)
+    else:
+        q = _forward_bound(network, obs[:, None])[0][:, 0]    # (T, 1, P) at B=1
     if not np.isfinite(q).all():
         raise FloatingPointError("non-finite Q-values")
     return q
@@ -380,7 +354,7 @@ def greedy_phases(stack: BoundNetwork, obs: np.ndarray, rows=None) -> list[int]:
     one each: the greedy phase of every row, or of the rows listed in
     `rows`, in that order.  Only those rows' Q-values are checked."""
     _check_shape(stack, obs)
-    q = _decide(stack, obs).tolist()
+    q = _forward_bound(stack, obs[:, None])[0][:, 0].tolist()     # (T, 1, P) at B=1
     return [_greedy(q[i]) for i in (range(len(q)) if rows is None else rows)]
 
 

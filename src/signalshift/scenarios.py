@@ -581,11 +581,12 @@ def write_bases_csv(bases: list[BaseDistribution], path) -> None:
 
 def read_bases_csv(path) -> list[BaseDistribution]:
     """The bases of a bases CSV, each row as wide as the header (or the first
-    row); a row that does not make a base raises ParseError at its line."""
+    row); a row that does not make a base, or whose label no file can hold
+    (`_label_field`), raises ParseError at its line."""
     bases = []
     for line_no, (label, *volumes) in read_csv_rows(path, BASES_COLUMN):
         try:
-            bases.append(BaseDistribution([int(v) for v in volumes], label))
+            bases.append(BaseDistribution([int(v) for v in volumes], _label_field(label)))
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from exc
     if not bases:

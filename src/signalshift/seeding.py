@@ -39,6 +39,8 @@ META_ADAPT = 50
 
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:
     """Return a fresh Generator for stream `path` under the root `seed`."""
+    if int(seed) < 0:
+        raise ValueError(f"seed {seed} is negative; a seed is a non-negative integer")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.PCG64(ss))
 

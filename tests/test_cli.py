@@ -141,6 +141,26 @@ def test_gen_deterministic_trees(tmp_path, capsys):
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
+def test_gen_refuses_a_bases_label_no_file_can_hold_before_writing(tmp_path, capsys):
+    # `peak ,…` was once read as the label 'peak ': gen made out/train, then
+    # stopped at the first flow sidecar without naming the bases file
+    bases = tmp_path / "bases.csv"
+    bases.write_text("# schema=1\nlabel,mov_1,mov_2\npeak ,100,200\n")
+    code, _, err = run_cli(capsys, "gen", "--bases", str(bases), "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert err.startswith(f"ERROR[validation]: {bases}:3: label 'peak ' cannot go into a file")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_negative_seed_is_named_where_it_is_refused(tmp_path, capsys):
+    # numpy's own refusal ("expected non-negative integer") named no seed
+    with pytest.raises(ValueError, match=r"^seed -1 is negative"):
+        ss.spawn_rng(-1, 3)
+    code, _, err = run_cli(capsys, "gen", "--bases", str(bases_file(tmp_path)),
+                           "--seed", "-1", "--out", str(tmp_path / "out"))
+    assert code == 3 and err.startswith("ERROR[validation]: seed -1 is negative")
+
+
 def test_ingest_prints_volumes(tmp_path, capsys):
     counts = tmp_path / "counts.csv"
     counts.write_text("# schema=1\ntimestamp_iso8601,movement,count\n"

@@ -440,11 +440,14 @@ def test_a_manifest_key_typo_stops_the_run_at_its_line(tmp_path, capsys):
     ("algorithms=random,random,fixed_time", "manifest repeats algorithms ['random']"),
     ("algorithms=fixed_time\nseeds=0,0", "manifest repeats seeds [0]"),
     ("algorithms=", "manifest needs at least one algorithm"),
-], ids=["repeated-tag", "repeated-seed", "no-algorithm"])
+    ("algorithms=fixed_time\nseeds=0,-1", "manifest seeds must be non-negative, got [-1]"),
+], ids=["repeated-tag", "repeated-seed", "no-algorithm", "negative-seed"])
 def test_a_manifest_with_a_repeat_or_no_algorithm_exits_3_before_out(tmp_path, capsys,
                                                                      lines, message):
     # each once ran to status ok: a repeated tag as two report rows, a repeated
-    # seed as n_seeds=2 from one seed, and no algorithm as empty reports
+    # seed as n_seeds=2 from one seed, no algorithm as empty reports, and a
+    # negative seed with only fixed_time, which draws no random number (with
+    # a learned tag it stopped at its training stage, leaving a status file)
     train_dir, test_dir = write_sets(tmp_path)
     path = tmp_path / "manifest.txt"
     path.write_text(f"train_dir={train_dir}\ntest_dir={test_dir}\n"

@@ -337,10 +337,17 @@ def memory_rows(memory):
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
 @pytest.mark.parametrize("capacity", [10_000, 50])
-def test_stacked_collection_equals_collecting_one_scenario_at_a_time(epsilon, capacity):
+def test_stacked_collection_equals_collecting_one_scenario_at_a_time(epsilon, capacity,
+                                                                      monkeypatch):
+    # the lockstep collection (a stack through the batch forward) against
+    # the one `adapt_params` runs for one scenario (one network's
+    # `TDLearner`); its memory is caught where the TD steps would start
     cfg = small_config()
     theta = tiny_checkpoint(cfg).theta0
     hyper = ss.MetaHyper(rollout_epsilon=epsilon, adapt_data_budget=2, capacity=capacity)
+    caught = []
+    monkeypatch.setattr(ss.meta, "individual_adapt",
+                        lambda theta, memory, *args: caught.append(memory) or theta)
     # a heavy flow, an empty one and two light ones: the empty flow's
     # episode ends at the horizon and the others later, at ε = 1 at three
     # different decisions, so the live set shrinks during the episodes
@@ -352,8 +359,8 @@ def test_stacked_collection_equals_collecting_one_scenario_at_a_time(epsilon, ca
     fresh = copy.deepcopy(rngs)
     memories = _collect_experience(theta, flows, cfg, hyper, rngs)
     for flow, memory, rng, alone_rng in zip(flows, memories, rngs, fresh):
-        [alone] = _collect_experience(theta, [flow], cfg, hyper, [alone_rng])
-        assert memory_rows(memory) == memory_rows(alone)
+        adapt_params(theta, flow, cfg, hyper, 1, alone_rng)
+        assert memory_rows(memory) == memory_rows(caught.pop())
         assert rng.bit_generator.state == alone_rng.bit_generator.state
     if capacity > 50:
         # no memory is full: the episodes left the lockstep at different decisions

@@ -12,7 +12,6 @@ import pytest
 import signalshift as ss
 from signalshift.intersection import episode_result, rollout
 from signalshift.network import (
-    _decide,
     _decide_one,
     _forward_bound,
     bind,
@@ -189,6 +188,7 @@ def test_stacked_forward_equals_each_network_bit_for_bit(config, embed_dim, comp
     want = [greedy_phase(bind(cases[t][0], config), cases[t][2].x[0])
             for t in (range(n_sets) if rows is None else rows)]
     assert greedy_phases(bind(stack, config), x[:, 0], rows) == want
+    assert np.array_equal(ss.frap_forward(bind(stack, config), x[:, 0]), q[:, 0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -196,53 +196,43 @@ def test_stacked_forward_equals_each_network_bit_for_bit(config, embed_dim, comp
        n_sets=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
 def test_bound_forward_equals_forward_bit_for_bit(config, embed_dim, compete_dim, n_sets,
                                                   seed):
-    # bound once, then used for every decision: one network at B=1 and a
-    # T-stack, each forward twice, so a forward that wrote to its bound
-    # operands would show in the second
+    # bound once, then used for every decision: one network at B=1, each
+    # forward twice, so a forward that wrote to its bound operands would
+    # show in the second.  (A stack's decisions run the batch forward
+    # itself; the stacked property above pins its rows.)
     cases = [random_case(config, embed_dim, compete_dim, 1, seed + t) for t in range(n_sets)]
-    want = [forward(params, batch.x, config)[0][0] for params, _, batch in cases]
-    for (params, _, batch), q in zip(cases, want):
+    for params, _, batch in cases:
+        q = forward(params, batch.x, config)[0][0]
         network = bind(params, config)
         for _ in range(2):
             assert np.array_equal(ss.frap_forward(network, batch.x[0]), q)
         assert ss.GreedyPolicy(params, config)(batch.x[0]) == \
             int(ss.frap_forward(network, batch.x[0]).argmax())
-    stack = bind(ss.QNetworkParams(embed_dim, compete_dim,
-                                   np.stack([params.theta for params, _, _ in cases])), config)
-    x = np.stack([batch.x[0] for _, _, batch in cases])               # (T, M, 2)
-    for _ in range(2):
-        assert np.array_equal(ss.frap_forward(stack, x), np.stack(want))
-
-
-@settings(max_examples=200, deadline=None)
-@example(config=ss.IntersectionConfig(), embed_dim=16, compete_dim=16, n_sets=None, scale=0.0,
-         seed=0)
-@given(config=phase_configs(), embed_dim=st.integers(1, 16), compete_dim=st.integers(1, 16),
-       n_sets=st.none() | st.integers(1, 30),
-       scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0]), seed=st.integers(0, 2 ** 32 - 1))
-def test_decision_forward_equals_the_batch_forward_at_b1_bit_for_bit(
-        config, embed_dim, compete_dim, n_sets, scale, seed):
-    # one network (n_sets None: the gathering forward `greedy_phase` runs)
-    # or a T-stack, one observation each, with random weights and biases;
-    # at scale 0 they are signed zeros, where a gather and a 0/1 product
-    # could round the sign of a zero apart
-    rng = np.random.default_rng(seed)
-    lead = () if n_sets is None else (n_sets,)
-    size = ss.QNetworkParams(embed_dim, compete_dim).theta.size
-    network = bind(ss.QNetworkParams(embed_dim, compete_dim,
-                                     scale * rng.standard_normal(lead + (size,))), config)
-    m = config.n_movements
-    x = np.stack([rng.integers(0, 40, lead + (m,)), rng.integers(0, 2, lead + (m,))],
-                 axis=-1).astype(np.float64)
-    want = _forward_bound(network, x[..., None, :, :])[0]
-    q = (_decide_one if n_sets is None else _decide)(network, x)
-    assert q.shape == lead + (config.n_phases,)
-    assert np.array_equal(q.view(np.uint64), want[..., 0, :].view(np.uint64))
 
 
 def random_observation(rng, config):
     m = config.n_movements
     return np.stack([rng.integers(0, 40, m), rng.integers(0, 2, m)], axis=-1).astype(np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@example(config=ss.IntersectionConfig(), embed_dim=16, compete_dim=16, scale=0.0, seed=0)
+@given(config=phase_configs(), embed_dim=st.integers(1, 16), compete_dim=st.integers(1, 16),
+       scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_decision_forward_equals_the_batch_forward_at_b1_bit_for_bit(
+        config, embed_dim, compete_dim, scale, seed):
+    # one network's gathering forward, the one `greedy_phase` runs, with
+    # random weights and biases; at scale 0 they are signed zeros, where a
+    # gather and a 0/1 product could round the sign of a zero apart
+    rng = np.random.default_rng(seed)
+    size = ss.QNetworkParams(embed_dim, compete_dim).theta.size
+    network = bind(ss.QNetworkParams(embed_dim, compete_dim,
+                                     scale * rng.standard_normal(size)), config)
+    x = random_observation(rng, config)
+    want = _forward_bound(network, x[None])[0]
+    q = _decide_one(network, x)
+    assert q.shape == (config.n_phases,)
+    assert np.array_equal(q.view(np.uint64), want[0].view(np.uint64))
 
 
 @settings(max_examples=200, deadline=None)

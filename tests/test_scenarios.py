@@ -454,8 +454,10 @@ def test_read_flow_csv_rejects(tmp_path, row, match):
 @pytest.mark.parametrize("rows,match", [
     ("b2", r"bases\.csv:4: expected 3 fields, got 1"),
     ("b2,3,x", r"bases\.csv:4: invalid literal for int\(\)"),
+    # read, it once failed later, where a flow file refused it without a line
+    ("b2 ,3,4", r"bases\.csv:4: label 'b2 ' cannot go into a file"),
     (None, r"no base distributions found in .*bases\.csv"),
-], ids=["label-only", "volume-unparsable", "no-bases"])
+], ids=["label-only", "volume-unparsable", "label-padded", "no-bases"])
 def test_read_bases_csv_rejects(tmp_path, rows, match):
     path = tmp_path / "bases.csv"
     body = "b1,3,4\n" + rows + "\n" if rows else ""
