@@ -76,22 +76,26 @@ def cmd_gen(args) -> int:
     bases = read_bases_csv(_require(args.bases))
     settings = load_settings(args.config, args.seed)
     horizon = settings.intersection.horizon
-    out = _out_dir(args)
+    # every set is made, and so checked, before anything is written
+    sets = []
     if args.kind in ("train", "both"):
-        write_scenario_set(make_training_set(bases, args.seed, horizon), out / "train")
+        sets.append(("train", make_training_set(bases, args.seed, horizon)))
     if args.kind in ("test", "both"):
-        write_scenario_set(make_test_scenarios(bases, args.seed, horizon), out / "test")
+        sets.append(("test", make_test_scenarios(bases, args.seed, horizon)))
+    out = Path(args.out)
+    for name, scenario_set in sets:
+        write_scenario_set(scenario_set, out / name)
     print(f"scenario sets written under {out}")
     return 0
 
 
 def cmd_ingest(args) -> int:
+    n_movements = load_settings(args.config).intersection.n_movements
     base = ingest_counts_csv(_require(args.counts), args.start, args.end,
-                             n_movements=args.movements)
+                             n_movements=n_movements)
     if args.label:
         base.label = args.label
-    out = _out_dir(args)
-    target = out / "ingested_bases.csv"
+    target = Path(args.out) / "ingested_bases.csv"
     write_bases_csv([base], target)
     print(",".join(str(int(v)) for v in base.volumes))
     print(f"base distribution written to {target}")
@@ -213,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True)
     p.add_argument("--start", required=True, help="window start (ISO or HH:MM)")
     p.add_argument("--end", required=True, help="window end (ISO or HH:MM)")
-    p.add_argument("--movements", type=int, default=8)
     p.add_argument("--label", default=None)
     p.set_defaults(func=cmd_ingest)
 

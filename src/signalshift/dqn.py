@@ -111,28 +111,21 @@ class DqnHyper:
             raise ValueError("lr must be non-negative")
 
 
-def _explore(epsilon: float, rng: np.random.Generator | None, n_phases: int) -> int | None:
-    """The exploration draw of `epsilon_greedy`: with probability epsilon a
-    uniformly random phase, else None (exploit).  It draws from `rng` only
-    when epsilon > 0: one coin, then the phase if exploring."""
+def epsilon_greedy(network: BoundNetwork, obs: np.ndarray, epsilon: float,
+                   rng: np.random.Generator | None) -> int:
+    """A uniformly random phase with probability epsilon, otherwise the
+    greedy phase of `network` for the (M, 2) observation `obs` (ties to the
+    lowest index).  It draws from `rng` only when epsilon > 0: one coin,
+    then the phase if exploring.  The forward runs on exploit decisions
+    only and draws nothing from `rng`."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     if epsilon > 0.0:
         if rng is None:
             raise ValueError("epsilon > 0 requires an RNG")
         if rng.random() < epsilon:
-            return int(rng.integers(n_phases))
-    return None
-
-
-def epsilon_greedy(network: BoundNetwork, obs: np.ndarray, epsilon: float,
-                   rng: np.random.Generator | None) -> int:
-    """A uniformly random phase with probability epsilon, otherwise the
-    greedy phase of `network` for the (M, 2) observation `obs` (ties to the
-    lowest index).  The forward runs on exploit decisions only and draws
-    nothing from `rng`."""
-    explored = _explore(epsilon, rng, network.select.shape[1])
-    return greedy_phase(network, obs) if explored is None else explored
+            return int(rng.integers(network.select.shape[1]))
+    return greedy_phase(network, obs)
 
 
 def td_grads(network: BoundNetwork, target: BoundNetwork, memory: ReplayMemory,

@@ -39,10 +39,9 @@ from .scenarios import (
     FlowSpec,
     ParseError,
     file_text,
-    read_known_keys,
     require_vehicles,
 )
-from .dqn import ReplayMemory, TDLearner, _explore, td_grads
+from .dqn import ReplayMemory, TDLearner, td_grads
 # kept bound here: bench/selftest.py checks that the tracer restores
 # `meta.bellman_grads`; TD steps go through `td_grads`
 from .network import bellman_grads  # noqa: F401
@@ -192,62 +191,25 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
     return MetaTrainResult(checkpoint, log, time.perf_counter() - t_start)
 
 
-def _live_stack(thetas: np.ndarray, dims: tuple[int, int], config: IntersectionConfig):
-    """`stack(live)`: the networks of the live episodes of a lockstep
-    rollout, row i of `thetas` being episode i's, bound as one stack for a
-    forward at B=1.  The stack is bound again only when the live set
-    changes."""
-    bound, bound_live = None, None
-
-    def stack(live):
-        nonlocal bound, bound_live
-        if live != bound_live:
-            bound = bind(QNetworkParams(*dims, thetas[live]), config)
-            bound_live = live
-        return bound
-    return stack
-
-
-def _collect_experience(theta: QNetworkParams, scenarios: list[FlowSpec],
-                        config: IntersectionConfig, hyper: MetaHyper,
-                        rngs) -> list[ReplayMemory]:
-    """`adapt_params`'s experience for several scenarios at once, stepped in
-    lockstep: `hyper.adapt_data_budget` episodes each, acting
-    epsilon-greedily from theta.  Each decision draws every live episode's
-    exploration from its own generator (rngs[i] for scenario i), then
-    `greedy_phases` decides the exploiting episodes' rows of theta stacked
-    over the live set, each row the Q-values that episode alone would get.
-    The memory returned at i samples from rngs[i], so it is the one
-    `adapt_params` collects for scenario i."""
-    memories = [ReplayMemory(hyper.capacity, seed=rng) for rng in rngs]
-    stack = _live_stack(np.broadcast_to(theta.theta, (len(scenarios), theta.theta.size)),
-                        (theta.embed_dim, theta.compete_dim), config)
-
-    def act(live, obs):
-        phases = [_explore(hyper.rollout_epsilon, rngs[i], config.n_phases) for i in live]
-        exploit = [j for j, phase in enumerate(phases) if phase is None]
-        if exploit:
-            greedy = greedy_phases(stack(live), np.array(obs), exploit)
-            for j, phase in zip(exploit, greedy):
-                phases[j] = phase
-        return phases
-
+def _collect_experience(theta: QNetworkParams, scenario: FlowSpec,
+                        config: IntersectionConfig, hyper: MetaHyper, rng) -> ReplayMemory:
+    """The experience of one adaptation: `hyper.adapt_data_budget` episodes
+    of `scenario`, acting epsilon-greedily from theta through a `TDLearner`
+    that only acts and stores.  Its epsilon draws and its memory's batches
+    both come from `rng`."""
+    learner = TDLearner(theta, config, hyper, hyper.alpha, rng, epsilon=hyper.rollout_epsilon)
     for _ in range(hyper.adapt_data_budget):
-        rollout(config, scenarios, act, lambda i, transition: memories[i].push(transition))
-    return memories
+        rollout(config, [scenario], learner.act, lambda i, t: learner.memory.push(t))
+    return learner.memory
 
 
 def adapt_params(theta: QNetworkParams, scenario: FlowSpec, config: IntersectionConfig,
                  hyper: MetaHyper, steps: int, rng) -> AdaptResult:
-    """Collect `hyper.adapt_data_budget` episodes acting epsilon-greedily
-    from theta, through a `TDLearner` that only acts and stores (its
-    epsilon draws and its memory's batches both from `rng`), then take
-    `steps` TD gradient steps on the collected memory."""
+    """Collect the experience of `_collect_experience` from theta, then take
+    `steps` TD gradient steps on it."""
     t_start = time.perf_counter()
-    learner = TDLearner(theta, config, hyper, hyper.alpha, rng, epsilon=hyper.rollout_epsilon)
-    for _ in range(hyper.adapt_data_budget):
-        rollout(config, [scenario], learner.act, lambda i, t: learner.memory.push(t))
-    adapted = individual_adapt(theta, learner.memory, steps, config, hyper)
+    memory = _collect_experience(theta, scenario, config, hyper, rng)
+    adapted = individual_adapt(theta, memory, steps, config, hyper)
     return AdaptResult(check_bounded(adapted), time.perf_counter() - t_start,
                        episodes_used=hyper.adapt_data_budget, update_steps=steps)
 
@@ -302,19 +264,25 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
             raise ValueError(f"adaptation needs at least one gradient step, got k={k}")
     hyper, theta0 = checkpoint.hyper, checkpoint.theta0
     steps = sorted(set(ks))
-    rngs = [_adapt_rng(hyper, seed) for _ in flows]
     iterates = {k: [] for k in steps}      # k -> adapted theta per scenario
-    for memory in _collect_experience(theta0, flows, config, hyper, rngs):
+    for flow in flows:
+        memory = _collect_experience(theta0, flow, config, hyper, _adapt_rng(hyper, seed))
         adapted, done = theta0, 0
         for k in steps:
             adapted = individual_adapt(adapted, memory, k - done, config, hyper)
             iterates[k].append(check_bounded(adapted).theta)
             done = k
     thetas = np.stack([theta for k in steps for theta in iterates[k]])
-    stack = _live_stack(thetas, (theta0.embed_dim, theta0.compete_dim), config)
+    # the live episodes' networks, bound as one stack again only when the
+    # live set changes
+    stack, stack_live = None, None
 
     def act(live, obs):
-        return greedy_phases(stack(live), np.array(obs))
+        nonlocal stack, stack_live
+        if live != stack_live:
+            stack = bind(theta0.with_theta(thetas[live]), config)
+            stack_live = live
+        return greedy_phases(stack, np.array(obs))
 
     times = [0.0] * len(thetas)
 
@@ -348,13 +316,11 @@ HEADER_KEYS = REQUIRED_KEYS | CHECKPOINT_KEYS
 
 def load_meta_checkpoint(path) -> MetaCheckpoint:
     lines = Path(path).read_text().splitlines()
-    # the header is every line before the first tensor
-    n_header = next((i for i, line in enumerate(lines) if line.strip().startswith("tensor ")),
-                    len(lines))
-    header = lines[:n_header]
-    kv = read_known_keys(header, path, HEADER_KEYS)
+    theta0, kv = params_from_lines(lines, path, HEADER_KEYS)
     if missing := [key for key in REQUIRED_KEYS if key not in kv]:
-        raise ParseError(path, max(n_header, 1), f"the header ends without {missing}")
+        # named at the last line before the first tensor
+        header_end = next((i for i, line in enumerate(lines)
+                           if line.strip().startswith("tensor ")), len(lines))
+        raise ParseError(path, max(header_end, 1), f"the header ends without {missing}")
     hyper = MetaHyper(**{f.name: kv[f.name] for f in fields(MetaHyper)})
-    theta0 = params_from_lines(lines, path, HEADER_KEYS)
     return MetaCheckpoint(theta0, hyper, kv["scenario_digest"])

@@ -349,13 +349,14 @@ def greedy_phase(network: BoundNetwork, obs: np.ndarray) -> int:
     return _greedy(_decide_one(network, obs).tolist())
 
 
-def greedy_phases(stack: BoundNetwork, obs: np.ndarray, rows=None) -> list[int]:
+def greedy_phases(stack: BoundNetwork, obs: np.ndarray) -> list[int]:
     """`greedy_phase` for a stack of T networks and observations (T, M, 2),
-    one each: the greedy phase of every row, or of the rows listed in
-    `rows`, in that order.  Only those rows' Q-values are checked."""
+    one each: the greedy phase of every row, each row's Q-values checked.
+    The stack runs the batch forward at B=1, as lockstep greedy episodes
+    act (`meta.ablate_steps`)."""
     _check_shape(stack, obs)
     q = _forward_bound(stack, obs[:, None])[0][:, 0].tolist()     # (T, 1, P) at B=1
-    return [_greedy(q[i]) for i in (range(len(q)) if rows is None else rows)]
+    return [_greedy(row) for row in q]
 
 
 def bellman_grads(network: BoundNetwork, batch: Batch, target: BoundNetwork,
@@ -448,12 +449,15 @@ def params_to_text(params: QNetworkParams) -> str:
 CHECKPOINT_KEYS = {"embed_dim": int, "compete_dim": int}
 
 
-def params_from_lines(lines: list[str], source, known=CHECKPOINT_KEYS) -> QNetworkParams:
-    """Parse a checkpoint read from `source`: comments, `key=value` lines
-    with keys from `known`, and a `tensor` header per tensor, each followed
-    by its payload line.  Any other line, an unknown key or an unknown
-    tensor raises ParseError at its line.  Every tensor must have the shape
-    its header dims give it, or ValueError names the tensor."""
+def params_from_lines(lines: list[str], source,
+                      known=CHECKPOINT_KEYS) -> tuple[QNetworkParams, dict]:
+    """Parse a checkpoint read from `source` into the network and its keys:
+    comments, `key=value` lines with keys from `known` (`read_known_keys`:
+    a later key wins, wherever it stands), and a `tensor` header per
+    tensor, each followed by its payload line.  Any other line, an unknown
+    key or an unknown tensor raises ParseError at its line.  Every tensor
+    must have the shape its header dims give it, or ValueError names the
+    tensor."""
     rest = list(lines)                    # the lines outside the tensors
     tensors: dict[str, tuple] = {}        # name -> (shape, values)
     i = 0
@@ -485,7 +489,7 @@ def params_from_lines(lines: list[str], source, known=CHECKPOINT_KEYS) -> QNetwo
             raise ValueError(f"tensor {name}: shape {shape} with {values.size} values; "
                              f"the header dims give {view.shape}")
         view[...] = values.reshape(shape)
-    return params
+    return params, header
 
 
 def save_params(params: QNetworkParams, path) -> None:
@@ -493,4 +497,4 @@ def save_params(params: QNetworkParams, path) -> None:
 
 
 def load_params(path) -> QNetworkParams:
-    return params_from_lines(Path(path).read_text().splitlines(), path)
+    return params_from_lines(Path(path).read_text().splitlines(), path)[0]

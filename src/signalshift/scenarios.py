@@ -572,10 +572,13 @@ def load_scenario_dir(directory, kind: str = "test") -> ScenarioSet:
 
 
 def write_bases_csv(bases: list[BaseDistribution], path) -> None:
+    """The bases as a bases CSV at `path`, its directory made if missing.  A
+    label no file can hold is refused before anything is made."""
     n = bases[0].n_movements
     lines = [",".join([BASES_COLUMN, *(f"mov_{i + 1}" for i in range(n))])]
     lines.extend(_label_field(b.label) + "," + ",".join(str(int(v)) for v in b.volumes)
                  for b in bases)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_file(path, lines)
 
 

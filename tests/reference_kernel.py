@@ -20,7 +20,9 @@ episode per k and scenario.
 `train_dqn`, `train_metalight` and `individual_adapt` are the three
 training loops as each kept its own TD bookkeeping (the iterate, the
 target and its sync, the update count), run here on the TD step above and
-on epsilon-greedy over raw Q-values.  Their draws from the one generator
+on epsilon-greedy over raw Q-values.  `collect_experience` is an
+adaptation's collection on the same epsilon-greedy, before it went
+through the TD learner.  Their draws from the one generator
 come in the program's order: the epsilon coin, then the random phase if
 exploring, then each replay batch.
 """
@@ -280,6 +282,19 @@ def train_metalight(config, train_scenarios, hyper, dims=(16, 16)):
             float(np.mean(meta_losses)) if meta_losses else float("nan"),
         ))
     return theta0, log
+
+
+def collect_experience(theta, scenario, config, hyper, rng):
+    """The memory of `meta._collect_experience`: `hyper.adapt_data_budget`
+    epsilon-greedy episodes from theta, each transition stored."""
+    memory = ss.ReplayMemory(hyper.capacity, seed=rng)
+
+    def act(live, obs):
+        return [epsilon_greedy(decision_q(theta, obs[0], config), hyper.rollout_epsilon, rng)]
+
+    for _ in range(hyper.adapt_data_budget):
+        rollout(config, [scenario], act, lambda i, transition: memory.push(transition))
+    return memory
 
 
 def apply_gradient_steps(theta, grad_fn, lr, steps):

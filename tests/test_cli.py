@@ -159,6 +159,37 @@ def test_a_negative_seed_is_named_where_it_is_refused(tmp_path, capsys):
     code, _, err = run_cli(capsys, "gen", "--bases", str(bases_file(tmp_path)),
                            "--seed", "-1", "--out", str(tmp_path / "out"))
     assert code == 3 and err.startswith("ERROR[validation]: seed -1 is negative")
+    # the sets are made before the output directory: an empty one was once
+    # left
+    assert not (tmp_path / "out").exists()
+
+
+def test_ingest_missing_config_exit_2(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("# schema=1\n2024-05-07T08:00:00,3,7\n")
+    code, _, err = run_cli(capsys, "ingest", "--counts", str(counts), "--start", "08:00",
+                           "--end", "08:05", "--config", str(tmp_path / "missing.cfg"),
+                           "--out", str(tmp_path / "out"))
+    assert code == 2 and err.startswith("ERROR[missing-file]:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_ingest_takes_the_movement_count_from_the_config(tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text("n_movements=4\nphases=0+2;1+3\n")
+    counts = tmp_path / "counts.csv"
+    counts.write_text("# schema=1\n2024-05-07T08:00:00,3,7\n2024-05-07T08:00:00,4,2\n")
+    code, out, _ = run_cli(capsys, "ingest", "--counts", str(counts), "--start", "08:00",
+                           "--end", "08:05", "--config", str(config),
+                           "--out", str(tmp_path / "out"))
+    assert code == 0 and out.splitlines()[0] == "0,0,7,2"
+    [base] = ss.read_bases_csv(tmp_path / "out" / "ingested_bases.csv")
+    assert base.volumes.tolist() == [0, 0, 7, 2]
+    counts.write_text("# schema=1\n2024-05-07T08:00:00,5,7\n")
+    code, _, err = run_cli(capsys, "ingest", "--counts", str(counts), "--start", "08:00",
+                           "--end", "08:05", "--config", str(config),
+                           "--out", str(tmp_path / "out"))
+    assert code == 3 and "movement 5 outside 1..4" in err
 
 
 def test_ingest_prints_volumes(tmp_path, capsys):
@@ -509,4 +540,6 @@ def test_ingest_label_no_bases_file_can_hold_exit_3(tmp_path, capsys):
                            "--end", "08:05", "--label", "east,peak",
                            "--out", str(tmp_path / "out"))
     assert code == 3 and "ERROR[validation]: label 'east,peak' cannot go into a file" in err
-    assert not (tmp_path / "out" / "ingested_bases.csv").exists()
+    # the label is checked before the output directory is made: an empty
+    # one was once left
+    assert not (tmp_path / "out").exists()

@@ -1,4 +1,3 @@
-import copy
 import hashlib
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from signalshift.seeding import spawn_rng
 
 from conftest import make_toy_flow, param_distance, params_equal, zero_grads
 from reference_kernel import ablate_steps as reference_ablate_steps
+from reference_kernel import collect_experience as reference_collect_experience
 from reference_kernel import individual_adapt as reference_individual_adapt
 from reference_kernel import train_metalight as reference_train_metalight
 
@@ -337,37 +337,26 @@ def memory_rows(memory):
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
 @pytest.mark.parametrize("capacity", [10_000, 50])
-def test_stacked_collection_equals_collecting_one_scenario_at_a_time(epsilon, capacity,
-                                                                      monkeypatch):
-    # the lockstep collection (a stack through the batch forward) against
-    # the one `adapt_params` runs for one scenario (one network's
-    # `TDLearner`); its memory is caught where the TD steps would start
+def test_collection_equals_epsilon_greedy_over_raw_q_values(epsilon, capacity):
+    # the collection through the TD learner against the oracle's plain
+    # epsilon-greedy loop: the same transitions, in the same slots, and the
+    # same draws from the generator; at capacity 50 the memory wraps
     cfg = small_config()
     theta = tiny_checkpoint(cfg).theta0
     hyper = ss.MetaHyper(rollout_epsilon=epsilon, adapt_data_budget=2, capacity=capacity)
-    caught = []
-    monkeypatch.setattr(ss.meta, "individual_adapt",
-                        lambda theta, memory, *args: caught.append(memory) or theta)
-    # a heavy flow, an empty one and two light ones: the empty flow's
-    # episode ends at the horizon and the others later, at ε = 1 at three
-    # different decisions, so the live set shrinks during the episodes
     flows = [ss.sample_arrivals([40, 60, 30, 50, 40, 60, 30, 50], 300.0, 2),
              ss.FlowSpec([], horizon=300.0),
-             ss.sample_arrivals([2] * 8, 300.0, 1),
-             ss.sample_arrivals([8, 30, 4, 6, 8, 30, 4, 6], 300.0, 0)]
-    rngs = [spawn_rng(7, i) for i in range(len(flows))]
-    fresh = copy.deepcopy(rngs)
-    memories = _collect_experience(theta, flows, cfg, hyper, rngs)
-    for flow, memory, rng, alone_rng in zip(flows, memories, rngs, fresh):
-        adapt_params(theta, flow, cfg, hyper, 1, alone_rng)
-        assert memory_rows(memory) == memory_rows(caught.pop())
-        assert rng.bit_generator.state == alone_rng.bit_generator.state
-    if capacity > 50:
-        # no memory is full: the episodes left the lockstep at different decisions
-        assert len({len(memory) for memory in memories}) > 1
+             ss.sample_arrivals([2] * 8, 300.0, 1)]
+    for i, flow in enumerate(flows):
+        rng, oracle_rng = spawn_rng(7, i), spawn_rng(7, i)
+        memory = _collect_experience(theta, flow, cfg, hyper, rng)
+        want = reference_collect_experience(theta, flow, cfg, hyper, oracle_rng)
+        assert memory_rows(memory) == memory_rows(want)
+        assert len(memory) == min(capacity, len(want)) and len(memory) > 0
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-def test_stacked_collection_from_a_nan_theta_raises_at_its_first_decision(monkeypatch):
+def test_collection_from_a_nan_theta_raises_at_its_first_decision(monkeypatch):
     # at epsilon 0 every decision exploits; the first one raises before
     # any transition is stored
     cfg = small_config()
@@ -376,9 +365,8 @@ def test_stacked_collection_from_a_nan_theta_raises_at_its_first_decision(monkey
     pushed = []
     monkeypatch.setattr(ss.ReplayMemory, "push", lambda memory, transition: pushed.append(1))
     hyper = ss.MetaHyper(rollout_epsilon=0.0)
-    rngs = [spawn_rng(7, i) for i in range(2)]
     with pytest.raises(FloatingPointError, match="non-finite Q-values"):
-        _collect_experience(theta, small_scenarios(2), cfg, hyper, rngs)
+        _collect_experience(theta, small_scenarios(1)[0], cfg, hyper, spawn_rng(7, 0))
     assert pushed == []
 
 
@@ -448,6 +436,19 @@ def test_meta_checkpoint_value_that_does_not_parse_names_its_line(tmp_path, key,
     lines[line_no - 1] = f"{key}={value}"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ss.ParseError, match=rf"m\.ckpt:{line_no}: {key}: .*'{value}'"):
+        ss.load_meta_checkpoint(path)
+
+
+def test_meta_checkpoint_key_after_the_tensors_wins(tmp_path):
+    # the keys were once read twice: the header's validated and kept, every
+    # line's validated and dropped, so a later alpha was ignored
+    path = tmp_path / "m.ckpt"
+    ss.save_meta_checkpoint(tiny_checkpoint(small_config(), alpha=1e-3), path)
+    path.write_text(path.read_text() + "alpha=0.5\n")
+    assert ss.load_meta_checkpoint(path).hyper.alpha == 0.5
+    path.write_text(path.read_text() + "alpha=abc\n")
+    n_lines = len(path.read_text().splitlines())
+    with pytest.raises(ss.ParseError, match=rf"m\.ckpt:{n_lines}: alpha: .*'abc'"):
         ss.load_meta_checkpoint(path)
 
 

@@ -169,13 +169,11 @@ def test_relabeling_phases_permutes_q_and_keeps_the_td_step(config, embed_dim, c
 
 @settings(max_examples=150, deadline=None)
 @given(config=phase_configs(), embed_dim=st.integers(1, 16), compete_dim=st.integers(1, 16),
-       n_sets=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
-       subset=st.none() | st.lists(st.integers(0, 29), max_size=30))
+       n_sets=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
 def test_stacked_forward_equals_each_network_bit_for_bit(config, embed_dim, compete_dim,
-                                                         n_sets, seed, subset):
+                                                         n_sets, seed):
     # T networks at B=1, the shape lockstep episodes act with; their greedy
-    # phases, of every row or of a list of rows in any order, are each
-    # row's own network's
+    # phases are each row's own network's
     cases = [random_case(config, embed_dim, compete_dim, 1, seed + t) for t in range(n_sets)]
     stack = ss.QNetworkParams(embed_dim, compete_dim,
                               np.stack([params.theta for params, _, _ in cases]))
@@ -184,10 +182,8 @@ def test_stacked_forward_equals_each_network_bit_for_bit(config, embed_dim, comp
     assert q.shape == (n_sets, 1, config.n_phases)
     for t, (params, _, batch) in enumerate(cases):
         assert np.array_equal(q[t], forward(params, batch.x, config)[0])
-    rows = None if subset is None else [row % n_sets for row in subset]
-    want = [greedy_phase(bind(cases[t][0], config), cases[t][2].x[0])
-            for t in (range(n_sets) if rows is None else rows)]
-    assert greedy_phases(bind(stack, config), x[:, 0], rows) == want
+    want = [greedy_phase(bind(params, config), batch.x[0]) for params, _, batch in cases]
+    assert greedy_phases(bind(stack, config), x[:, 0]) == want
     assert np.array_equal(ss.frap_forward(bind(stack, config), x[:, 0]), q[:, 0])
 
 
