@@ -103,10 +103,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_kl(args) -> int:
-    settings = load_settings(args.config)
-    epsilon = settings.kl_epsilon if args.epsilon is None else args.epsilon
     d = kl_distance(_distribution_from_file(args.a), _distribution_from_file(args.b),
-                    epsilon=epsilon)
+                    epsilon=load_settings(args.config).kl_epsilon)
     print(f"{d:.6f}")
     return 0
 
@@ -140,8 +138,7 @@ def cmd_adapt(args) -> int:
     settings = load_settings(args.config, args.seed)
     checkpoint = load_meta_checkpoint(_require(args.checkpoint))
     scenario = read_flow_csv(_require(args.scenario))
-    result = adapt_to_scenario(checkpoint, scenario, settings.intersection,
-                               k_override=args.k, seed=args.seed)
+    result = adapt_to_scenario(checkpoint, scenario, settings.intersection, seed=args.seed)
     out = _out_dir(args)
     save_params(result.params, out / "adapted_checkpoint.txt")
     print(f"adapted with {result.update_steps} steps on {result.episodes_used} "
@@ -224,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="KL distance between two flow or volume files")
     p.add_argument("--a", required=True, help="reference (training) file")
     p.add_argument("--b", required=True, help="comparison (test) file")
-    p.add_argument("--epsilon", type=float, default=None)
     p.set_defaults(func=cmd_kl)
 
     p = sub.add_parser("train-dqn", parents=[common],
@@ -241,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="adapt a meta checkpoint to one scenario")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--k", type=int, default=None, help="gradient-step override")
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("eval", parents=[common],

@@ -105,6 +105,10 @@ class DqnHyper:
         for name in ("batch_size", "target_sync", "capacity"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.capacity < self.batch_size:
+            # a memory that never holds a batch takes no TD step
+            raise ValueError(f"replay_capacity ({self.capacity}) must be at least "
+                             f"batch_size ({self.batch_size})")
         if self.episodes < 0:
             raise ValueError("episodes must be non-negative")
         if self.lr < 0:

@@ -204,15 +204,19 @@ def _kl_to_train(scenario: FlowSpec, train_dist: MovementDistribution,
                        epsilon=kl_epsilon)
 
 
-def require_reportable(train_set, test_set, n_movements: int) -> None:
+def require_reportable(train_set, test_set, config: IntersectionConfig) -> None:
     """Raise ValueError naming every flow whose movement count is not the
-    config's, and every test label held by more than one flow: a report
-    cannot score the first, nor give the second a cell of its own."""
-    problems = []
-    if wrong := [f"{f.label} ({f.n_movements})" for f in [*train_set, *test_set]
-                 if f.n_movements != n_movements]:
-        problems.append(f"flows whose movement count is not the config's {n_movements}: "
-                        + ", ".join(wrong))
+    config's or whose horizon is longer than the config's, and every test
+    label held by more than one flow: a report cannot simulate the first
+    two, nor give the third a cell of its own."""
+    problems, flows = [], [*train_set, *test_set]
+    if wrong := [f"{f.label} ({f.n_movements})" for f in flows
+                 if f.n_movements != config.n_movements]:
+        problems.append("flows whose movement count is not the config's "
+                        f"{config.n_movements}: " + ", ".join(wrong))
+    if longer := [f"{f.label} ({f.horizon!r} s)" for f in flows if f.horizon > config.horizon]:
+        problems.append("flows whose horizon is longer than the config's "
+                        f"{config.horizon!r} s: " + ", ".join(longer))
     labels = [f.label for f in test_set]
     if repeated := sorted({label for label in labels if labels.count(label) > 1}):
         problems.append(f"test labels held by more than one flow: {', '.join(repeated)}")
@@ -259,7 +263,7 @@ def run_experiment(manifest: ExperimentManifest) -> list[EvalRecord]:
         train_set = load_scenario_dir(manifest.train_dir, kind="training")
         test_set = load_scenario_dir(manifest.test_dir, kind="test")
         require_vehicles([*train_set, *test_set])
-        require_reportable(train_set, test_set, settings.intersection.n_movements)
+        require_reportable(train_set, test_set, settings.intersection)
         train_dist = average_training_distribution(train_set)
         kls = [_kl_to_train(s, train_dist, settings.kl_epsilon) for s in test_set]
     records: list[EvalRecord] = []

@@ -117,19 +117,6 @@ class SimState:
     exits: list[list[float]]           # per movement: exit times of served vehicles
     credits: list[float]               # fractional service per movement
 
-    @property
-    def flow(self) -> np.ndarray:
-        """The scenario's read-only (arrival_time, movement) records, in
-        time order."""
-        return self.scenario.arrivals
-
-    @property
-    def arrivals(self) -> list[np.ndarray]:
-        """Per movement: arrival times in FIFO order (made on each read)."""
-        by_movement = self.scenario.by_movement
-        bounds = np.cumsum(self.scenario.movement_counts())[:-1]
-        return np.split(self.flow["t"][by_movement], bounds)
-
 
 @dataclass
 class EpisodeResult:
@@ -140,7 +127,6 @@ class EpisodeResult:
     avg_travel_time: float | None
     completed_count: int
     residual_count: int
-    reward_trace: list[float]
     scenario: FlowSpec
     exits: list[list[float]]           # per movement: exit times of served vehicles
     end_clock: float                   # the censored vehicles' exit time
@@ -178,6 +164,10 @@ def initial_state(config: IntersectionConfig, flow: FlowSpec) -> SimState:
     if flow.n_movements != config.n_movements:
         raise ValueError(
             f"flow has {flow.n_movements} movements, config has {config.n_movements}")
+    if flow.horizon > config.horizon:
+        # a vehicle arriving past the end clock would be censored before it arrives
+        raise ValueError(f"flow {flow.label} has horizon {flow.horizon!r} s, longer than "
+                         f"the config's {config.horizon!r} s")
     n = config.n_movements
     # one NumPy add per flow, the same IEEE sum as one add per vehicle
     stop_line = (flow.arrivals["t"] + config.approach_time).tolist()
@@ -322,7 +312,7 @@ def rollout(config: IntersectionConfig, flows, act, on_step=None, on_end=None,
         live, obs = still, obs_next
 
 
-def episode_result(state: SimState, rewards: list[float]) -> EpisodeResult:
+def episode_result(state: SimState) -> EpisodeResult:
     """Score a finished episode: each vehicle's travel time, censored at the
     final clock for those still in the network, and the counts.
 
@@ -336,8 +326,8 @@ def episode_result(state: SimState, rewards: list[float]) -> EpisodeResult:
         exit_t, _ = _exit_times(scenario, state.exits, state.clock)
         travel = exit_t - scenario.arrivals["t"]
         avg = float(np.mean(travel[scenario.by_time_and_movement]))
-    return EpisodeResult(avg, completed_count, total - completed_count, rewards,
-                         scenario, state.exits, state.clock)
+    return EpisodeResult(avg, completed_count, total - completed_count, scenario,
+                         state.exits, state.clock)
 
 
 def run_episode(config: IntersectionConfig, flow: FlowSpec, policy,
@@ -351,11 +341,9 @@ def run_episode(config: IntersectionConfig, flow: FlowSpec, policy,
     """
     if hasattr(policy, "reset"):
         policy.reset(seed)
-    rewards: list[float] = []
     results: list[EpisodeResult] = []
     rollout(config, [flow], lambda live, obs: [policy(obs[0])],
-            lambda i, transition: rewards.append(transition[2]),
-            lambda i, state: results.append(episode_result(state, rewards)),
+            on_end=lambda i, state: results.append(episode_result(state)),
             validate=validate)
     return results[0]
 

@@ -72,6 +72,9 @@ class MetaHyper:
                      "batch_size", "capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.capacity < self.batch_size:
+            raise ValueError(f"replay_capacity ({self.capacity}) must be at least "
+                             f"batch_size ({self.batch_size})")
         if self.meta_iterations < 0:
             raise ValueError("meta_iterations must be non-negative")
         if not 0.0 <= self.rollout_epsilon <= 1.0:
@@ -215,18 +218,12 @@ def adapt_params(theta: QNetworkParams, scenario: FlowSpec, config: Intersection
 
 
 def adapt_to_scenario(checkpoint: MetaCheckpoint, scenario: FlowSpec,
-                      config: IntersectionConfig, k_override: int | None = None,
-                      seed: int = 0) -> AdaptResult:
-    """Adapt the meta-trained initialization to one new scenario.
-
-    Never mutates the checkpoint; uses the checkpoint's hyperparameters
-    except for an optional gradient-step override.
-    """
+                      config: IntersectionConfig, seed: int = 0) -> AdaptResult:
+    """Adapt the meta-trained initialization to one new scenario with the
+    checkpoint's hyperparameters, `adapt_steps` among them.  Never mutates
+    the checkpoint."""
     hyper = checkpoint.hyper
-    k = hyper.adapt_steps if k_override is None else int(k_override)
-    if k < 1:
-        raise ValueError("adaptation needs at least one gradient step")
-    return adapt_params(checkpoint.theta0, scenario, config, hyper, k,
+    return adapt_params(checkpoint.theta0, scenario, config, hyper, hyper.adapt_steps,
                         _adapt_rng(hyper, seed))
 
 
@@ -243,14 +240,14 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
     """Mean greedy travel time after adapting with each gradient-step count.
 
     One row per entry of `ks`, in the given order; the shape of the curve
-    is reported, never asserted.  A row is what `adapt_to_scenario(k)` and
-    a greedy episode per scenario give, computed with less work: for every
-    k that adaptation draws the same experience and batches from the same
-    generator, so k steps are the first k of max(ks) steps.  Each scenario
-    is therefore adapted once, keeping the iterate at each k, and the
-    greedy episodes of all (k, scenario) pairs run in lockstep.  A scenario
-    without vehicles has no travel time: one is refused, by name, before
-    any work.
+    is reported, never asserted.  A row is what `adapt_to_scenario` with
+    `adapt_steps=k` and a greedy episode per scenario give, computed with
+    less work: for every k that adaptation draws the same experience and
+    batches from the same generator, so k steps are the first k of max(ks)
+    steps.  Each scenario is therefore adapted once, keeping the iterate at
+    each k, and the greedy episodes of all (k, scenario) pairs run in
+    lockstep.  A scenario without vehicles has no travel time: one is
+    refused, by name, before any work.
     """
     flows = list(scenarios)
     if not ks:
@@ -289,7 +286,7 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
     def score(i, state):
         # keep the travel time only: every episode's vehicle trace held
         # until the last one ends would add to the peak memory
-        times[i] = episode_result(state, []).avg_travel_time
+        times[i] = episode_result(state).avg_travel_time
 
     rollout(config, flows * len(steps), act, on_end=score)
     mean_time = {k: float(np.mean(times[j * len(flows):(j + 1) * len(flows)]))

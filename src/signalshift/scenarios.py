@@ -439,6 +439,11 @@ def ingest_counts_csv(path, window_start, window_end, *,
     end = _parse_window_edge(window_end, "window_end")
     if type(start) is not type(end):
         raise ValueError("window edges must both be datetimes or both clock times")
+    if isinstance(start, dt.time) and (start.tzinfo or end.tzinfo):
+        raise ValueError("clock-time window edges take no UTC offset")
+    aware = start.tzinfo is not None
+    if (end.tzinfo is not None) != aware:
+        raise ValueError("window edges must both carry a UTC offset or neither")
 
     volumes = np.zeros(n_movements, dtype=np.int64)
     matched = False
@@ -453,6 +458,11 @@ def ingest_counts_csv(path, window_start, window_end, *,
             raise ParseError(path, line_no, f"movement {movement} outside 1..{n_movements}")
         if count < 0:
             raise ParseError(path, line_no, "negative count")
+        # a datetime window compares only with rows that carry a UTC offset as it does
+        if isinstance(start, dt.datetime) and (ts.tzinfo is not None) != aware:
+            raise ParseError(path, line_no, f"timestamp {stamp.strip()!r} "
+                             f"{'lacks' if aware else 'carries'} a UTC offset, unlike "
+                             "the window")
         if _in_window(ts, start, end):
             matched = True
             volumes[movement - 1] += count

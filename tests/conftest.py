@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import signalshift as ss
+from signalshift.intersection import rollout
 
 # Five synthetic hourly base volumes (vehicles/hour per movement) plus the
 # movement shares they imply; movement columns sum to the totals below.
@@ -84,6 +85,18 @@ def param_distance(a: ss.QNetworkParams, b: ss.QNetworkParams) -> float:
     """Euclidean distance between two parameter sets, over every tensor."""
     return float(np.sqrt(sum(np.sum((getattr(a, name) - getattr(b, name)) ** 2)
                              for name in ss.network.PARAM_FIELDS)))
+
+
+def episode_rewards(config: ss.IntersectionConfig, flow: ss.FlowSpec, policy,
+                    seed: int = 0) -> list[float]:
+    """The rewards of `run_episode(config, flow, policy, seed)`, one per
+    decision, as `rollout` hands them to `on_step`."""
+    if hasattr(policy, "reset"):
+        policy.reset(seed)
+    rewards = []
+    rollout(config, [flow], lambda live, obs: [policy(obs[0])],
+            lambda i, transition: rewards.append(transition[2]))
+    return rewards
 
 
 def queued_state(config: ss.IntersectionConfig, queues: dict[int, int]) -> ss.SimState:

@@ -28,6 +28,7 @@ exploring, then each replay batch.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -102,13 +103,15 @@ def bellman_grads(params, batch, target_params, gamma, config):
 
 
 def ablate_steps(checkpoint, scenarios, ks, config, seed=0):
-    """Rows of `meta.ablate_steps`, one `adapt_to_scenario(k)` and one greedy
-    `run_episode` per k and scenario."""
+    """Rows of `meta.ablate_steps`, one `adapt_to_scenario` with
+    `adapt_steps=k` and one greedy `run_episode` per k and scenario."""
     rows = []
     for k in ks:
         times = []
         for flow in scenarios:
-            adapted = ss.adapt_to_scenario(checkpoint, flow, config, k_override=k, seed=seed)
+            hyper = replace(checkpoint.hyper, adapt_steps=k)
+            adapted = ss.adapt_to_scenario(replace(checkpoint, hyper=hyper), flow, config,
+                                           seed=seed)
             result = ss.run_episode(config, flow, ss.GreedyPolicy(adapted.params, config),
                                     seed=seed)
             times.append(result.avg_travel_time)

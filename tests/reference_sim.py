@@ -7,8 +7,9 @@ use them.
 tick, re-reads the head vehicle's arrival each tick and recounts each queue
 as arrived - served (arrived is derived from the state's `queued` on entry,
 and `queued` is written back from it every tick); `episode_result`
-builds the per-vehicle list and averages its travel times in that list's
-(arrival, movement) order.  Property tests run both forms side by side.
+builds the per-vehicle list from its own per-movement arrival lists and
+averages its travel times in that list's (arrival, movement) order.
+Property tests run both forms side by side.
 `queued_count` and `is_empty` read a `SimState` for the tests; the
 program's episode loop decides the end from the reward and the cursor.
 """
@@ -25,7 +26,6 @@ class ReferenceResult(NamedTuple):
     completed_count: int
     residual_count: int
     per_vehicle: list[tuple[float, float, int, bool]]
-    reward_trace: list[float]
 
 
 def queued_count(state: SimState) -> int:
@@ -34,7 +34,7 @@ def queued_count(state: SimState) -> int:
 
 def is_empty(state: SimState) -> bool:
     """No vehicle queued and none left to reach the stop line."""
-    return state.cursor == len(state.flow) and queued_count(state) == 0
+    return state.cursor == len(state.scenario) and queued_count(state) == 0
 
 
 def step(state: SimState, action: int, config: IntersectionConfig,
@@ -49,7 +49,7 @@ def step(state: SimState, action: int, config: IntersectionConfig,
     green = config.phases[state.current_phase]
     tick, approach = config.tick, config.approach_time
     service = config.saturation_rate * tick
-    flow, exits, credits = state.flow, state.exits, state.credits
+    flow, exits, credits = state.scenario.arrivals, state.exits, state.credits
     arrived = [n + len(served) for n, served in zip(state.queued, exits)]
     for _ in range(int(round(config.decision_interval / config.tick))):
         t0 = state.clock
@@ -82,10 +82,19 @@ def step(state: SimState, action: int, config: IntersectionConfig,
     return state, reward
 
 
-def episode_result(state: SimState, rewards: list[float]) -> ReferenceResult:
+def movement_arrivals(state: SimState) -> list[list[float]]:
+    """Per movement: its vehicles' arrival times in flow order, which is
+    their FIFO order at the stop line."""
+    arrivals = [[] for _ in state.exits]
+    for t, m in state.scenario.arrivals.tolist():
+        arrivals[m].append(t)
+    return arrivals
+
+
+def episode_result(state: SimState) -> ReferenceResult:
     end_clock = state.clock
     per_vehicle = []
-    for m, (slots, served) in enumerate(zip(state.arrivals, state.exits)):
+    for m, (slots, served) in enumerate(zip(movement_arrivals(state), state.exits)):
         per_vehicle.extend((arr, exit_t, m, False) for arr, exit_t in zip(slots, served))
         per_vehicle.extend((arr, end_clock, m, True) for arr in slots[len(served):])
     per_vehicle.sort(key=lambda v: (v[0], v[2]))
@@ -95,4 +104,4 @@ def episode_result(state: SimState, rewards: list[float]) -> ReferenceResult:
     avg = None
     if per_vehicle:
         avg = float(np.mean([exit_t - arr for arr, exit_t, _, _ in per_vehicle]))
-    return ReferenceResult(avg, completed_count, residual_count, per_vehicle, rewards)
+    return ReferenceResult(avg, completed_count, residual_count, per_vehicle)

@@ -72,6 +72,21 @@ def test_kl_accepts_flow_files(tmp_path, capsys):
     assert code == 0 and out.strip() == "0.000000"
 
 
+def test_kl_takes_its_epsilon_from_the_config(tmp_path, capsys):
+    # a zero-volume test movement, so the epsilon the cell is smoothed to
+    # moves the distance
+    a = volumes_file(tmp_path, "p.csv", [50, 30, 20])
+    b = volumes_file(tmp_path, "q.csv", [60, 40, 0])
+    config = tmp_path / "config.txt"
+    config.write_text("kl_epsilon=0.01\n")
+    code, out, _ = run_cli(capsys, "kl", "--a", str(a), "--b", str(b), "--config", str(config))
+    assert code == 0
+    p, q = ss.movement_distribution([50, 30, 20]), ss.movement_distribution([60, 40, 0])
+    assert out.strip() == f"{ss.kl_distance(p, q, epsilon=0.01):.6f}"
+    _, default, _ = run_cli(capsys, "kl", "--a", str(a), "--b", str(b))
+    assert default.strip() == f"{ss.kl_distance(p, q):.6f}" != out.strip()
+
+
 def test_kl_missing_file_exit_2(tmp_path, capsys):
     f = volumes_file(tmp_path, "p.csv", [50, 50])
     code, _, err = run_cli(capsys, "kl", "--a", str(f), "--b", str(tmp_path / "nope.csv"))
@@ -130,6 +145,16 @@ def test_gen_writes_both_sets(tmp_path, capsys):
     train = sorted((tmp_path / "out" / "train").glob("*.csv"))
     test = sorted((tmp_path / "out" / "test").glob("*.csv"))
     assert len(train) == 25 and len(test) == 5
+
+
+@pytest.mark.parametrize("kind, count", [("train", 25), ("test", 5)])
+def test_gen_kind_writes_only_its_set(tmp_path, capsys, kind, count):
+    out = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "gen", "--bases", str(bases_file(tmp_path)),
+                         "--kind", kind, "--out", str(out))
+    assert code == 0
+    assert [p.name for p in out.iterdir()] == [kind]
+    assert len(list((out / kind).glob("*.csv"))) == count
 
 
 def test_gen_deterministic_trees(tmp_path, capsys):
@@ -214,6 +239,35 @@ def test_ingest_label_names_the_base(tmp_path, capsys):
     assert base.label == "X" and base.volumes.tolist() == [0, 0, 7, 0, 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("stamp, start, end, message", [
+    ("2024-05-07T08:00+01:00", "2024-05-07T08:00", "2024-05-07T09:00",
+     "counts.csv:2: timestamp '2024-05-07T08:00+01:00' carries a UTC offset"),
+    ("2024-05-07T08:00", "2024-05-07T08:00+01:00", "2024-05-07T09:00+01:00",
+     "counts.csv:2: timestamp '2024-05-07T08:00' lacks a UTC offset"),
+    ("2024-05-07T08:00", "2024-05-07T08:00+01:00", "2024-05-07T09:00",
+     "window edges must both carry a UTC offset or neither"),
+    ("2024-05-07T08:00", "08:00+01:00", "09:00+01:00",
+     "clock-time window edges take no UTC offset"),
+])
+def test_ingest_utc_offset_mismatch_exit_3(tmp_path, capsys, stamp, start, end, message):
+    # once an internal TypeError: offset-aware and naive datetimes do not compare
+    counts = tmp_path / "counts.csv"
+    counts.write_text(f"# schema=1\n{stamp},3,7\n")
+    code, _, err = run_cli(capsys, "ingest", "--counts", str(counts), "--start", start,
+                           "--end", end, "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert err.startswith("ERROR[validation]: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ingest_clock_time_window_matches_rows_with_a_utc_offset(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("# schema=1\n2024-05-07T08:00+01:00,3,7\n")
+    code, out, _ = run_cli(capsys, "ingest", "--counts", str(counts), "--start", "08:00",
+                           "--end", "08:05", "--out", str(tmp_path / "out"))
+    assert code == 0 and out.splitlines()[0] == "0,0,7,0,0,0,0,0"
+
+
 def test_ingest_empty_window_exit_3(tmp_path, capsys):
     counts = tmp_path / "counts.csv"
     counts.write_text("# schema=1\n2024-05-07T08:00:00,3,7\n")
@@ -275,6 +329,22 @@ def test_train_eval_adapt_ablate_cycle(cli_workspace, capsys):
     assert code == 0
     lines = (tmp_path / "abl" / "ablation.csv").read_text().splitlines()
     assert len(lines) == 4  # schema, header, two rows
+
+
+def test_adapt_takes_its_steps_from_the_config(cli_workspace, tmp_path, capsys):
+    workspace, _ = cli_workspace
+    sets = workspace / "sets"
+    config = small_config(tmp_path, adapt_steps=5)
+    code, _, _ = run_cli(capsys, "train-meta", "--scenarios", str(sets / "train"),
+                         "--config", str(config), "--out", str(tmp_path / "meta"))
+    assert code == 0
+    scenario = sorted((sets / "test").glob("*.csv"))[0]
+    code, _, err = run_cli(capsys, "adapt", "--checkpoint",
+                           str(tmp_path / "meta" / "meta_checkpoint.txt"),
+                           "--scenario", str(scenario), "--config", str(config),
+                           "--out", str(tmp_path / "adapted"))
+    assert code == 0
+    assert err.startswith("adapted with 5 steps on 1 episode(s)")
 
 
 def test_eval_policy_baseline(cli_workspace, capsys):
@@ -355,6 +425,47 @@ def test_report_vehicle_less_test_flow_exit_3(cli_workspace, tmp_path, capsys):
     assert "stage=setup" in (out / "status.txt").read_text()
 
 
+def test_report_flow_longer_than_the_config_horizon_stops_at_setup(cli_workspace, tmp_path,
+                                                                  capsys):
+    # once scored: a vehicle arriving after the end clock was censored
+    # before it arrived, and the travel times came out negative
+    workspace, _ = cli_workspace
+    code, err, out = run_report(capsys, tmp_path, workspace, workspace / "sets" / "test",
+                                small_config(tmp_path, horizon=200.0),
+                                algorithms="max_pressure,fixed_time")
+    assert code == 3
+    assert err.startswith("ERROR[validation]: [setup] flows whose horizon is longer than "
+                          "the config's 200.0 s: ")
+    assert "(300.0 s)" in err
+    assert sorted(p.name for p in out.iterdir()) == ["status.txt"]
+    assert (out / "status.txt").read_text() == "status=failed\nstage=setup\n"
+
+
+def test_report_config_with_a_replay_capacity_below_the_batch_stops_at_setup(
+        cli_workspace, tmp_path, capsys):
+    workspace, _ = cli_workspace
+    code, err, out = run_report(capsys, tmp_path, workspace, workspace / "sets" / "test",
+                                small_config(tmp_path, replay_capacity=16))
+    assert code == 3
+    assert err == ("ERROR[validation]: [setup] replay_capacity (16) must be at least "
+                   "batch_size (32)\n")
+    assert sorted(p.name for p in out.iterdir()) == ["status.txt"]
+
+
+@pytest.mark.parametrize("command", ["train-dqn", "train-meta"])
+def test_train_config_with_a_replay_capacity_below_the_batch_exit_3(
+        cli_workspace, tmp_path, capsys, command):
+    # once a run of zero updates (train-dqn) or of NaN losses that left
+    # theta0 at its initialization (train-meta), with exit 0
+    workspace, _ = cli_workspace
+    config = small_config(tmp_path, replay_capacity=16)
+    code, _, err = run_cli(capsys, command, "--scenarios", str(workspace / "sets" / "train"),
+                           "--config", str(config), "--out", str(tmp_path / "trained"))
+    assert code == 3
+    assert err == "ERROR[validation]: replay_capacity (16) must be at least batch_size (32)\n"
+    assert not (tmp_path / "trained").exists()
+
+
 def test_ablate_vehicle_less_test_flow_exit_3(tmp_path, capsys):
     ckpt = tmp_path / "meta.txt"
     ss.save_meta_checkpoint(ss.MetaCheckpoint(ss.init_params((16, 16), seed=1),
@@ -377,6 +488,18 @@ def test_eval_vehicle_less_flow_exit_3(tmp_path, capsys):
                            "fixed_time", "--out", str(tmp_path / "eval"))
     assert code == 3
     assert err.startswith("ERROR[validation]: scenarios without vehicles: idle")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_flow_longer_than_the_config_horizon_exit_3(tmp_path, capsys):
+    scenario = tmp_path / "flow.csv"
+    ss.write_flow_csv(ss.sample_arrivals([10] * 8, 300.0, 3, label="long"), scenario)
+    code, _, err = run_cli(capsys, "eval", "--scenario", str(scenario), "--policy",
+                           "max_pressure", "--config", str(small_config(tmp_path, horizon=200.0)),
+                           "--out", str(tmp_path / "eval"))
+    assert code == 3
+    assert err == ("ERROR[validation]: flow long has horizon 300.0 s, longer than the "
+                   "config's 200.0 s\n")
     assert not (tmp_path / "eval").exists()
 
 

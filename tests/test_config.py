@@ -185,6 +185,14 @@ def test_out_of_range_hyperparameter_is_rejected(cls, name, value):
         cls(**{name: value})
 
 
+@pytest.mark.parametrize("cls", [ss.DqnHyper, ss.MetaHyper])
+def test_replay_capacity_below_the_batch_is_rejected(cls):
+    with pytest.raises(ValueError, match=r"^replay_capacity \(31\) must be at least "
+                                         r"batch_size \(32\)$"):
+        cls(capacity=31, batch_size=32)
+    assert cls(capacity=32, batch_size=32).capacity == 32
+
+
 def test_range_cases_cover_every_checked_field():
     # every field but the unchecked grad_clip (<= 0 disables the clip) and seed
     for cls in (ss.DqnHyper, ss.MetaHyper):

@@ -7,7 +7,7 @@ import signalshift as ss
 from signalshift.intersection import rollout
 
 import reference_sim
-from conftest import queued_state
+from conftest import episode_rewards, queued_state
 
 
 def empty_flow():
@@ -37,6 +37,16 @@ def test_config_rejects_invalid(kwargs):
 
 # ---------------------------------------------------------------------------
 # observe
+
+def test_initial_state_refuses_a_flow_longer_than_the_horizon():
+    cfg = ss.IntersectionConfig(horizon=600.0)
+    flow = ss.FlowSpec([(700.0, 0)], horizon=1200.0, label="long")
+    with pytest.raises(ValueError, match=r"^flow long has horizon 1200.0 s, longer than "
+                                         r"the config's 600.0 s$"):
+        ss.initial_state(cfg, flow)
+    short = ss.FlowSpec([(100.0, 0)], horizon=300.0)
+    assert ss.initial_state(cfg, short).scenario is short
+
 
 def test_observe_empty_state():
     cfg = ss.IntersectionConfig()
@@ -237,7 +247,8 @@ def test_episode_determinism():
     a = ss.run_episode(cfg, flow, ss.MaxPressurePolicy(cfg), seed=1)
     b = ss.run_episode(cfg, flow, ss.MaxPressurePolicy(cfg), seed=1)
     assert a.per_vehicle == b.per_vehicle
-    assert a.reward_trace == b.reward_trace
+    assert episode_rewards(cfg, flow, ss.MaxPressurePolicy(cfg), seed=1) == \
+        episode_rewards(cfg, flow, ss.MaxPressurePolicy(cfg), seed=1)
     assert a.avg_travel_time == b.avg_travel_time
 
 
@@ -251,7 +262,8 @@ def test_conservation_and_bounds_on_random_scenarios():
         result = ss.run_episode(cfg, flow, policy, seed=trial, validate=True)
         total = int(volumes.sum())
         assert result.completed_count + result.residual_count == total
-        assert all(-total <= r <= 0 for r in result.reward_trace)
+        rewards = episode_rewards(cfg, flow, ss.RandomPolicy(cfg, seed=trial), seed=trial)
+        assert all(-total <= r <= 0 for r in rewards)
 
 
 def test_fifo_and_monotone_service():
@@ -272,10 +284,9 @@ def test_fifo_and_monotone_service():
 def test_drain_stops_early_when_empty():
     cfg = ss.IntersectionConfig(horizon=100.0, drain=600.0)
     flow = ss.FlowSpec([(0.0, 0)], horizon=100.0)
-    result = ss.run_episode(cfg, flow, lambda obs: 0)
     # vehicle clears at t=22; simulation should stop at the first drain
     # check, not burn the whole 600s
-    assert len(result.reward_trace) == 10  # exactly the horizon's decisions
+    assert len(episode_rewards(cfg, flow, lambda obs: 0)) == 10  # the horizon's decisions
 
 
 def reference_decisions(config, flow, actions):

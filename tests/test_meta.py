@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from signalshift.network import params_to_text
 from signalshift.scenarios import write_rows
 from signalshift.seeding import spawn_rng
 
-from conftest import make_toy_flow, param_distance, params_equal, zero_grads
+from conftest import episode_rewards, make_toy_flow, param_distance, params_equal, zero_grads
 from reference_kernel import ablate_steps as reference_ablate_steps
 from reference_kernel import collect_experience as reference_collect_experience
 from reference_kernel import individual_adapt as reference_individual_adapt
@@ -225,10 +226,12 @@ def test_adapt_budget_accounting():
     assert out.episodes_used == 2
     assert out.update_steps == 4
     assert out.wall_time_s > 0
-    k5 = ss.adapt_to_scenario(ckpt, small_scenarios(4)[3], cfg, k_override=5, seed=0)
+    k5 = ss.adapt_to_scenario(replace(ckpt, hyper=replace(ckpt.hyper, adapt_steps=5)),
+                              small_scenarios(4)[3], cfg, seed=0)
     assert k5.update_steps == 5
-    with pytest.raises(ValueError):
-        ss.adapt_to_scenario(ckpt, small_scenarios(4)[3], cfg, k_override=0)
+    # no adaptation takes zero steps: its hyperparameters refuse them
+    with pytest.raises(ValueError, match="adapt_steps"):
+        replace(ckpt.hyper, adapt_steps=0)
 
 
 def test_adapt_params_steps_are_clipped():
@@ -306,7 +309,7 @@ def test_ablate_rows_equal_one_adaptation_per_k_and_scenario():
              ss.sample_arrivals([2] * 8, 300.0, 1),
              ss.sample_arrivals([40, 60, 30, 50, 40, 60, 30, 50], 300.0, 2)]
     # the greedy episodes leave the lockstep at different decisions
-    lengths = {len(ss.run_episode(cfg, flow, ss.GreedyPolicy(ckpt.theta0, cfg)).reward_trace)
+    lengths = {len(episode_rewards(cfg, flow, ss.GreedyPolicy(ckpt.theta0, cfg)))
                for flow in flows}
     assert len(lengths) > 1
     ks = [5, 1, 3, 3, 10]

@@ -23,6 +23,7 @@ from signalshift.network import (
 
 import reference_kernel
 import reference_sim
+from conftest import episode_rewards
 from reference_kernel import bellman_grads as reference_bellman_grads
 from reference_kernel import forward
 from reference_kernel import forward_batch as reference_forward
@@ -288,7 +289,7 @@ def max_pressure_reference(state, config) -> int:
     """The documented rule on the state itself: the largest total queue wins;
     a tie keeps the current phase if it is among the best, otherwise the
     lowest phase index wins."""
-    passed = [m for _, m in state.flow[:state.cursor]]
+    passed = [m for _, m in state.scenario.arrivals[:state.cursor]]
     queues = [passed.count(m) - len(state.exits[m]) for m in range(config.n_movements)]
     pressures = [sum(queues[m] for m in phase) for phase in config.phases]
     best = [p for p, v in enumerate(pressures) if v == max(pressures)]
@@ -313,7 +314,7 @@ def test_observe_and_max_pressure_read_the_state(config, seed):
         obs = ss.observe(state, config)
         assert obs.shape == (n_mov, 2) and obs.dtype == np.float64
         # a movement's queue: its vehicles the cursor has passed, less the served
-        passed = [m for _, m in state.flow[:state.cursor]]
+        passed = [m for _, m in state.scenario.arrivals[:state.cursor]]
         assert obs[:, 0].tolist() == [passed.count(m) - len(state.exits[m])
                                       for m in range(n_mov)]
         green = config.phases[state.current_phase]
@@ -354,7 +355,7 @@ def test_lockstep_episodes_conserve_vehicles_and_equal_lone_episodes(config, kin
     results = [None] * len(flows)
 
     def score(i, state):
-        results[i] = episode_result(state, rewards[i])
+        results[i] = episode_result(state)
 
     rollout(config, flows, lambda live, obs: [policies[i](x) for i, x in zip(live, obs)],
             lambda i, transition: rewards[i].append(transition[2]), score, validate=True)
@@ -362,6 +363,7 @@ def test_lockstep_episodes_conserve_vehicles_and_equal_lone_episodes(config, kin
         assert result.completed_count + result.residual_count == len(flow.arrivals)
         lone = ss.run_episode(config, flow, make_policy(kind, config, i), validate=True)
         assert result == lone
+        assert rewards[i] == episode_rewards(config, flow, make_policy(kind, config, i))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +408,6 @@ def test_step_and_episode_result_equal_the_reference(config, grid, seed):
                       key=lambda a: a[0])
     flow = ss.FlowSpec(arrivals, horizon=config.horizon, n_movements=config.n_movements)
     state, ref = ss.initial_state(config, flow), ss.initial_state(config, flow)
-    rewards, ref_rewards = [], []
     end = config.horizon + config.drain
     while state.clock < config.horizon or (
             state.clock < end and not reference_sim.is_empty(state)):
@@ -415,15 +416,12 @@ def test_step_and_episode_result_equal_the_reference(config, grid, seed):
         ref, ref_reward = reference_sim.step(ref, action, config, validate=True)
         assert sim_state(state) == sim_state(ref)
         assert reward == ref_reward
-        rewards.append(reward)
-        ref_rewards.append(ref_reward)
-    result = episode_result(state, rewards)
-    want = reference_sim.episode_result(ref, ref_rewards)
+    result = episode_result(state)
+    want = reference_sim.episode_result(ref)
     assert result.avg_travel_time == want.avg_travel_time
     assert (result.completed_count, result.residual_count) == \
         (want.completed_count, want.residual_count)
     assert result.per_vehicle == want.per_vehicle
-    assert result.reward_trace == want.reward_trace
 
 
 @settings(max_examples=80, deadline=None)
@@ -437,7 +435,7 @@ def test_queue_counters_equal_the_queues_recounted_after_every_step(config, seed
             state.clock < end and not reference_sim.is_empty(state)):
         state, reward = ss.step(state, int(rng.integers(config.n_phases)), config)
         # a movement's queue: its vehicles the cursor has passed, less the served
-        passed = [m for _, m in state.flow[:state.cursor]]
+        passed = [m for _, m in state.scenario.arrivals[:state.cursor]]
         queues = [passed.count(m) - len(state.exits[m]) for m in range(config.n_movements)]
         assert state.queued == queues
         assert reward == -sum(queues)
