@@ -36,8 +36,8 @@ print(f"held-out scenario, frozen theta0: {frozen.avg_travel_time:.1f}s")
 
 adapted = ss.adapt_to_scenario(meta.checkpoint, held, config, seed=0)
 run = ss.run_episode(config, held, ss.GreedyPolicy(adapted.params, config))
-print(f"after adaptation ({adapted.episodes_used} episode, "
-      f"{adapted.update_steps} gradient steps, {adapted.wall_time_s:.2f}s): "
+print(f"after adaptation ({meta.checkpoint.hyper.adapt_data_budget} episode, "
+      f"{meta.checkpoint.hyper.adapt_steps} gradient steps, {adapted.wall_time_s:.2f}s): "
       f"{run.avg_travel_time:.1f}s\n")
 
 rows = ss.ablate_steps(meta.checkpoint, [held], [1, 2, 3, 5, 10], config, seed=0)

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .config import load_settings
+from .config import config_key, load_settings
 from .dqn import GreedyPolicy, LogRow, train_dqn
 from .harness import BASELINES, ExperimentError, load_manifest, run_experiment
 from .intersection import run_episode, write_vehicle_trace
 from .meta import (
     AblationRow,
+    MetaHyper,
     MetaLogRow,
     ablate_steps,
     adapt_to_scenario,
@@ -56,6 +58,22 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _check_config(args, settings, params, hyper=None) -> None:
+    """Refuse a `--config` that contradicts the checkpoint read with it: its
+    network dims and, for a meta checkpoint, every `MetaHyper` key but the
+    seed.  Without `--config` nothing is compared."""
+    if not args.config:
+        return
+    pairs = {"embed_dim": (settings.dims[0], params.embed_dim),
+             "compete_dim": (settings.dims[1], params.compete_dim)}
+    if hyper is not None:
+        pairs.update((config_key(f.name), (getattr(settings.meta, f.name), getattr(hyper, f.name)))
+                     for f in fields(MetaHyper) if f.name != "seed")
+    if differ := [f"{key} ({ours!r}, the checkpoint's {theirs!r})"
+                  for key, (ours, theirs) in pairs.items() if ours != theirs]:
+        raise ValueError(f"{args.config} contradicts the checkpoint: {'; '.join(differ)}")
 
 
 def _distribution_from_file(path):
@@ -137,11 +155,13 @@ def cmd_train_meta(args) -> int:
 def cmd_adapt(args) -> int:
     settings = load_settings(args.config, args.seed)
     checkpoint = load_meta_checkpoint(_require(args.checkpoint))
+    _check_config(args, settings, checkpoint.theta0, checkpoint.hyper)
     scenario = read_flow_csv(_require(args.scenario))
     result = adapt_to_scenario(checkpoint, scenario, settings.intersection, seed=args.seed)
     out = _out_dir(args)
     save_params(result.params, out / "adapted_checkpoint.txt")
-    print(f"adapted with {result.update_steps} steps on {result.episodes_used} "
+    hyper = checkpoint.hyper
+    print(f"adapted with {hyper.adapt_steps} steps on {hyper.adapt_data_budget} "
           f"episode(s) in {result.wall_time_s:.3f}s", file=sys.stderr)
     return 0
 
@@ -152,7 +172,9 @@ def cmd_eval(args) -> int:
     scenario = read_flow_csv(_require(args.scenario))
     require_vehicles([scenario])
     if args.checkpoint:
-        policy = GreedyPolicy(load_params(_require(args.checkpoint)), config)
+        params = load_params(_require(args.checkpoint))
+        _check_config(args, settings, params)
+        policy = GreedyPolicy(params, config)
         tag = "checkpoint"
     else:
         policy = BASELINES[args.policy](config, args.seed)
@@ -172,6 +194,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     settings = load_settings(args.config, args.seed)
     checkpoint = load_meta_checkpoint(_require(args.checkpoint))
+    _check_config(args, settings, checkpoint.theta0, checkpoint.hyper)
     scenarios = load_scenario_dir(_require(args.scenarios))
     ks = [int(k) for k in args.ks.split(",") if k.strip()]
     rows = ablate_steps(checkpoint, scenarios, ks, settings.intersection,

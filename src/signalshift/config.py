@@ -38,12 +38,12 @@ def _parse_phases(text: str) -> tuple[tuple[int, ...], ...]:
 _RECORDS = (IntersectionConfig, DqnHyper, MetaHyper)
 
 
-def _key(field: str) -> str:
+def config_key(field: str) -> str:
     return "replay_capacity" if field == "capacity" else field
 
 
 # config key -> the parser of its value
-KEY_PARSERS = {_key(f.name): _parse_phases if f.name == "phases" else type(f.default)
+KEY_PARSERS = {config_key(f.name): _parse_phases if f.name == "phases" else type(f.default)
                for record in _RECORDS for f in fields(record) if f.name != "seed"}
 KEY_PARSERS.update(embed_dim=int, compete_dim=int, kl_epsilon=float)
 
@@ -71,8 +71,8 @@ def load_settings(path=None, seed: int | None = None) -> Settings:
         if path else {}
     if seed is not None:
         kv["seed"] = int(seed)
-    records = (record(**{f.name: kv[_key(f.name)] for f in fields(record)
-                         if _key(f.name) in kv}) for record in _RECORDS)
+    records = (record(**{f.name: kv[config_key(f.name)] for f in fields(record)
+                         if config_key(f.name) in kv}) for record in _RECORDS)
     return Settings(*records,
                     (kv.get("embed_dim", DEFAULT_EMBED_DIM),
                      kv.get("compete_dim", DEFAULT_COMPETE_DIM)),

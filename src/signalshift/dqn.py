@@ -247,8 +247,6 @@ class GreedyPolicy:
     decision."""
 
     def __init__(self, params: QNetworkParams, config: IntersectionConfig):
-        self.params = params
-        self.config = config
         self._network = bind(params, config)
 
     def __call__(self, obs: np.ndarray) -> int:

@@ -82,7 +82,6 @@ def _adapt_meta(checkpoint, scenario, settings, seed):
 def _adapt_dqn(params, scenario, settings, seed):
     # the same hyperparameters, clip included, as metalight
     return adapt_params(params, scenario, settings.intersection, settings.meta,
-                        settings.meta.adapt_steps,
                         spawn_rng(seed, NS_RL_ADAPT, zlib.crc32(scenario.label.encode()))).params
 
 

@@ -104,8 +104,6 @@ class MetaTrainResult:
 class AdaptResult:
     params: QNetworkParams
     wall_time_s: float
-    episodes_used: int
-    update_steps: int
 
 
 def scenario_digest(scenarios) -> str:
@@ -207,14 +205,13 @@ def _collect_experience(theta: QNetworkParams, scenario: FlowSpec,
 
 
 def adapt_params(theta: QNetworkParams, scenario: FlowSpec, config: IntersectionConfig,
-                 hyper: MetaHyper, steps: int, rng) -> AdaptResult:
+                 hyper: MetaHyper, rng) -> AdaptResult:
     """Collect the experience of `_collect_experience` from theta, then take
-    `steps` TD gradient steps on it."""
+    `hyper.adapt_steps` TD gradient steps on it."""
     t_start = time.perf_counter()
     memory = _collect_experience(theta, scenario, config, hyper, rng)
-    adapted = individual_adapt(theta, memory, steps, config, hyper)
-    return AdaptResult(check_bounded(adapted), time.perf_counter() - t_start,
-                       episodes_used=hyper.adapt_data_budget, update_steps=steps)
+    adapted = individual_adapt(theta, memory, hyper.adapt_steps, config, hyper)
+    return AdaptResult(check_bounded(adapted), time.perf_counter() - t_start)
 
 
 def adapt_to_scenario(checkpoint: MetaCheckpoint, scenario: FlowSpec,
@@ -223,8 +220,7 @@ def adapt_to_scenario(checkpoint: MetaCheckpoint, scenario: FlowSpec,
     checkpoint's hyperparameters, `adapt_steps` among them.  Never mutates
     the checkpoint."""
     hyper = checkpoint.hyper
-    return adapt_params(checkpoint.theta0, scenario, config, hyper, hyper.adapt_steps,
-                        _adapt_rng(hyper, seed))
+    return adapt_params(checkpoint.theta0, scenario, config, hyper, _adapt_rng(hyper, seed))
 
 
 def _adapt_rng(hyper: MetaHyper, seed: int):

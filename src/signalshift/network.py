@@ -35,13 +35,13 @@ decision and TD step (and the target, while it is the learner itself).
 
 There are two forwards on a bound network.  `_forward_bound` is the batch
 forward of the TD step, x (B, M, 2), with the cache the backward pass
-reads; at B=1 it also makes every stacked decision (`greedy_phases`, a
-stack's `frap_forward`).  `_decide_one` is one network's decision forward,
-for one observation (M, 2): `greedy_phase`, and so every greedy evaluation
-step and every exploiting decision of a `dqn.TDLearner`, runs it.  It
-returns the batch forward's bits at B=1 (property tests check this under
-several BLAS kernels) from the same 2-D products, called through `np.dot`,
-with each pair's two sides taken by a gather instead of the 0/1 products:
+reads; at B=1 it also makes every stacked decision (`greedy_phases`).
+`_decide_one` is one network's decision forward, for one observation
+(M, 2): `greedy_phase`, and so every greedy evaluation step and every
+exploiting decision of a `dqn.TDLearner`, runs it.  It returns the batch
+forward's bits at B=1 (property tests check this under several BLAS
+kernels) from the same 2-D products, called through `np.dot`, with each
+pair's two sides taken by a gather instead of the 0/1 products:
 10.4 µs against 14.5 µs (one BLAS thread, OpenBLAS's SkylakeX kernel).
 The gather is slower in the batch forward (40.0 -> 59.2 µs at B=32).  A
 stacked decision pays ~2.5 µs for the batch forward's B axis and cache
@@ -329,13 +329,10 @@ def _greedy(q: list[float]) -> int:
 
 
 def frap_forward(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
-    """Q-value per phase (P,) for a single (M, 2) observation from `observe`;
-    for a stack of T networks, Q (T, P) for obs (T, M, 2), one row each."""
+    """Q-value per phase (P,) of one network for a single (M, 2) observation
+    from `observe`; a stack decides through `greedy_phases`."""
     _check_shape(network, obs)
-    if obs.ndim == 2:
-        q = _decide_one(network, obs)
-    else:
-        q = _forward_bound(network, obs[:, None])[0][:, 0]    # (T, 1, P) at B=1
+    q = _decide_one(network, obs)
     if not np.isfinite(q).all():
         raise FloatingPointError("non-finite Q-values")
     return q

@@ -554,7 +554,7 @@ def read_flow_csv(path) -> FlowSpec:
         raise ParseError(path, next(islice(rows, exc.index, None))[0], str(exc)) from None
 
 
-def write_scenario_set(scenario_set: ScenarioSet, out_dir) -> list[Path]:
+def write_scenario_set(scenario_set: ScenarioSet, out_dir) -> None:
     """One flow CSV (+sidecar) per scenario, named by scenario label.  A
     label that is no plain file name, or that two flows share, is refused
     before any file is written."""
@@ -565,12 +565,8 @@ def write_scenario_set(scenario_set: ScenarioSet, out_dir) -> list[Path]:
         raise ValueError(f"labels held by more than one flow: {', '.join(repeated)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
     for flow in scenario_set:
-        p = out_dir / f"{flow.label}.csv"
-        write_flow_csv(flow, p)
-        paths.append(p)
-    return paths
+        write_flow_csv(flow, out_dir / f"{flow.label}.csv")
 
 
 def load_scenario_dir(directory, kind: str = "test") -> ScenarioSet:

@@ -230,7 +230,7 @@ def test_criterion_08_adaptation_speed(toy_training):
         hyper = ss.MetaHyper(meta_iterations=2, task_batch=1, seed=0)
         checkpoint = ss.train_metalight(tt.config, [tt.flow], hyper).checkpoint
         adapted = ss.adapt_to_scenario(checkpoint, tt.flow, tt.config, seed=0)
-        assert adapted.episodes_used == 1 and adapted.update_steps == 3
+        assert checkpoint.hyper.adapt_data_budget == 1 and checkpoint.hyper.adapt_steps == 3
         assert adapted.wall_time_s <= tt.dqn_time / 10.0
 
 

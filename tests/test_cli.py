@@ -32,13 +32,15 @@ def volumes_file(tmp_path, name, volumes):
     return path
 
 
-def small_config(tmp_path, **extra):
-    overrides = dict(horizon=300.0, drain=120.0, episodes=2, meta_iterations=2,
-                     task_batch=2)
-    overrides.update(extra)
+def config_file(tmp_path, **keys):
     path = tmp_path / "config.txt"
-    path.write_text("".join(f"{k}={v}\n" for k, v in overrides.items()))
+    path.write_text("".join(f"{k}={v}\n" for k, v in keys.items()))
     return path
+
+
+def small_config(tmp_path, **extra):
+    return config_file(tmp_path, **{**dict(horizon=300.0, drain=120.0, episodes=2,
+                                           meta_iterations=2, task_batch=2), **extra})
 
 
 def tree_bytes(root):
@@ -586,6 +588,76 @@ def test_adapt_meta_checkpoint_without_alpha_exit_3(tmp_path, capsys):
     assert code == 3
     assert err.startswith("ERROR[validation]: ") and "without ['alpha']" in err
     assert not (tmp_path / "adapted").exists()
+
+
+def meta_checkpoint_file(tmp_path, **hyper):
+    ckpt = tmp_path / "meta.txt"
+    ss.save_meta_checkpoint(ss.MetaCheckpoint(ss.init_params((16, 16), seed=1),
+                                              ss.MetaHyper(**hyper), "digest"), ckpt)
+    return ckpt
+
+
+def test_adapt_config_contradicting_the_checkpoint_exit_3(tmp_path, capsys):
+    # the checkpoint recorded MetaHyper()'s defaults; the config says
+    # otherwise for three meta keys, one of them spelt `replay_capacity`
+    ckpt = meta_checkpoint_file(tmp_path)
+    config = config_file(tmp_path, adapt_steps=5, alpha=0.5, replay_capacity=64)
+    scenario = tmp_path / "flow.csv"
+    ss.write_flow_csv(ss.sample_arrivals([10] * 8, 300.0, 3), scenario)
+    code, _, err = run_cli(capsys, "adapt", "--checkpoint", str(ckpt), "--scenario",
+                           str(scenario), "--config", str(config),
+                           "--out", str(tmp_path / "adapted"))
+    assert code == 3
+    assert err == (f"ERROR[validation]: {config} contradicts the checkpoint: "
+                   "alpha (0.5, the checkpoint's 0.001); adapt_steps (5, the checkpoint's 3); "
+                   "replay_capacity (64, the checkpoint's 10000)\n")
+    assert not (tmp_path / "adapted").exists()
+
+
+def test_ablate_config_contradicting_the_checkpoint_exit_3(tmp_path, capsys):
+    ckpt = meta_checkpoint_file(tmp_path)
+    config = config_file(tmp_path, alpha=0.5, adapt_data_budget=2)
+    test_dir = tmp_path / "test"
+    test_dir.mkdir()
+    ss.write_flow_csv(ss.sample_arrivals([10] * 8, 300.0, 3, label="busy"), test_dir / "a.csv")
+    code, _, err = run_cli(capsys, "ablate", "--checkpoint", str(ckpt), "--scenarios",
+                           str(test_dir), "--ks", "1,2", "--config", str(config),
+                           "--out", str(tmp_path / "abl"))
+    assert code == 3
+    assert err.startswith(f"ERROR[validation]: {config} contradicts the checkpoint: ")
+    assert "alpha (0.5, " in err and "adapt_data_budget (2, " in err
+    assert not (tmp_path / "abl").exists()
+
+
+def test_eval_config_contradicting_the_checkpoint_dims_exit_3(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.txt"
+    ss.save_params(ss.init_params((16, 16), seed=1), ckpt)
+    config = config_file(tmp_path, embed_dim=4, compete_dim=3)
+    scenario = tmp_path / "flow.csv"
+    ss.write_flow_csv(ss.sample_arrivals([10] * 8, 300.0, 3), scenario)
+    code, _, err = run_cli(capsys, "eval", "--scenario", str(scenario), "--checkpoint",
+                           str(ckpt), "--config", str(config), "--out", str(tmp_path / "eval"))
+    assert code == 3
+    assert err == (f"ERROR[validation]: {config} contradicts the checkpoint: "
+                   "embed_dim (4, the checkpoint's 16); compete_dim (3, the checkpoint's 16)\n")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_checkpoint_readers_compare_no_defaults(tmp_path, capsys):
+    # without --config nothing is compared: a 4x3 network and a meta
+    # checkpoint with adapt_steps=2 both run under the defaults
+    ckpt = tmp_path / "ckpt.txt"
+    ss.save_params(ss.init_params((4, 3), seed=1), ckpt)
+    meta_ckpt = meta_checkpoint_file(tmp_path, adapt_steps=2)
+    scenario = tmp_path / "flow.csv"
+    ss.write_flow_csv(ss.sample_arrivals([10] * 8, 300.0, 3), scenario)
+    code, _, _ = run_cli(capsys, "eval", "--scenario", str(scenario), "--checkpoint",
+                         str(ckpt), "--out", str(tmp_path / "eval"))
+    assert code == 0
+    code, _, err = run_cli(capsys, "adapt", "--checkpoint", str(meta_ckpt), "--scenario",
+                           str(scenario), "--out", str(tmp_path / "adapted"))
+    assert code == 0
+    assert err.startswith("adapted with 2 steps on 1 episode(s)")
 
 
 # ---------------------------------------------------------------------------

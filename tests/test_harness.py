@@ -364,12 +364,11 @@ def test_each_tag_makes_one_record_per_scenario_and_its_timing_rows(tmp_path, al
     assert all(float(seconds) > 0 for _, seconds in timing)
 
 
-def test_rl_adapt_clips_like_metalight(tmp_path, monkeypatch):
-    # rl_adapt adapts by metalight's rule: with the config's grad_clip=c,
-    # k steps of size alpha move the DQN parameters by at most k * alpha * c
-    clip = 0.05
+def rl_adapt_moves(tmp_path, monkeypatch, **extra):
+    """How far each rl_adapt adaptation of a report moves the DQN parameters,
+    and the meta settings of its config."""
     train_dir, test_dir = write_sets(tmp_path)
-    config = small_config_file(tmp_path, grad_clip=clip)
+    config = small_config_file(tmp_path, **extra)
     real_adapt = harness.adapt_params
     moves = []
 
@@ -383,9 +382,28 @@ def test_rl_adapt_clips_like_metalight(tmp_path, monkeypatch):
                                      algorithms=["rl_adapt"], seeds=[0],
                                      config_path=config)
     ss.run_experiment(manifest)
-    meta = ss.load_settings(config).meta
+    return moves, ss.load_settings(config).meta
+
+
+def test_rl_adapt_clips_like_metalight(tmp_path, monkeypatch):
+    # rl_adapt adapts by metalight's rule: with the config's grad_clip=c,
+    # k steps of size alpha move the DQN parameters by at most k * alpha * c
+    clip = 0.05
+    moves, meta = rl_adapt_moves(tmp_path, monkeypatch, grad_clip=clip)
     assert meta.grad_clip == clip
     bound = meta.adapt_steps * meta.alpha * clip
+    assert len(moves) == 2
+    assert all(0.0 < m <= bound * (1 + 1e-9) for m in moves), (moves, bound)
+
+
+def test_rl_adapt_takes_its_steps_from_the_config(tmp_path, monkeypatch):
+    # one step of size alpha, its gradient clipped to c, moves the DQN
+    # parameters by at most alpha * c: the config's adapt_steps=1 is the
+    # count rl_adapt takes, not the default 3
+    clip = 0.05
+    moves, meta = rl_adapt_moves(tmp_path, monkeypatch, grad_clip=clip, adapt_steps=1)
+    assert meta.adapt_steps == 1
+    bound = meta.alpha * clip
     assert len(moves) == 2
     assert all(0.0 < m <= bound * (1 + 1e-9) for m in moves), (moves, bound)
 

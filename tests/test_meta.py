@@ -219,16 +219,31 @@ def test_adapt_determinism_and_locality():
     assert not params_equal(a.params, ckpt.theta0)
 
 
-def test_adapt_budget_accounting():
+def test_adapt_budget_accounting(monkeypatch):
+    # the budget is what adaptation does: `adapt_data_budget` collection
+    # rollouts, then `adapt_steps` TD steps
     cfg = small_config()
     ckpt = tiny_checkpoint(cfg, adapt_data_budget=2, adapt_steps=4)
+    counts = {"rollouts": 0, "td_steps": 0}
+    real_rollout, real_td_step = ss.meta.rollout, ss.dqn.TDLearner.td_step
+
+    def counting_rollout(*args, **kwargs):
+        counts["rollouts"] += 1
+        return real_rollout(*args, **kwargs)
+
+    def counting_td_step(self):
+        counts["td_steps"] += 1
+        return real_td_step(self)
+
+    monkeypatch.setattr(ss.meta, "rollout", counting_rollout)
+    monkeypatch.setattr(ss.dqn.TDLearner, "td_step", counting_td_step)
     out = ss.adapt_to_scenario(ckpt, small_scenarios(4)[3], cfg, seed=0)
-    assert out.episodes_used == 2
-    assert out.update_steps == 4
+    assert counts == {"rollouts": 2, "td_steps": 4}
     assert out.wall_time_s > 0
-    k5 = ss.adapt_to_scenario(replace(ckpt, hyper=replace(ckpt.hyper, adapt_steps=5)),
-                              small_scenarios(4)[3], cfg, seed=0)
-    assert k5.update_steps == 5
+    counts.update(rollouts=0, td_steps=0)
+    ss.adapt_to_scenario(replace(ckpt, hyper=replace(ckpt.hyper, adapt_steps=5)),
+                         small_scenarios(4)[3], cfg, seed=0)
+    assert counts == {"rollouts": 2, "td_steps": 5}
     # no adaptation takes zero steps: its hyperparameters refuse them
     with pytest.raises(ValueError, match="adapt_steps"):
         replace(ckpt.hyper, adapt_steps=0)
@@ -242,12 +257,14 @@ def test_adapt_params_steps_are_clipped():
     theta = ss.init_params((8, 8), seed=2)
     flow = small_scenarios(1)[0]
     alpha, clip, steps = 1e-2, 0.05, 3
-    raw = adapt_params(theta, flow, cfg, ss.MetaHyper(alpha=alpha, grad_clip=0.0), 1,
+    raw = adapt_params(theta, flow, cfg,
+                       ss.MetaHyper(alpha=alpha, grad_clip=0.0, adapt_steps=1),
                        spawn_rng(0, 77))
     raw_norm = param_distance(raw.params, theta) / alpha
     assert raw_norm > 2 * clip, raw_norm
-    clipped = adapt_params(theta, flow, cfg, ss.MetaHyper(alpha=alpha, grad_clip=clip),
-                           steps, spawn_rng(0, 77))
+    clipped = adapt_params(theta, flow, cfg,
+                           ss.MetaHyper(alpha=alpha, grad_clip=clip, adapt_steps=steps),
+                           spawn_rng(0, 77))
     moved = param_distance(clipped.params, theta)
     assert 0.0 < moved <= steps * alpha * clip * (1 + 1e-9), (moved, raw_norm)
 

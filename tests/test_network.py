@@ -121,8 +121,6 @@ def test_stacked_decisions_check_the_rows_they_read():
         network = ss.bind(stack, cfg)
         with pytest.raises(FloatingPointError, match="non-finite Q-values"):
             greedy_phases(network, obs)
-        with pytest.raises(FloatingPointError, match="non-finite Q-values"):
-            ss.frap_forward(network, obs)
         with pytest.raises(ValueError, match="observation has shape"):
             greedy_phases(network, obs[:1])
 
