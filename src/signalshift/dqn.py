@@ -2,9 +2,9 @@
 
 `TDLearner` is the one online TD update rule: per decision it acts
 epsilon-greedily, stores the transition and, once its replay memory holds
-a batch, takes a clipped TD step.  DQN training syncs its target every
-`target_sync` updates; MetaLight's base learners and adaptation are their
-own target.
+a batch, takes a clipped TD step, whose gradient (`grads`) meta-training
+reads too.  DQN training syncs its target every `target_sync` updates;
+MetaLight's base learners and adaptation are their own target.
 """
 
 from __future__ import annotations
@@ -81,6 +81,20 @@ class ReplayMemory:
                      self._x_next.take(idx, axis=0))
 
 
+def check_td_settings(hyper) -> None:
+    """The checks of what every `TDLearner` reads of a DqnHyper or MetaHyper."""
+    check_finite_fields(hyper)
+    if not 0.0 <= hyper.gamma < 1.0:
+        raise ValueError("gamma must be in [0, 1)")
+    for name in ("batch_size", "capacity"):
+        if getattr(hyper, name) <= 0:
+            raise ValueError(f"{name} must be positive")
+    if hyper.capacity < hyper.batch_size:
+        # a memory that never holds a batch takes no TD step
+        raise ValueError(f"replay_capacity ({hyper.capacity}) must be at least "
+                         f"batch_size ({hyper.batch_size})")
+
+
 @dataclass
 class DqnHyper:
     gamma: float = 0.8
@@ -96,23 +110,15 @@ class DqnHyper:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite_fields(self)
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
+        check_td_settings(self)
         for name in ("epsilon_start", "epsilon_end", "epsilon_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        for name in ("batch_size", "target_sync", "capacity"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.capacity < self.batch_size:
-            # a memory that never holds a batch takes no TD step
-            raise ValueError(f"replay_capacity ({self.capacity}) must be at least "
-                             f"batch_size ({self.batch_size})")
-        if self.episodes < 0:
-            raise ValueError("episodes must be non-negative")
-        if self.lr < 0:
-            raise ValueError("lr must be non-negative")
+        if self.target_sync <= 0:
+            raise ValueError("target_sync must be positive")
+        for name in ("episodes", "lr"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 def epsilon_greedy(network: BoundNetwork, obs: np.ndarray, epsilon: float,
@@ -132,31 +138,20 @@ def epsilon_greedy(network: BoundNetwork, obs: np.ndarray, epsilon: float,
     return greedy_phase(network, obs)
 
 
-def td_grads(network: BoundNetwork, target: BoundNetwork, memory: ReplayMemory,
-             hyper) -> tuple[float, QNetworkParams]:
-    """Squared TD loss and its gradients, clipped to `hyper.grad_clip`, on a
-    fresh replay batch: the gradient of `TDLearner.td_step`, and of a meta
-    task at its adapted network (`hyper` is a DqnHyper or a MetaHyper)."""
-    batch = memory.sample(hyper.batch_size)
-    loss, grads = bellman_grads(network, batch, target, hyper.gamma)
-    return loss, clip_gradients(grads, hyper.grad_clip)
-
-
 class TDLearner:
     """The online TD update rule: an iterate, its binding, a bootstrap target
     synced to it every `target_sync` updates (at 1 the learner is its own
     target), a replay memory and the update count.  Each parameter version
     is bound once, after its SGD step, for the next decisions and TD step.
-    A memory made here samples from `rng`, the generator of the epsilon
-    draws: a decision's coin, then its random phase, then its TD batch."""
+    The memory samples from `rng`, the generator of the epsilon draws: a
+    decision's coin, then its random phase, then its TD batch."""
 
     def __init__(self, params: QNetworkParams, config: IntersectionConfig, hyper, lr: float,
-                 rng: np.random.Generator | None, epsilon: float = 0.0, target_sync: int = 1,
-                 memory: ReplayMemory | None = None):
+                 rng: np.random.Generator, epsilon: float = 0.0, target_sync: int = 1):
         self.params, self.config, self.hyper, self.lr, self.rng = params, config, hyper, lr, rng
         self.network = self.target = bind(params, config)
         self.epsilon, self.target_sync, self.updates = epsilon, target_sync, 0
-        self.memory = ReplayMemory(hyper.capacity, seed=rng) if memory is None else memory
+        self.memory = ReplayMemory(hyper.capacity, seed=rng)
 
     def act(self, live, obs) -> list[int]:
         """`rollout`'s act for one episode: epsilon-greedy on the iterate."""
@@ -168,9 +163,16 @@ class TDLearner:
         self.memory.push(transition)
         return self.td_step() if len(self.memory) >= self.hyper.batch_size else None
 
+    def grads(self) -> tuple[float, QNetworkParams]:
+        """Squared TD loss against the target on a fresh replay batch and its
+        gradients clipped to `hyper.grad_clip`: `td_step`'s and a meta task's."""
+        batch = self.memory.sample(self.hyper.batch_size)
+        loss, grads = bellman_grads(self.network, batch, self.target, self.hyper.gamma)
+        return loss, clip_gradients(grads, self.hyper.grad_clip)
+
     def td_step(self) -> float:
         """One clipped TD step of size `lr`; returns its loss."""
-        loss, grads = td_grads(self.network, self.target, self.memory, self.hyper)
+        loss, grads = self.grads()
         self.params = sgd_step(self.params, grads, self.lr)
         self.network = bind(self.params, self.config)
         self.updates += 1

@@ -4,11 +4,11 @@ Meta-training alternates two levels.  Individually, a base learner starts
 from the shared initialization theta0 and takes per-decision TD gradient
 steps inside one episode of a sampled scenario: it is `dqn.TDLearner` with
 step size alpha and itself as its bootstrap target.  Globally, theta0 moves
-against the sum of the adapted learners' gradients on fresh batches, using
-the first-order approximation (the gradient at the adapted parameters is
-applied directly to theta0).  Adaptation to a new scenario collects a
-small experience budget from theta0 and takes a handful of the same
-learner's TD steps on it.
+against the sum of the adapted learners' gradients on fresh batches
+(`TDLearner.grads`), using the first-order approximation (the gradient at
+the adapted parameters is applied directly to theta0).  Adaptation to a
+new scenario is one `TDLearner` from theta0: it collects a small
+experience budget by acting only, then takes a handful of TD steps on it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .intersection import IntersectionConfig, check_finite_fields, episode_result, rollout
+from .intersection import IntersectionConfig, episode_result, rollout
 from .network import (
     CHECKPOINT_KEYS,
     DEFAULT_COMPETE_DIM,
@@ -41,9 +41,9 @@ from .scenarios import (
     file_text,
     require_vehicles,
 )
-from .dqn import ReplayMemory, TDLearner, td_grads
+from .dqn import TDLearner, check_td_settings
 # kept bound here: bench/selftest.py checks that the tracer restores
-# `meta.bellman_grads`; TD steps go through `td_grads`
+# `meta.bellman_grads`; TD steps go through `TDLearner.grads`
 from .network import bellman_grads  # noqa: F401
 from .seeding import META_ADAPT, NS_META, spawn_rng
 
@@ -64,23 +64,15 @@ class MetaHyper:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite_fields(self)
-        for name in ("alpha", "beta"):
+        check_td_settings(self)
+        for name in ("alpha", "beta", "meta_iterations"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ("task_batch", "adapt_steps", "adapt_data_budget",
-                     "batch_size", "capacity"):
+        for name in ("task_batch", "adapt_steps", "adapt_data_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.capacity < self.batch_size:
-            raise ValueError(f"replay_capacity ({self.capacity}) must be at least "
-                             f"batch_size ({self.batch_size})")
-        if self.meta_iterations < 0:
-            raise ValueError("meta_iterations must be non-negative")
         if not 0.0 <= self.rollout_epsilon <= 1.0:
             raise ValueError("rollout_epsilon must be in [0, 1]")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
 
 
 @dataclass
@@ -117,18 +109,14 @@ def scenario_digest(scenarios) -> str:
     return h.hexdigest()
 
 
-def individual_adapt(theta: QNetworkParams, memory: ReplayMemory, steps: int,
-                     config: IntersectionConfig, hyper: MetaHyper) -> QNetworkParams:
-    """`steps` clipped TD gradient steps of size `hyper.alpha` from theta,
-    fresh batch each step, by a `TDLearner` that is its own bootstrap
-    target.  The original theta is untouched.
-    """
+def individual_adapt(learner: TDLearner, steps: int) -> QNetworkParams:
+    """`steps` more clipped TD steps of `learner`, a fresh batch of its
+    memory each step; returns its iterate.  Its earlier iterates are untouched."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if len(memory) < hyper.batch_size:
-        raise ValueError(
-            f"memory holds {len(memory)} transitions, need >= {hyper.batch_size}")
-    learner = TDLearner(theta, config, hyper, hyper.alpha, None, memory=memory)
+    if len(learner.memory) < learner.hyper.batch_size:
+        raise ValueError(f"memory holds {len(learner.memory)} transitions, "
+                         f"need >= {learner.hyper.batch_size}")
     for _ in range(steps):
         learner.td_step()
     return learner.params
@@ -177,7 +165,7 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
 
             rollout(config, [flows[int(ti)]], learner.act, adapt_step)
             if len(learner.memory) >= hyper.batch_size:
-                loss, grads = td_grads(learner.network, learner.network, learner.memory, hyper)
+                loss, grads = learner.grads()
                 task_grads.append(grads)
                 meta_losses.append(loss)
         if task_grads:
@@ -193,24 +181,24 @@ def train_metalight(config: IntersectionConfig, train_scenarios, hyper: MetaHype
 
 
 def _collect_experience(theta: QNetworkParams, scenario: FlowSpec,
-                        config: IntersectionConfig, hyper: MetaHyper, rng) -> ReplayMemory:
-    """The experience of one adaptation: `hyper.adapt_data_budget` episodes
-    of `scenario`, acting epsilon-greedily from theta through a `TDLearner`
-    that only acts and stores.  Its epsilon draws and its memory's batches
-    both come from `rng`."""
+                        config: IntersectionConfig, hyper: MetaHyper, rng) -> TDLearner:
+    """The learner of one adaptation (its own target, step size `alpha`),
+    from theta, once it has collected `hyper.adapt_data_budget` episodes of
+    `scenario`, acting epsilon-greedily and storing, with no TD step yet.
+    Its epsilon draws and its memory's batches both come from `rng`."""
     learner = TDLearner(theta, config, hyper, hyper.alpha, rng, epsilon=hyper.rollout_epsilon)
     for _ in range(hyper.adapt_data_budget):
         rollout(config, [scenario], learner.act, lambda i, t: learner.memory.push(t))
-    return learner.memory
+    return learner
 
 
 def adapt_params(theta: QNetworkParams, scenario: FlowSpec, config: IntersectionConfig,
                  hyper: MetaHyper, rng) -> AdaptResult:
-    """Collect the experience of `_collect_experience` from theta, then take
-    `hyper.adapt_steps` TD gradient steps on it."""
+    """Collect through the learner of `_collect_experience` from theta, then
+    take `hyper.adapt_steps` of its TD steps."""
     t_start = time.perf_counter()
-    memory = _collect_experience(theta, scenario, config, hyper, rng)
-    adapted = individual_adapt(theta, memory, hyper.adapt_steps, config, hyper)
+    learner = _collect_experience(theta, scenario, config, hyper, rng)
+    adapted = individual_adapt(learner, hyper.adapt_steps)
     return AdaptResult(check_bounded(adapted), time.perf_counter() - t_start)
 
 
@@ -240,10 +228,10 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
     `adapt_steps=k` and a greedy episode per scenario give, computed with
     less work: for every k that adaptation draws the same experience and
     batches from the same generator, so k steps are the first k of max(ks)
-    steps.  Each scenario is therefore adapted once, keeping the iterate at
-    each k, and the greedy episodes of all (k, scenario) pairs run in
-    lockstep.  A scenario without vehicles has no travel time: one is
-    refused, by name, before any work.
+    steps.  Each scenario is therefore adapted once, by one learner whose
+    iterate is kept at each k, and the greedy episodes of all (k, scenario)
+    pairs run in lockstep.  A scenario without vehicles has no travel time:
+    one is refused, by name, before any work.
     """
     flows = list(scenarios)
     if not ks:
@@ -259,12 +247,10 @@ def ablate_steps(checkpoint: MetaCheckpoint, scenarios, ks: list[int],
     steps = sorted(set(ks))
     iterates = {k: [] for k in steps}      # k -> adapted theta per scenario
     for flow in flows:
-        memory = _collect_experience(theta0, flow, config, hyper, _adapt_rng(hyper, seed))
-        adapted, done = theta0, 0
+        learner = _collect_experience(theta0, flow, config, hyper, _adapt_rng(hyper, seed))
         for k in steps:
-            adapted = individual_adapt(adapted, memory, k - done, config, hyper)
+            adapted = individual_adapt(learner, k - learner.updates)
             iterates[k].append(check_bounded(adapted).theta)
-            done = k
     thetas = np.stack([theta for k in steps for theta in iterates[k]])
     # the live episodes' networks, bound as one stack again only when the
     # live set changes

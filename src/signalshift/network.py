@@ -310,7 +310,10 @@ def _decide_one(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
     return np.dot(s, select[0].T)                             # (P,)
 
 
-def _check_shape(network: BoundNetwork, obs: np.ndarray) -> None:
+def _check_shape(network: BoundNetwork, obs: np.ndarray, stack: bool = False) -> None:
+    if (len(network.obs_shape) == 3) != stack:
+        raise ValueError(f"{'one network' if stack else 'a stack'} given: greedy_phases takes "
+                         "a stack of networks, greedy_phase and frap_forward one network")
     if obs.shape != network.obs_shape:
         raise ValueError(f"observation has shape {obs.shape}, the config and the "
                          f"network need {network.obs_shape}")
@@ -340,8 +343,8 @@ def frap_forward(network: BoundNetwork, obs: np.ndarray) -> np.ndarray:
 
 def greedy_phase(network: BoundNetwork, obs: np.ndarray) -> int:
     """The greedy decision (`_greedy`) of one bound network for one (M, 2)
-    observation.  Q-values that are not finite raise FloatingPointError, an
-    observation of the wrong shape ValueError."""
+    observation.  Q-values that are not finite raise FloatingPointError, a
+    stack or an observation of the wrong shape ValueError."""
     _check_shape(network, obs)
     return _greedy(_decide_one(network, obs).tolist())
 
@@ -351,7 +354,7 @@ def greedy_phases(stack: BoundNetwork, obs: np.ndarray) -> list[int]:
     one each: the greedy phase of every row, each row's Q-values checked.
     The stack runs the batch forward at B=1, as lockstep greedy episodes
     act (`meta.ablate_steps`)."""
-    _check_shape(stack, obs)
+    _check_shape(stack, obs, stack=True)
     q = _forward_bound(stack, obs[:, None])[0][:, 0].tolist()     # (T, 1, P) at B=1
     return [_greedy(row) for row in q]
 

@@ -197,6 +197,12 @@ def _check_horizon(horizon) -> float:
     return horizon
 
 
+def _check_n_movements(n_movements: int) -> int:
+    if n_movements < 1:
+        raise ValueError(f"n_movements must be >= 1, got {n_movements!r}")
+    return n_movements
+
+
 class ArrivalError(ValueError):
     """A vehicle that breaks a FlowSpec rule; `index` is its place in the flow."""
 
@@ -226,6 +232,7 @@ class FlowSpec:
 
     def __post_init__(self):
         _check_horizon(self.horizon)
+        _check_n_movements(self.n_movements)
         if isinstance(self.arrivals, np.ndarray) and self.arrivals.dtype == ARRIVAL:
             records = self.arrivals.copy()
         else:
@@ -493,7 +500,7 @@ def flow_to_csv_text(flow: FlowSpec) -> str:
 # the sidecar's keys, each with its parser; the provenance keys are
 # written, and read, as a set
 FLOW_KEYS = {"label": _label_field, "horizon": lambda text: _check_horizon(float(text)),
-             "n_movements": int}
+             "n_movements": lambda text: _check_n_movements(int(text))}
 PROVENANCE_KEYS = {"base_label": _label_field, "uniform_scale": float, "half_range": float,
                    "seed": int}
 

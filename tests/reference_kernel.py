@@ -22,7 +22,8 @@ training loops as each kept its own TD bookkeeping (the iterate, the
 target and its sync, the update count), run here on the TD step above and
 on epsilon-greedy over raw Q-values.  `collect_experience` is an
 adaptation's collection on the same epsilon-greedy, before it went
-through the TD learner.  Their draws from the one generator
+through the TD learner, and `individual_adapt` its steps on that memory,
+before the learner that collects took them.  Their draws from the one generator
 come in the program's order: the epsilon coin, then the random phase if
 exploring, then each replay batch.
 """
@@ -288,8 +289,9 @@ def train_metalight(config, train_scenarios, hyper, dims=(16, 16)):
 
 
 def collect_experience(theta, scenario, config, hyper, rng):
-    """The memory of `meta._collect_experience`: `hyper.adapt_data_budget`
-    epsilon-greedy episodes from theta, each transition stored."""
+    """The memory of the learner `meta._collect_experience` returns:
+    `hyper.adapt_data_budget` epsilon-greedy episodes from theta, each
+    transition stored."""
     memory = ss.ReplayMemory(hyper.capacity, seed=rng)
 
     def act(live, obs):
@@ -312,8 +314,9 @@ def apply_gradient_steps(theta, grad_fn, lr, steps):
 
 
 def individual_adapt(theta, memory, steps, config, hyper):
-    """`meta.individual_adapt`: `steps` TD steps of size `hyper.alpha`, each
-    bootstrapping from the current iterate."""
+    """`meta.individual_adapt` of a learner from theta whose memory is
+    `memory`: `steps` TD steps of size `hyper.alpha`, each bootstrapping
+    from the current iterate."""
     adapted, _ = apply_gradient_steps(
         theta, lambda params: td_grads(params, params, memory, hyper, config),
         hyper.alpha, steps)

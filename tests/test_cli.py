@@ -104,6 +104,20 @@ def test_kl_multi_row_bases_exit_3(tmp_path, capsys):
     assert err.startswith("ERROR[validation]:")
 
 
+@pytest.mark.parametrize("n_movements", [0, -3])
+def test_kl_flow_sidecar_without_a_movement_exit_3(tmp_path, capsys, n_movements):
+    # -3 once exited 3 with numpy's "'minlength' must not be negative" and
+    # no file:line
+    from test_scenarios import rewrite_sidecar_line
+    path = tmp_path / "flow.csv"
+    ss.write_flow_csv(ss.sample_arrivals([10, 20, 5, 5, 10, 20, 5, 5], 300.0, 3), path)
+    line_no = rewrite_sidecar_line(path, "n_movements=8", f"n_movements={n_movements}")
+    code, _, err = run_cli(capsys, "kl", "--a", str(path), "--b", str(path))
+    assert code == 3
+    assert err == (f"ERROR[validation]: {path.with_suffix('.meta')}:{line_no}: n_movements: "
+                   f"n_movements must be >= 1, got {n_movements}\n")
+
+
 def headerless_flow(tmp_path, sidecar: bool):
     """A flow CSV of two vehicles without its header line, and with or
     without its `.meta` sidecar."""

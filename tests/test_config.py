@@ -185,6 +185,21 @@ def test_out_of_range_hyperparameter_is_rejected(cls, name, value):
         cls(**{name: value})
 
 
+@pytest.mark.parametrize("settings,message", [
+    ({"batch_size": 0}, "batch_size must be positive"),
+    ({"capacity": 0}, "capacity must be positive"),
+    ({"gamma": 1.0}, r"gamma must be in \[0, 1\)"),
+    ({"capacity": 16}, r"replay_capacity \(16\) must be at least batch_size \(32\)"),
+    ({"grad_clip": math.nan}, "grad_clip must be finite, got nan"),
+], ids=["batch_size", "capacity", "gamma", "capacity-below-batch", "grad_clip-nan"])
+def test_both_hypers_refuse_a_shared_setting_with_one_message(settings, message):
+    # the settings every TD learner reads: once MetaHyper said ">= 1" where
+    # DqnHyper said "must be positive"
+    for cls in (ss.DqnHyper, ss.MetaHyper):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(**settings)
+
+
 @pytest.mark.parametrize("cls", [ss.DqnHyper, ss.MetaHyper])
 def test_replay_capacity_below_the_batch_is_rejected(cls):
     with pytest.raises(ValueError, match=r"^replay_capacity \(31\) must be at least "

@@ -7,6 +7,7 @@ import pytest
 
 import signalshift as ss
 import signalshift.scenarios as scenarios_module
+from signalshift.dqn import TDLearner
 from signalshift.meta import (
     AblationRow,
     MetaLogRow,
@@ -34,10 +35,9 @@ def small_scenarios(n=3):
             for seed in range(n)]
 
 
-def filled_memory(cfg, params, seed=0, episodes=2):
-    """Experience gathered by acting epsilon-greedily from `params`."""
-    rng = spawn_rng(seed, 1234)
-    memory = ss.ReplayMemory(5000, seed=rng)
+def fill(memory, rng, cfg, params, episodes=2):
+    """`memory` with the experience of acting epsilon-greedily from `params`,
+    drawing from `rng`."""
     network = ss.bind(params, cfg)
     for i, flow in enumerate(small_scenarios(episodes)):
         state = ss.initial_state(cfg, flow)
@@ -49,6 +49,21 @@ def filled_memory(cfg, params, seed=0, episodes=2):
             memory.push((obs, a, r, obs2))
             obs = obs2
     return memory
+
+
+def filled_memory(cfg, params, seed=0):
+    """A memory filled by `fill`; it samples from the generator of the
+    epsilon draws, as a TD learner's does."""
+    rng = spawn_rng(seed, 1234)
+    return fill(ss.ReplayMemory(5000, seed=rng), rng, cfg, params)
+
+
+def filled_learner(cfg, params, hyper, seed=0):
+    """A learner from `params` whose memory holds what `filled_memory`'s
+    does, with the same generator state: its batches are the same."""
+    learner = TDLearner(params, cfg, hyper, hyper.alpha, spawn_rng(seed, 1234))
+    fill(learner.memory, learner.rng, cfg, params)
+    return learner
 
 
 # ---------------------------------------------------------------------------
@@ -96,24 +111,23 @@ def test_global_update_probes():
 def test_individual_adapt_zero_alpha_is_identity():
     cfg = small_config()
     params = ss.init_params((8, 8), seed=2)
-    memory = filled_memory(cfg, params)
-    adapted = ss.individual_adapt(params, memory, 3, cfg, ss.MetaHyper(alpha=0.0))
+    adapted = ss.individual_adapt(filled_learner(cfg, params, ss.MetaHyper(alpha=0.0)), 3)
     assert params_equal(adapted, params)
 
 
 def test_individual_adapt_requires_warm_memory():
     cfg = small_config()
     params = ss.init_params((8, 8), seed=2)
+    learner = TDLearner(params, cfg, ss.MetaHyper(alpha=1e-3), 1e-3, spawn_rng(0))
     with pytest.raises(ValueError):
-        ss.individual_adapt(params, ss.ReplayMemory(16, seed=0), 1, cfg,
-                            ss.MetaHyper(alpha=1e-3))
+        ss.individual_adapt(learner, 1)
 
 
 def test_individual_adapt_needs_a_step():
     cfg = small_config()
     params = ss.init_params((8, 8), seed=2)
     with pytest.raises(ValueError, match="steps must be >= 1"):
-        ss.individual_adapt(params, filled_memory(cfg, params), 0, cfg, ss.MetaHyper())
+        ss.individual_adapt(filled_learner(cfg, params, ss.MetaHyper()), 0)
 
 
 def test_individual_adapt_fixed_point():
@@ -121,11 +135,11 @@ def test_individual_adapt_fixed_point():
     from test_network import constant_net, hand_case_batch
     cfg = ss.IntersectionConfig()
     params = constant_net(1.0 / 3.0)
-    memory = ss.ReplayMemory(64, seed=3)
+    learner = TDLearner(params, cfg, ss.MetaHyper(alpha=1e-3, gamma=0.9, capacity=64), 1e-3,
+                        spawn_rng(3))
     for t in hand_case_batch(cfg, 0.1) * 40:
-        memory.push(t)
-    adapted = ss.individual_adapt(params, memory, 3, cfg,
-                                   ss.MetaHyper(alpha=1e-3, gamma=0.9))
+        learner.memory.push(t)
+    adapted = ss.individual_adapt(learner, 3)
     assert params_equal(adapted, params)
 
 
@@ -133,7 +147,7 @@ def test_individual_adapt_equals_the_reference_steps():
     cfg = small_config()
     params = ss.init_params((8, 8), seed=4)
     hyper = ss.MetaHyper(alpha=1e-2)
-    got = ss.individual_adapt(params, filled_memory(cfg, params), 4, cfg, hyper)
+    got = ss.individual_adapt(filled_learner(cfg, params, hyper), 4)
     want = reference_individual_adapt(params, filled_memory(cfg, params), 4, cfg, hyper)
     assert params_equal(got, want)
     assert not params_equal(got, params)
@@ -143,8 +157,7 @@ def test_individual_adapt_does_not_mutate_input():
     cfg = small_config()
     params = ss.init_params((8, 8), seed=4)
     snapshot = params_to_text(params)
-    memory = filled_memory(cfg, params)
-    ss.individual_adapt(params, memory, 2, cfg, ss.MetaHyper(alpha=1e-3))
+    ss.individual_adapt(filled_learner(cfg, params, ss.MetaHyper(alpha=1e-3)), 2)
     assert params_to_text(params) == snapshot
 
 
@@ -247,6 +260,26 @@ def test_adapt_budget_accounting(monkeypatch):
     # no adaptation takes zero steps: its hyperparameters refuse them
     with pytest.raises(ValueError, match="adapt_steps"):
         replace(ckpt.hyper, adapt_steps=0)
+
+
+def test_one_learner_per_adaptation_and_per_ablated_scenario(monkeypatch):
+    # the learner that collects is the learner that steps: one per
+    # adaptation, and one per scenario of an ablation whatever its ks
+    cfg = small_config()
+    ckpt = tiny_checkpoint(cfg)
+    made = []
+
+    class CountingLearner(TDLearner):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ss.meta, "TDLearner", CountingLearner)
+    ss.adapt_to_scenario(ckpt, small_scenarios(4)[3], cfg)
+    assert len(made) == 1
+    made.clear()
+    ss.ablate_steps(ckpt, small_scenarios(2), [3, 1, 2, 3], cfg)
+    assert len(made) == 2
 
 
 def test_adapt_params_steps_are_clipped():
@@ -369,7 +402,9 @@ def test_collection_equals_epsilon_greedy_over_raw_q_values(epsilon, capacity):
              ss.sample_arrivals([2] * 8, 300.0, 1)]
     for i, flow in enumerate(flows):
         rng, oracle_rng = spawn_rng(7, i), spawn_rng(7, i)
-        memory = _collect_experience(theta, flow, cfg, hyper, rng)
+        learner = _collect_experience(theta, flow, cfg, hyper, rng)
+        assert learner.updates == 0
+        memory = learner.memory
         want = reference_collect_experience(theta, flow, cfg, hyper, oracle_rng)
         assert memory_rows(memory) == memory_rows(want)
         assert len(memory) == min(capacity, len(want)) and len(memory) > 0

@@ -125,6 +125,24 @@ def test_stacked_decisions_check_the_rows_they_read():
             greedy_phases(network, obs[:1])
 
 
+@pytest.mark.parametrize("call", ["greedy_phase", "frap_forward", "greedy_phases"])
+def test_the_other_kind_of_network_is_refused_by_name(monkeypatch, call):
+    # a stack given to a one-network call, one network to greedy_phases,
+    # each with an observation of its own shape: refused before any product
+    cfg = ss.IntersectionConfig()
+    params = ss.init_params((4, 3), seed=1)
+    stacked = call == "greedy_phases"
+    if not stacked:
+        params = ss.QNetworkParams(4, 3, np.stack([params.theta, params.theta]))
+    network = ss.bind(params, cfg)
+    for forward in ("_decide_one", "_forward_bound"):
+        monkeypatch.setattr(ss.network, forward, lambda *args: pytest.fail("a forward ran"))
+    given = "one network" if stacked else "a stack"
+    with pytest.raises(ValueError, match=f"^{given} given: greedy_phases takes a stack of "
+                                         "networks, greedy_phase and frap_forward one network$"):
+        getattr(ss.network, call)(network, np.zeros(network.obs_shape))
+
+
 def test_forward_backward_bit_stable():
     cfg = ss.IntersectionConfig()
     params = ss.init_params((16, 16), seed=9)

@@ -383,6 +383,18 @@ def test_flow_sidecar_value_that_does_not_parse_names_its_line(tmp_path, old, ne
         ss.read_flow_csv(path)
 
 
+@pytest.mark.parametrize("n_movements", [0, -3])
+def test_flow_sidecar_without_a_movement_names_its_line(tmp_path, n_movements):
+    # once -3 reached numpy's bincount and 0 blamed the first row
+    # ("movement 1 outside 1..0")
+    path = tmp_path / "x.csv"
+    ss.write_flow_csv(ss.FlowSpec([(1.5, 0)], horizon=600.0), path)
+    line_no = rewrite_sidecar_line(path, "n_movements=8", f"n_movements={n_movements}")
+    with pytest.raises(ss.ParseError, match=rf"x\.meta:{line_no}: n_movements: n_movements "
+                                            rf"must be >= 1, got {n_movements}$"):
+        ss.read_flow_csv(path)
+
+
 def test_flow_sidecar_value_error_names_the_line_whose_value_counts(tmp_path):
     # a later key wins, so a bad later value is named at its own line
     path = tmp_path / "x.csv"
@@ -404,13 +416,16 @@ def test_flow_sidecar_value_error_names_the_line_whose_value_counts(tmp_path):
     (lambda: ss.FlowSpec([], horizon=math.nan), "horizon must be finite and positive"),
     (lambda: ss.FlowSpec([], horizon=math.inf), "horizon must be finite and positive"),
     (lambda: ss.FlowSpec([(1.0, 0)], horizon=math.nan), "horizon must be finite and positive"),
+    (lambda: ss.FlowSpec([], n_movements=-3), r"^n_movements must be >= 1, got -3$"),
+    (lambda: ss.FlowSpec([], n_movements=0), r"^n_movements must be >= 1, got 0$"),
     (lambda: ss.ScenarioSet([], kind="validation"), "unknown scenario-set kind"),
     (lambda: ss.sample_arrivals([1, 2], -1.0, 0), "horizon must be finite and positive"),
     (lambda: ss.sample_arrivals([1, 2], math.nan, 0), "horizon must be finite and positive"),
     (lambda: ss.sample_arrivals([1, 2], math.inf, 0), "horizon must be finite and positive"),
     (lambda: ss.make_test_scenarios([], 0), "at least one base"),
 ], ids=["base-2d", "base-negative", "flow-horizon", "flow-horizon-nan", "flow-horizon-inf",
-        "flow-horizon-nan-with-a-vehicle", "set-kind", "arrivals-horizon",
+        "flow-horizon-nan-with-a-vehicle", "flow-movements-negative", "flow-movements-zero",
+        "set-kind", "arrivals-horizon",
         "arrivals-horizon-nan", "arrivals-horizon-inf", "test-set-no-bases"])
 def test_construction_rejects(build, match):
     with pytest.raises(ValueError, match=match):
